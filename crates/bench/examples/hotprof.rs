@@ -11,10 +11,15 @@
 //!   batches), not the noise model itself.
 //! * `queue-only` — replays a comparable push/pop volume against
 //!   `EventQueue` directly with the real key pattern (per-rank monotone
-//!   `cseq`, clustered timestamps), isolating queue cost from dispatch.
+//!   `cseq`), isolating queue cost from dispatch. Two timestamp
+//!   patterns: 256 lockstep ranks whose events cluster on a few shared
+//!   timestamps, and 2,000 desynchronized ranks whose per-rank jitter
+//!   keeps ~2,000 distinct timestamps live at once (the large-run
+//!   regime).
 //!
-//! Usage: `cargo build --release -p cesim-bench --example hotprof` and
-//! A/B the binary against a stashed baseline build; single runs on a
+//! Usage: `cargo build --release -p cesim-bench --example hotprof`, then
+//! run the binary (all three) or `hotprof queue` (the queue-only replays
+//! alone). A/B it against a stashed baseline build; single runs on a
 //! noisy host swing ±10%, so interleave several rounds.
 
 use cesim_core::engine::queue::{EvKey, EventQueue};
@@ -26,7 +31,8 @@ use cesim_core::model::{LogGopsParams, Span, Time};
 use cesim_core::noise::{CeNoise, Scope};
 use std::time::Instant;
 
-fn main() {
+/// The serial engine with and without CE noise.
+fn engine_modes(reps: u64) {
     let n = 256;
     let rounds = 24;
     let mut b = ScheduleBuilder::new(n);
@@ -48,7 +54,6 @@ fn main() {
     };
     // Warm-up: populate scratch/caches outside the timed regions.
     simulate_compiled(&cs, &LogGopsParams::xc40(), &mut mk(u64::MAX)).unwrap();
-    let reps = 24u64;
 
     let t0 = Instant::now();
     let mut ev = 0u64;
@@ -75,17 +80,20 @@ fn main() {
         reps as f64 / el2,
         el2 * 1e9 / ev2 as f64
     );
+}
 
+/// Replay `reps` × `per_rep` pushes against a bare `EventQueue`: one seed
+/// event per rank at t = 0, then each popped event schedules its rank's
+/// next one `delay(pushed)` ps later until the volume is reached.
+fn queue_replay(label: &str, ranks: usize, reps: u64, mut delay: impl FnMut(usize) -> u64) {
     let mut q: EventQueue<(u32, u32)> = EventQueue::new();
     let per_rep: usize = 246_016;
     let t0 = Instant::now();
     let mut sink = 0u64;
     let mut out = Vec::new();
     for _ in 0..reps {
-        let mut seq = vec![0u32; n];
+        let mut seq = vec![0u32; ranks];
         let mut pushed = 0usize;
-        // Seed one event per rank, then let each popped event create one
-        // future event on the same rank until the volume target is hit.
         for (r, s) in seq.iter_mut().enumerate() {
             let key = EvKey {
                 crank: r as u32,
@@ -95,8 +103,7 @@ fn main() {
             *s += 1;
             pushed += 1;
         }
-        while pushed < per_rep || !q.is_empty() {
-            q.pop_batch(&mut out);
+        while q.pop_batch(&mut out) > 0 {
             for &(t, k, _) in out.iter() {
                 let now = t.as_ps();
                 let r = k.crank as usize;
@@ -105,25 +112,37 @@ fn main() {
                         crank: r as u32,
                         cseq: seq[r],
                     };
-                    q.push(
-                        Time::from_ps(now + 1000 + (pushed as u64 % 7) * 250),
-                        key,
-                        (r as u32, 1),
-                    );
+                    q.push(Time::from_ps(now + delay(pushed)), key, (r as u32, 1));
                     seq[r] += 1;
                     pushed += 1;
                 }
                 sink = sink.wrapping_add(now);
             }
-            if out.is_empty() {
-                break;
-            }
         }
         q.clear();
     }
-    let el3 = t0.elapsed().as_secs_f64();
+    let el = t0.elapsed().as_secs_f64();
     println!(
-        "queue-only: ns/event {:.1}  (sink {sink})",
-        el3 * 1e9 / (per_rep as f64 * reps as f64)
+        "{label}: ns/event {:.1}  (sink {sink})",
+        el * 1e9 / (per_rep as f64 * reps as f64)
     );
+}
+
+fn main() {
+    let reps = 24u64;
+    if std::env::args().nth(1).as_deref() != Some("queue") {
+        engine_modes(reps);
+    }
+    queue_replay("queue-only lockstep (256 ranks)", 256, reps, |pushed| {
+        1000 + (pushed as u64 % 7) * 250
+    });
+    // Per-rank compute jitter of 1-41 us at ps resolution: nearly every
+    // push opens a new timestamp, ~2,000 of them live at once.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    queue_replay("queue-only desync (2000 ranks)", 2000, reps, move |_| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        1_000_000 + x % 40_000_000
+    });
 }

@@ -13,37 +13,64 @@
 //!   engine ([`crate::shard`]) relies on to merge per-shard streams
 //!   byte-identically with the serial engine.
 //!
-//! # Layout: wavefront buckets, not a heap
+//! # Layout: radix buckets feeding a sorted active run
 //!
-//! Lockstep collectives make the event population *wave-shaped*: at any
-//! instant the queue holds a handful of distinct timestamps, each shared
-//! by a large same-time run (hundreds of events — one per rank of the
-//! current wavefront). A comparison heap pays `O(log n)` sift work per
-//! event to maintain a total order it never needs: events are consumed
-//! one whole timestamp at a time.
+//! The dispatch loop consumes events one whole timestamp at a time
+//! ([`EventQueue::pop_batch`]), so the queue never needs a total order
+//! over the future — only "which timestamp is next" and a key order
+//! within it. How many distinct timestamps W are live at once depends on
+//! the regime. Lockstep collectives at small scale hold a handful. Once
+//! noise or per-rank work desynchronizes thousands of ranks, nearly
+//! every push opens a new timestamp: one 2,000-rank LULESH baseline
+//! pushes 304k events, 287k of them at a timestamp not yet live, and W
+//! peaks at 7,818 (`figures` peaks at 668, `fleet_4k` at 321). A sorted
+//! per-timestamp list pays an O(W) memmove for each new timestamp, so
+//! the queue must cost O(1) per push whatever W is.
 //!
-//! So the queue buckets events by timestamp instead:
+//! Times only ever move forward from the timestamp being drained
+//! (`last`), which is what a monotone radix queue exploits:
 //!
-//! * **Waves** — a short `Vec` of `(time, bucket)` pairs, sorted by
-//!   time, one per distinct *future* timestamp. A push appends to its
-//!   wave's bucket unordered in O(1) (plus a binary search over the
-//!   handful of live times); each bucket memoizes its minimum key so
-//!   peeking never scans.
-//! * **The active run** — when the earliest wave is first *popped from*,
-//!   its bucket is sorted once by the `(crank, cseq)` tie-break (a
-//!   contiguous `u64` sort, unique keys, so the order is deterministic)
-//!   and pops become cursor increments.
-//! * **The side heap** — events pushed *at* the active timestamp while
-//!   it is being drained (a completing op readying a dependent at the
-//!   same instant) go to a small binary min-heap that the pop path
-//!   merges with the run head. It stays tiny: such events are consumed
-//!   almost immediately by the dispatch loop's ordered merge.
+//! * **Radix buckets** — 65 unsorted buckets of `(time, key, event)`. An
+//!   event at `t > last` goes to bucket `b = 64 - lzcnt(t ^ last)`: it
+//!   agrees with `last` above bit `b - 1` and has that bit set. Bucket
+//!   ranges are disjoint and ascend with `b`, so the lowest non-empty
+//!   bucket holds the minimum. A push is one xor, one `lzcnt` and one
+//!   append; each bucket memoizes its minimum time, and an occupancy mask
+//!   finds the lowest non-empty bucket in one `tzcnt`.
+//! * **Activation** — when the active timestamp is exhausted, the lowest
+//!   non-empty bucket's minimum becomes the new `last` and that bucket is
+//!   redistributed: entries at `last` form the run, every other entry
+//!   drops to a strictly lower bucket (it now differs from `last` in a
+//!   lower bit). Higher buckets stay put — `last` moved only below their
+//!   bit. An event descends at most 64 times, in practice a few.
+//! * **The active run** — the events at `last`, sorted once by the
+//!   packed `(crank, cseq)` key (a contiguous `u64` sort; keys are
+//!   unique, so the order is deterministic), then drained by cursor.
+//! * **The side heap** — events pushed *at* `last` while it is being
+//!   drained (a completing op readying a dependent at the same instant)
+//!   go to a small binary min-heap that pops merge with the run head.
 //!
-//! Pop order is exactly ascending `(time, crank, cseq)` — identical to
-//! the heap this replaces, which `proptests` below and the engine's
-//! equivalence suites verify. Pushing a timestamp *below* the active one
-//! (impossible in engine use, where pushes are causal, but legal API)
-//! takes a slow path that demotes the active run back to a wave.
+//! Because engine pushes are causal and same-instant pushes land in the
+//! side heap, no bucketed event can sort before anything still queued
+//! at the active timestamp. The dispatch loops therefore interleave
+//! same-instant events with [`EventQueue::peek_active_min`] (run head
+//! vs side head), never touching the buckets mid-batch.
+//! [`EventQueue::peek_time`] stays O(1); [`EventQueue::peek_min`] scans
+//! the lowest bucket for its minimum key when the active timestamp is
+//! exhausted, which only the API and tests need.
+//!
+//! **Memory.** A drained bucket keeps its buffer only up to
+//! [`RETAIN_CAP`] entries; a larger one is freed after redistribution.
+//! Without that, every bucket keeps its own high-water capacity, and
+//! capacity circulates across buckets as events descend (summing to 5×
+//! the peak live events on a 2,000-rank run). With it, retained capacity
+//! is bounded by a small multiple of the live events plus a constant.
+//!
+//! Pop order is exactly ascending `(time, crank, cseq)`, which the tests
+//! below check against a sorted reference model over the full `u64`
+//! time range. Pushing a timestamp *below* the active one (impossible in
+//! engine use, where pushes are causal, but legal API) takes a cold path
+//! that re-files every queued event relative to the new minimum.
 
 use cesim_model::Time;
 
@@ -80,51 +107,70 @@ fn unpack_key(k: u64) -> EvKey {
     }
 }
 
-/// One future timestamp's unordered event bucket.
-struct Wave<E> {
-    /// Timestamp shared by every entry (ps).
+/// Number of radix buckets: bucket 0 holds events at `last` before it is
+/// activated, bucket `b ≥ 1` those whose highest bit differing from
+/// `last` is `b - 1`.
+const BUCKETS: usize = 65;
+
+/// Largest buffer (in entries) a bucket keeps after it is drained; a
+/// larger one is freed so capacity cannot accumulate across buckets.
+/// Small enough that 65 retained buffers are a few MiB at most, large
+/// enough that small and lockstep runs never reallocate.
+const RETAIN_CAP: usize = 1024;
+
+/// Bucket index of time `t` relative to the radix base `last`.
+#[inline(always)]
+fn bucket_of(t: u64, last: u64) -> usize {
+    (u64::BITS - (t ^ last).leading_zeros()) as usize
+}
+
+/// A bucketed event: the time is kept per entry because one bucket
+/// spans a range of timestamps.
+#[derive(Clone, Copy)]
+struct Entry<E> {
     t: u64,
-    /// Minimum packed key in `events`, memoized on push so
-    /// [`EventQueue::peek_min`] is O(1) without sorting.
-    min: u64,
-    /// `(packed key, payload)` in arrival order; sorted only when this
-    /// wave becomes the active run.
-    events: Vec<(u64, E)>,
+    k: u64,
+    ev: E,
 }
 
 /// Deterministic time-ordered event queue (see module docs for the
-/// wavefront-bucket layout).
+/// radix-bucket layout).
 pub struct EventQueue<E> {
-    /// Future timestamps, ascending, all strictly above `active_t` when
-    /// a run is active. Never contains an empty bucket.
-    waves: Vec<Wave<E>>,
-    /// The timestamp currently being drained (valid when `active`).
-    active_t: u64,
+    /// Radix buckets relative to `last`; every entry has `t >= last`,
+    /// and bucket 0 is non-empty only while no run is active.
+    buckets: [Vec<Entry<E>>; BUCKETS],
+    /// Per-bucket minimum time (`u64::MAX` when empty).
+    min_t: [u64; BUCKETS],
+    /// Bit `b` set iff `buckets[b]` is non-empty.
+    occupied: u128,
+    /// The radix base: the active timestamp, or the floor of all queued
+    /// times while no run is active.
+    last: u64,
+    /// True once the events at `last` have been moved into `run`; until
+    /// then pushes at `last` go to bucket 0 instead of the side heap.
     active: bool,
     /// The active timestamp's events, sorted by packed key; consumed by
     /// advancing `cursor`.
     run: Vec<(u64, E)>,
     cursor: usize,
-    /// Min-heap of events pushed at `active_t` after activation.
+    /// Min-heap of events pushed at `last` after activation.
     side: Vec<(u64, E)>,
-    /// Retired bucket backings, kept for reuse — steady-state replicas
-    /// allocate nothing.
-    spare: Vec<Vec<(u64, E)>>,
     len: usize,
     pushed: u64,
 }
 
 // `E: Copy` is deliberate: event payloads are small index-like values
-// (the arena reduced them to `Copy` refs), which keeps bucket sorting
-// and the side heap's hole-style sifts to single moves of 16-byte pairs.
+// (the arena reduced them to `Copy` refs), which keeps bucket moves,
+// run sorting and the side heap's hole-style sifts to single copies of
+// small records.
 impl<E: Copy> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty queue with pre-reserved capacity (for the active run;
-    /// wave buckets grow to their own high-water marks on first use).
+    /// An empty queue with pre-reserved capacity for the active run
+    /// (buckets grow on first use).
     pub fn with_capacity(cap: usize) -> Self {
         let mut q = Self::default();
         q.run.reserve(cap);
@@ -141,94 +187,92 @@ impl<E: Copy> EventQueue<E> {
         self.len += 1;
         let t = time.as_ps();
         let k = pack_key(key);
-        if self.active {
-            if t == self.active_t {
-                // Same-instant push while draining: the dispatch loop
-                // will consume it almost immediately — keep it in the
-                // small merge heap instead of disturbing any bucket.
-                side_push(&mut self.side, (k, event));
-                return;
-            }
-            if t < self.active_t {
-                // Legal API, unreachable from the engine (pushes are
-                // causal: never earlier than the time being dispatched).
-                self.demote_active();
-            }
-        }
-        self.wave_push(t, k, event);
-    }
-
-    /// File `(k, event)` under the wave for `t`, creating it in sorted
-    /// position if absent. The wave list holds one entry per distinct
-    /// live future timestamp — single digits in wave-shaped workloads —
-    /// so the binary search and any insertion shuffle are cheap.
-    #[inline]
-    fn wave_push(&mut self, t: u64, k: u64, event: E) {
-        match self.waves.binary_search_by_key(&t, |w| w.t) {
-            Ok(i) => {
-                let w = &mut self.waves[i];
-                w.min = w.min.min(k);
-                w.events.push((k, event));
-            }
-            Err(i) => {
-                let mut events = self.spare.pop().unwrap_or_default();
-                events.push((k, event));
-                self.waves.insert(i, Wave { t, min: k, events });
-            }
-        }
-    }
-
-    /// Slow path: push below the active timestamp. Returns the active
-    /// run (and side heap) to a wave bucket so the normal ordering
-    /// machinery re-applies.
-    #[cold]
-    fn demote_active(&mut self) {
-        let mut events = self.spare.pop().unwrap_or_default();
-        events.extend_from_slice(&self.run[self.cursor..]);
-        events.append(&mut self.side);
-        self.run.clear();
-        self.cursor = 0;
-        self.active = false;
-        if events.is_empty() {
-            self.spare.push(events);
+        if t == self.last && self.active {
+            // Same-instant push while draining: the dispatch loop will
+            // consume it almost immediately — keep it in the small merge
+            // heap instead of disturbing the sorted run.
+            side_push(&mut self.side, (k, event));
             return;
         }
-        let min = events.iter().map(|&(k, _)| k).min().expect("non-empty");
-        debug_assert!(self.waves.first().is_none_or(|w| w.t > self.active_t));
-        self.waves.insert(
-            0,
-            Wave {
-                t: self.active_t,
-                min,
-                events,
-            },
-        );
+        if t < self.last {
+            // Legal API, unreachable from the engine (pushes are causal:
+            // never earlier than the time being dispatched).
+            self.rebase(t);
+        }
+        self.file(Entry { t, k, ev: event });
     }
 
-    /// Make the earliest wave the active run: sort its bucket once by
-    /// the packed tie-break (unique keys, so `sort_unstable` is
-    /// deterministic) and drain it by cursor from then on.
+    /// Append `e` to its radix bucket (requires `e.t >= last`).
+    #[inline(always)]
+    fn file(&mut self, e: Entry<E>) {
+        debug_assert!(e.t >= self.last);
+        let b = bucket_of(e.t, self.last);
+        self.buckets[b].push(e);
+        self.min_t[b] = self.min_t[b].min(e.t);
+        self.occupied |= 1 << b;
+    }
+
+    /// Slow path: push below `last`. Re-files every queued event (active
+    /// run and side heap included) relative to the new floor `t`, and
+    /// deactivates, so the normal ordering machinery re-applies.
+    #[cold]
+    fn rebase(&mut self, t: u64) {
+        let last = self.last;
+        let mut all: Vec<Entry<E>> = self.run[self.cursor..]
+            .iter()
+            .chain(self.side.iter())
+            .map(|&(k, ev)| Entry { t: last, k, ev })
+            .collect();
+        for b in &mut self.buckets {
+            all.append(b);
+        }
+        self.run.clear();
+        self.side.clear();
+        self.cursor = 0;
+        self.active = false;
+        self.occupied = 0;
+        self.min_t = [u64::MAX; BUCKETS];
+        self.last = t;
+        for e in all {
+            self.file(e);
+        }
+    }
+
+    /// Make the earliest queued timestamp the active run: redistribute
+    /// the lowest non-empty bucket around its minimum time (see module
+    /// docs), then sort the run once by packed key (unique keys, so
+    /// `sort_unstable` is deterministic) and drain it by cursor.
     fn activate_next(&mut self) -> bool {
         debug_assert!(self.cursor == self.run.len() && self.side.is_empty());
-        if self.waves.is_empty() {
+        if self.occupied == 0 {
             return false;
         }
-        let wave = self.waves.remove(0);
-        let mut retired = std::mem::replace(&mut self.run, wave.events);
-        retired.clear();
-        self.spare.push(retired);
-        self.run.sort_unstable_by_key(|&(k, _)| k);
+        let b = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << b);
+        self.last = std::mem::replace(&mut self.min_t[b], u64::MAX);
+        let mut src = std::mem::take(&mut self.buckets[b]);
+        self.run.clear();
         self.cursor = 0;
-        self.active_t = wave.t;
+        for e in src.drain(..) {
+            if e.t == self.last {
+                self.run.push((e.k, e.ev));
+            } else {
+                self.file(e);
+            }
+        }
+        if src.capacity() <= RETAIN_CAP {
+            self.buckets[b] = src;
+        }
+        self.run.sort_unstable_by_key(|&(k, _)| k);
         self.active = true;
         true
     }
 
-    /// Bulk-schedule `events` — the fast path for seeding the initial
-    /// ready wavefront. Buckets make this plain appends; the per-wave
-    /// sort on activation restores exactly the order one-at-a-time
-    /// pushes would produce (pop order is fully determined by the key
-    /// once keys are distinct).
+    /// Bulk-schedule `events` — the path for seeding the initial ready
+    /// wavefront. Pushes into a bucket are plain appends; the sort on
+    /// activation restores exactly the order one-at-a-time pushes would
+    /// produce (pop order is fully determined by the key once keys are
+    /// distinct).
     pub fn seed(&mut self, events: impl IntoIterator<Item = (Time, EvKey, E)>) {
         for (time, key, event) in events {
             self.push(time, key, event);
@@ -238,32 +282,12 @@ impl<E: Copy> EventQueue<E> {
     /// Remove and return the earliest event.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, EvKey, E)> {
-        loop {
-            let run_head = self.run.get(self.cursor);
-            let (k, ev) = match (run_head, self.side.first()) {
-                (Some(&r), Some(&s)) => {
-                    if r.0 < s.0 {
-                        self.cursor += 1;
-                        r
-                    } else {
-                        side_pop(&mut self.side)
-                    }
-                }
-                (Some(&r), None) => {
-                    self.cursor += 1;
-                    r
-                }
-                (None, Some(_)) => side_pop(&mut self.side),
-                (None, None) => {
-                    if !self.activate_next() {
-                        return None;
-                    }
-                    continue;
-                }
-            };
-            self.len -= 1;
-            return Some((Time::from_ps(self.active_t), unpack_key(k), ev));
+        if self.active_is_drained() && !self.activate_next() {
+            return None;
         }
+        let (k, ev) = self.pop_active().expect("activated run is non-empty");
+        self.len -= 1;
+        Some((Time::from_ps(self.last), unpack_key(k), ev))
     }
 
     /// Drain every event sharing the minimum timestamp into `out`
@@ -272,15 +296,15 @@ impl<E: Copy> EventQueue<E> {
     ///
     /// The dispatch loop uses this to amortize per-event work across
     /// same-timestamp bursts (the common case: a whole wavefront of
-    /// ranks acting at the identical instant). Buckets make it the
-    /// natural operation: the active run *is* the batch.
+    /// ranks acting at the identical instant). The active run *is* the
+    /// batch.
     #[inline]
     pub fn pop_batch(&mut self, out: &mut Vec<(Time, EvKey, E)>) -> usize {
         out.clear();
-        if self.cursor == self.run.len() && self.side.is_empty() && !self.activate_next() {
+        if self.active_is_drained() && !self.activate_next() {
             return 0;
         }
-        let t = Time::from_ps(self.active_t);
+        let t = Time::from_ps(self.last);
         if self.side.is_empty() {
             // Whole-run fast path: the sorted tail is the batch.
             out.extend(
@@ -298,6 +322,13 @@ impl<E: Copy> EventQueue<E> {
             }
         }
         out.len()
+    }
+
+    /// True when nothing is left at the active timestamp (also true
+    /// before the first activation).
+    #[inline(always)]
+    fn active_is_drained(&self) -> bool {
+        self.cursor == self.run.len() && self.side.is_empty()
     }
 
     /// Pop the next `(key, payload)` of the active timestamp only
@@ -320,53 +351,78 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the earliest event without removing it.
+    /// `(time, key)` of the earliest event still queued at the active
+    /// timestamp (run head vs side head); `None` once it is exhausted,
+    /// even if later timestamps are queued.
+    ///
+    /// This is what the dispatch loops consult between batch entries:
+    /// engine pushes are causal and same-instant pushes go to the side
+    /// heap, so nothing in the buckets can sort before an entry of the
+    /// batch being dispatched.
     #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        if self.cursor < self.run.len() || !self.side.is_empty() {
-            return Some(Time::from_ps(self.active_t));
-        }
-        self.waves.first().map(|w| Time::from_ps(w.t))
-    }
-
-    /// `(time, key)` of the earliest event without removing it.
-    #[inline]
-    pub fn peek_min(&self) -> Option<(Time, EvKey)> {
+    pub fn peek_active_min(&self) -> Option<(Time, EvKey)> {
         let run_head = self.run.get(self.cursor).map(|&(k, _)| k);
         let side_head = self.side.first().map(|&(k, _)| k);
         let k = match (run_head, side_head) {
             (Some(r), Some(s)) => r.min(s),
-            (Some(r), None) => r,
-            (None, Some(s)) => s,
-            (None, None) => {
-                // Wave buckets are unsorted but memoize their minimum.
-                let w = self.waves.first()?;
-                return Some((Time::from_ps(w.t), unpack_key(w.min)));
-            }
+            (r, s) => r.or(s)?,
         };
-        Some((Time::from_ps(self.active_t), unpack_key(k)))
+        Some((Time::from_ps(self.last), unpack_key(k)))
     }
 
-    /// Remove all events, retaining the allocated buffers — a cleared
-    /// queue behaves exactly like a fresh one without reallocating.
-    pub fn clear(&mut self) {
-        for mut w in self.waves.drain(..) {
-            w.events.clear();
-            self.spare.push(w.events);
+    /// Timestamp of the earliest event without removing it. O(1).
+    #[inline]
+    pub fn peek_time(&self) -> Option<Time> {
+        if !self.active_is_drained() {
+            return Some(Time::from_ps(self.last));
         }
+        self.lowest_bucket().map(|b| Time::from_ps(self.min_t[b]))
+    }
+
+    /// `(time, key)` of the earliest event without removing it. Once the
+    /// active timestamp is exhausted this scans the lowest bucket for
+    /// the minimum key; hot loops use [`EventQueue::peek_active_min`].
+    pub fn peek_min(&self) -> Option<(Time, EvKey)> {
+        if let Some(head) = self.peek_active_min() {
+            return Some(head);
+        }
+        let b = self.lowest_bucket()?;
+        let t = self.min_t[b];
+        let k = self.buckets[b]
+            .iter()
+            .filter(|e| e.t == t)
+            .map(|e| e.k)
+            .min()
+            .expect("memoized minimum time is present");
+        Some((Time::from_ps(t), unpack_key(k)))
+    }
+
+    /// Index of the lowest non-empty bucket.
+    #[inline(always)]
+    fn lowest_bucket(&self) -> Option<usize> {
+        (self.occupied != 0).then(|| self.occupied.trailing_zeros() as usize)
+    }
+
+    /// Remove all events. Buffers up to [`RETAIN_CAP`] are kept, so a
+    /// cleared queue behaves exactly like a fresh one without
+    /// reallocating in steady state.
+    pub fn clear(&mut self) {
+        for b in &mut self.buckets {
+            if b.capacity() > RETAIN_CAP {
+                *b = Vec::new();
+            } else {
+                b.clear();
+            }
+        }
+        self.min_t = [u64::MAX; BUCKETS];
+        self.occupied = 0;
+        self.last = 0;
+        self.active = false;
         self.run.clear();
         self.side.clear();
         self.cursor = 0;
-        self.active = false;
         self.len = 0;
         self.pushed = 0;
-    }
-
-    /// Grow the active-run buffer to hold at least `additional` more
-    /// events (no-op when capacity is already there — reused queues keep
-    /// their high-water allocation).
-    pub fn reserve(&mut self, additional: usize) {
-        self.run.reserve(additional);
     }
 
     /// Number of events currently queued.
@@ -383,18 +439,27 @@ impl<E: Copy> EventQueue<E> {
     pub fn total_pushed(&self) -> u64 {
         self.pushed
     }
+
+    /// Entries the queue's buffers can hold without reallocating.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum::<usize>()
+            + self.run.capacity()
+            + self.side.capacity()
+    }
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            waves: Vec::new(),
-            active_t: 0,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            min_t: [u64::MAX; BUCKETS],
+            occupied: 0,
+            last: 0,
             active: false,
             run: Vec::new(),
             cursor: 0,
             side: Vec::new(),
-            spare: Vec::new(),
             len: 0,
             pushed: 0,
         }
@@ -603,7 +668,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().2, 1);
     }
 
-    /// Pushing below the drained-but-active timestamp (the demotion slow
+    /// Pushing below the drained-but-active timestamp (the rebase slow
     /// path — unreachable from the engine, legal for the API).
     #[test]
     fn push_below_active_timestamp() {
@@ -622,7 +687,7 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Demotion with the active run only partially consumed.
+    /// Rebase with the active run only partially consumed.
     #[test]
     fn push_below_partially_drained_run() {
         let mut q = EventQueue::new();
@@ -631,7 +696,7 @@ mod tests {
         }
         assert_eq!(q.pop(), Some((Time::from_ps(10), k(0, 0), 0)));
         // Same-instant push lands in the side heap, then an earlier
-        // push demotes run + side together.
+        // push re-files run + side together.
         q.push(Time::from_ps(10), k(1, 0), 100);
         q.push(Time::from_ps(3), k(0, 4), 99);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, e)| e).collect();
@@ -679,6 +744,104 @@ mod tests {
         let got: Vec<_> = out.iter().map(|&(_, _, e)| e).collect();
         assert_eq!(got, vec![1, 2, 3]);
         assert_eq!(q.pop_batch(&mut out), 0);
+    }
+
+    /// `peek_active_min` sees only the active timestamp: run head vs
+    /// side head, never a later bucket.
+    #[test]
+    fn peek_active_min_sees_only_the_active_timestamp() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_active_min(), None);
+        q.push(Time::from_ps(5), k(2, 0), 0);
+        q.push(Time::from_ps(9), k(0, 0), 1);
+        // Nothing is active before the first activation.
+        assert_eq!(q.peek_active_min(), None);
+        assert_eq!(q.peek_min(), Some((Time::from_ps(5), k(2, 0))));
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch(&mut out), 1);
+        assert_eq!(q.peek_active_min(), None);
+        assert_eq!(q.peek_time(), Some(Time::from_ps(9)));
+        // A same-instant push is visible to both peeks.
+        q.push(Time::from_ps(5), k(1, 0), 2);
+        assert_eq!(q.peek_active_min(), Some((Time::from_ps(5), k(1, 0))));
+        assert_eq!(q.peek_min(), q.peek_active_min());
+        assert_eq!(q.pop(), Some((Time::from_ps(5), k(1, 0), 2)));
+        assert_eq!(q.pop(), Some((Time::from_ps(9), k(0, 0), 1)));
+        assert_eq!(q.pop(), None);
+    }
+
+    /// Times at the top of the `u64` range land in the highest buckets
+    /// and still pop in order.
+    #[test]
+    fn extreme_times_pop_in_order() {
+        let mut q = EventQueue::new();
+        let times = [u64::MAX, 0, u64::MAX - 1, 1 << 63, (1 << 63) - 1, 1];
+        for (i, &t) in times.iter().enumerate() {
+            q.push(Time::from_ps(t), k(0, i as u32), i);
+        }
+        let mut sorted = times;
+        sorted.sort_unstable();
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _, _)| t.as_ps())
+            .collect();
+        assert_eq!(popped, sorted);
+    }
+
+    /// Repeated resets of a desynchronized wide-timestamp run keep the
+    /// queue's buffers within a small multiple of the peak live events:
+    /// drained buckets beyond `RETAIN_CAP` are freed rather than each
+    /// keeping its own high-water capacity.
+    #[test]
+    fn retained_capacity_stays_bounded_across_resets() {
+        const RANKS: u32 = 4096;
+        const SUCCESSORS: usize = 40_000;
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut jitter = |bits: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng >> (64 - bits)
+        };
+        let mut q = EventQueue::new();
+        let (mut peak_live, mut peak_cap) = (0, 0);
+        let mut after_first = 0;
+        for reset in 0..4 {
+            q.clear();
+            let mut seq = vec![0u32; RANKS as usize];
+            for r in 0..RANKS {
+                q.push(Time::from_ps(jitter(20)), k(r, 0), r);
+                seq[r as usize] = 1;
+            }
+            let mut budget = SUCCESSORS;
+            while let Some((t, key, r)) = q.pop() {
+                if budget > 0 {
+                    budget -= 1;
+                    let s = &mut seq[r as usize];
+                    let next =
+                        t.as_ps() + 1 + jitter(if budget.is_multiple_of(3) { 40 } else { 16 });
+                    q.push(Time::from_ps(next), k(key.crank, *s), r);
+                    *s += 1;
+                }
+                peak_live = peak_live.max(q.len());
+                if budget.is_multiple_of(256) {
+                    peak_cap = peak_cap.max(q.retained_capacity());
+                }
+            }
+            if reset == 0 {
+                after_first = q.retained_capacity();
+            }
+        }
+        assert_eq!(peak_live, RANKS as usize);
+        assert!(
+            peak_cap <= 4 * peak_live,
+            "peak capacity {peak_cap} entries vs {peak_live} live"
+        );
+        assert!(
+            q.retained_capacity() <= after_first.max(peak_live),
+            "capacity grew across resets: {} after the first run, {} after the last",
+            after_first,
+            q.retained_capacity()
+        );
     }
 }
 
@@ -805,7 +968,7 @@ mod proptests {
         /// Interleaved pushes and pops — including pushes at and below
         /// the timestamp currently being drained — always produce the
         /// globally sorted `(time, crank, cseq)` sequence. This walks
-        /// the activation, side-heap, and demotion paths randomly.
+        /// the activation, side-heap, and rebase paths randomly.
         #[test]
         fn interleaved_ops_stay_sorted(
             script in proptest::collection::vec((0u64..6, 0u32..3, 0u8..2), 1..80),
@@ -829,6 +992,67 @@ mod proptests {
             }
             live.sort_by_key(|&(t, key, _)| (t, key));
             for expect in live {
+                prop_assert_eq!(q.pop(), Some(expect));
+            }
+            prop_assert_eq!(q.pop(), None);
+        }
+
+        /// Wide and clustered `u64` times — up to `u64::MAX`, so every
+        /// radix bucket is reached — interleaved with pops, batch pops,
+        /// same-instant, near-future and below-active pushes, checked
+        /// after every step against a sorted reference model. Whenever
+        /// the run or the side heap holds events, `peek_active_min` must
+        /// agree with `peek_min`.
+        #[test]
+        fn wide_times_match_sorted_model(
+            base in prop_oneof![Just(0u64), 0u64..=u64::MAX, (u64::MAX - 4096)..=u64::MAX],
+            script in proptest::collection::vec((0u8..7, 0u64..=u64::MAX, 0u32..4), 1..160),
+        ) {
+            let mut next_seq = [0u32; 4];
+            let mut q = EventQueue::new();
+            let mut model: Vec<(Time, EvKey, usize)> = Vec::new();
+            let mut now: Option<u64> = None;
+            let mut out = Vec::new();
+            for (i, &(op, raw, crank)) in script.iter().enumerate() {
+                let push_at = match op {
+                    0 => Some(raw),
+                    1 => Some(base.saturating_add(raw % 64)),
+                    2 => Some(now.unwrap_or(raw)),
+                    3 => Some(now.map_or(raw, |n| n.saturating_sub(1 + raw % 1024))),
+                    4 => Some(now.map_or(raw, |n| n.saturating_add(raw % 1024))),
+                    _ => None,
+                };
+                if let Some(t) = push_at {
+                    let key = EvKey { crank, cseq: next_seq[crank as usize] };
+                    next_seq[crank as usize] += 1;
+                    q.push(Time::from_ps(t), key, i);
+                    model.push((Time::from_ps(t), key, i));
+                }
+                model.sort_by_key(|&(t, key, _)| (t, key));
+                if op == 5 {
+                    let got = q.pop();
+                    let expect = (!model.is_empty()).then(|| model.remove(0));
+                    prop_assert_eq!(got, expect);
+                    now = got.map(|(t, _, _)| t.as_ps()).or(now);
+                } else if op == 6 {
+                    let n = q.pop_batch(&mut out);
+                    let run = model.iter().take_while(|e| Some(e.0) == model.first().map(|f| f.0)).count();
+                    let expect: Vec<_> = model.drain(..run).collect();
+                    prop_assert_eq!(n, expect.len());
+                    prop_assert_eq!(&out, &expect);
+                    now = out.first().map(|&(t, _, _)| t.as_ps()).or(now);
+                }
+                prop_assert_eq!(q.len(), model.len());
+                let min = model.first().map(|&(t, key, _)| (t, key));
+                prop_assert_eq!(q.peek_min(), min);
+                prop_assert_eq!(q.peek_time(), min.map(|(t, _)| t));
+                if !q.active_is_drained() {
+                    prop_assert_eq!(q.peek_active_min(), min);
+                } else {
+                    prop_assert_eq!(q.peek_active_min(), None);
+                }
+            }
+            for expect in model {
                 prop_assert_eq!(q.pop(), Some(expect));
             }
             prop_assert_eq!(q.pop(), None);

@@ -508,7 +508,7 @@ fn cuts(nranks: usize, shards: usize) -> Vec<u32> {
 /// splitting even without parallelism — each shard's heap, and
 /// therefore every sift, shrank by the split factor (the first
 /// `sharded_single_run_scaling` entry in `BENCH_engine.json` climbs
-/// through 1.55x at 64 shards) — but the wavefront bucket queue already
+/// through 1.55x at 64 shards) — but the bucket queue already
 /// works on one small sorted run at a time, so the remeasured lockstep
 /// scaling is flat (0.92–1.00x at 64k ranks) and sharding is pure
 /// overhead without real cores behind it.
@@ -879,9 +879,10 @@ fn run_window<N: NoiseModel + ?Sized, R: WindowRecorder>(
         rec,
     };
     // Same batched delivery as the serial loop (see `run_engine`): a
-    // whole same-timestamp run per heap drain, with the heap minimum
-    // re-checked before each batch entry so newly created same-time
-    // events interleave exactly as repeated pops would. Every batch
+    // whole same-timestamp run per queue drain, with the head at the
+    // active timestamp re-checked before each batch entry so newly
+    // created same-time events interleave exactly as repeated pops
+    // would. Every batch
     // entry sits strictly below `wend`, and interleaved events share the
     // batch timestamp, so the window bound holds for all of them.
     loop {
@@ -891,7 +892,7 @@ fn run_window<N: NoiseModel + ?Sized, R: WindowRecorder>(
         }
         eng.s.queue.pop_batch(&mut batch);
         for &(bt, bkey, bev) in &batch {
-            while let Some((qt, qkey)) = eng.s.queue.peek_min() {
+            while let Some((qt, qkey)) = eng.s.queue.peek_active_min() {
                 if (qt, qkey) < (bt, bkey) {
                     let (t, key, ev) = eng.s.queue.pop().expect("peeked entry exists");
                     eng.rec.begin_pop(t, key);
@@ -1215,6 +1216,16 @@ mod tests {
         LogGopsParams::xc40()
     }
 
+    /// Serializes the tests that run sharded drives: every drive bumps
+    /// the process-wide [`shard_globals`] counters, and
+    /// `telemetry_accumulates_across_runs_and_fallbacks` asserts their
+    /// exact deltas.
+    static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
+        GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// A communication-heavy schedule: per-rank entry calcs feeding a
     /// chain of collectives, with both eager and rendezvous payloads.
     fn busy_schedule(n: usize) -> Schedule {
@@ -1257,6 +1268,7 @@ mod tests {
 
     #[test]
     fn sharded_matches_serial_noise_free() {
+        let _globals = lock_globals();
         for n in [2usize, 5, 8, 13] {
             let sched = busy_schedule(n);
             let cs = CompiledSchedule::compile(&sched);
@@ -1272,6 +1284,7 @@ mod tests {
 
     #[test]
     fn sharded_matches_serial_under_ce_noise() {
+        let _globals = lock_globals();
         use cesim_model::rng::Rng64;
         // A hand-rolled per-rank noise equivalent in spirit to CeNoise
         // (the real one lives a crate up): exponential-ish arrivals from
@@ -1342,6 +1355,7 @@ mod tests {
 
     #[test]
     fn sharded_recorded_stream_matches_serial() {
+        let _globals = lock_globals();
         let sched = busy_schedule(6);
         let cs = CompiledSchedule::compile(&sched);
         let mut serial_rec = VecRecorder::default();
@@ -1369,6 +1383,7 @@ mod tests {
 
     #[test]
     fn sharded_deadlock_report_matches_serial() {
+        let _globals = lock_globals();
         // Rank 2 waits on a message no one sends; ranks 0/1 complete.
         let mut b = ScheduleBuilder::new(3);
         b.send(Rank(0), Rank(1), 8, Tag(1), &[]);
@@ -1385,6 +1400,7 @@ mod tests {
 
     #[test]
     fn degenerate_configs_fall_back_to_serial() {
+        let _globals = lock_globals();
         let sched = busy_schedule(4);
         let cs = CompiledSchedule::compile(&sched);
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise);
@@ -1414,6 +1430,7 @@ mod tests {
 
     #[test]
     fn telemetry_is_conserved_and_counts_serial_events() {
+        let _globals = lock_globals();
         let sched = busy_schedule(8);
         let cs = CompiledSchedule::compile(&sched);
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise).unwrap();
@@ -1452,6 +1469,7 @@ mod tests {
 
     #[test]
     fn telemetry_accumulates_across_runs_and_fallbacks() {
+        let _globals = lock_globals();
         let sched = busy_schedule(5);
         let cs = CompiledSchedule::compile(&sched);
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise).unwrap();
@@ -1488,6 +1506,7 @@ mod tests {
     /// modes.
     #[test]
     fn same_time_wildcard_arrivals_match_identically() {
+        let _globals = lock_globals();
         let p = xc40();
         let mut b = ScheduleBuilder::new(3);
         // Same bytes, same start: identical inject/arrive times on both

@@ -259,8 +259,8 @@ impl RunScratch {
     }
 
     /// Re-initialize for a run of `cs`, retaining every allocation:
-    /// vectors are cleared and refilled in place, the event heap keeps
-    /// its buffer, and the match queues recycle their bucket `VecDeque`s.
+    /// vectors are cleared and refilled in place, the event queue keeps
+    /// its buffers, and the match queues recycle their bucket `VecDeque`s.
     /// A reset scratch is indistinguishable from a fresh one (event
     /// creation counters restart at zero), which is what keeps reuse
     /// byte-identical to fresh-per-run simulation.
@@ -306,12 +306,6 @@ impl RunScratch {
         self.queue.clear();
         self.batch.clear();
         self.outbox.clear();
-        // Pre-size for the initial ready wavefront plus in-flight
-        // messages, from the *owned slice's* op count (not the global
-        // total — a shard's queue only ever sees its own ranks' events)
-        // so large sharded runs avoid repeated buffer regrowth without
-        // over-allocating per shard. No-op once the buffer is warm.
-        self.queue.reserve(total.clamp(64, 1 << 22));
         self.completed = 0;
         self.msgs_delivered = 0;
         self.control_msgs = 0;
@@ -323,7 +317,7 @@ impl RunScratch {
 
     /// Seed the initial ready wavefront: every root op on an owned rank,
     /// in `cs.roots` (rank-major) order, keyed by its own rank's creation
-    /// counter. One O(n) heapify (see [`EventQueue::seed`]).
+    /// counter. Plain bucket appends (see [`EventQueue::seed`]).
     pub(crate) fn seed_roots(&mut self, cs: &CompiledSchedule) {
         let (lo, hi) = (self.rank_lo, self.rank_hi);
         let push_seq = &mut self.push_seq;
@@ -572,7 +566,7 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
     }
     scratch.reset(cs);
     scratch.plan_dispatch(cs, &params);
-    // Seed the initial ready wavefront in one O(n) heapify; root keys
+    // Seed the initial ready wavefront as bucket appends; root keys
     // reproduce the legacy rank-major seeding order (time 0, rank-major
     // `crank`, in-rank `cseq` in root order).
     scratch.seed_roots(cs);
@@ -585,16 +579,17 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
         rec,
     };
     let mut events_processed = 0u64;
-    // Batched delivery: drain whole same-timestamp runs in one heap
+    // Batched delivery: drain whole same-timestamp runs in one queue
     // operation, then dispatch them in order. Dispatching an entry can
     // push events that sort *before* a later batch entry (zero-duration
     // completions ready dependents at the same timestamp under a lower
-    // creator key), so the inner loop re-checks the heap minimum before
-    // every batch entry — the dispatched sequence is exactly the one
-    // repeated `pop` would produce.
+    // creator key), so the inner loop re-checks the queue's head at the
+    // active timestamp before every batch entry — the dispatched
+    // sequence is exactly the one repeated `pop` would produce. Pushes
+    // are causal, so later timestamps can never sort first.
     while eng.s.queue.pop_batch(&mut batch) > 0 {
         for &(bt, bkey, bev) in &batch {
-            while let Some((qt, qkey)) = eng.s.queue.peek_min() {
+            while let Some((qt, qkey)) = eng.s.queue.peek_active_min() {
                 if (qt, qkey) < (bt, bkey) {
                     let (t, _key, ev) = eng.s.queue.pop().expect("peeked entry exists");
                     events_processed += 1;

@@ -298,15 +298,17 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
         // --- place ---
         {
             let _s = telemetry::Span::enter("fleet_place");
+            // Free nodes in id order, built once per epoch and shrunk as
+            // jobs place (nothing else changes occupancy in this loop).
+            let mut free: Vec<usize> = nodes
+                .iter()
+                .filter(|n| !n.offline && occupant[n.id].is_none())
+                .map(|n| n.id)
+                .collect();
             for ji in 0..jobs.len() {
                 if !matches!(states[ji], JobState::Queued) {
                     continue;
                 }
-                let free: Vec<usize> = nodes
-                    .iter()
-                    .filter(|n| !n.offline && occupant[n.id].is_none())
-                    .map(|n| n.id)
-                    .collect();
                 if let Some(assigned) = place(
                     spec.placement,
                     &free,
@@ -318,6 +320,7 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                     for &n in &assigned {
                         occupant[n] = Some(ji);
                     }
+                    free.retain(|&n| occupant[n].is_none());
                     states[ji] = JobState::Running {
                         nodes: assigned,
                         start_epoch: epoch,
