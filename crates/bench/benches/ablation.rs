@@ -15,7 +15,7 @@ use cesim_core::engine::{simulate, NoNoise, Simulator};
 use cesim_core::engine::{Dragonfly, FlatCrossbar, Topology, Torus3D};
 use cesim_core::goal::collectives::AllreduceAlgo;
 use cesim_core::model::{LogGopsParams, LoggingMode, Span};
-use cesim_core::noise::{BurstSpec, BurstyCeNoise, CeNoise, Scope};
+use cesim_core::noise::{BurstSpec, CeNoise, Scope};
 use cesim_core::workloads::{build, AppId, WorkloadConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -90,7 +90,7 @@ fn bench_ablation(c: &mut Criterion) {
         let mut bursty_total = 0.0;
         let mut smooth_total = 0.0;
         for seed in 0..reps {
-            let mut bn = BurstyCeNoise::new(64, spec, detour, seed);
+            let mut bn = CeNoise::bursty(64, spec, detour, seed);
             bursty_total += simulate(&sched, &params, &mut bn)
                 .unwrap()
                 .slowdown_pct(base.finish)

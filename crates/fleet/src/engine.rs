@@ -6,8 +6,8 @@
 //!    spec's placement policy (`fleet_place` phase span);
 //! 2. **run** — every running job simulates one epoch slice of its
 //!    workload through the compile-once engine, with
-//!    [`HeteroCeNoise`](cesim_noise::HeteroCeNoise) carrying each hosting
-//!    node's MTBCE and logging-mode detour per rank (`fleet_run`);
+//!    a per-rank [`CeNoise`](cesim_noise::CeNoise::per_rank) carrying each
+//!    hosting node's MTBCE and logging-mode detour (`fleet_run`);
 //! 3. **observe** — per-rank CE counts are attributed back to the hosting
 //!    nodes;
 //! 4. **react** — the mitigation policy sees the observations and may
@@ -35,7 +35,7 @@ use cesim_core::ScheduleCache;
 use cesim_engine::simulate_compiled;
 use cesim_model::rng::Rng64;
 use cesim_model::{LogGopsParams, Span, Time};
-use cesim_noise::{HeteroCeNoise, RankCeParams};
+use cesim_noise::{CeNoise, RankCeParams};
 use cesim_obs::telemetry;
 use cesim_workloads::{AppId, WorkloadConfig};
 use rayon::prelude::*;
@@ -422,7 +422,7 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                         .map(|r| inp.rank_params_of[r % inp.rank_params_of.len()])
                         .collect();
                     let baseline = entry.baseline.since(Time::ZERO);
-                    let noise = HeteroCeNoise::new(rank_params, inp.seed);
+                    let noise = CeNoise::per_rank(rank_params, inp.seed);
                     if noise.max_utilization() >= DIVERGENCE_LIMIT {
                         // No forward progress on at least one hosting
                         // node; the slice is skipped, not simulated
@@ -444,7 +444,7 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                         finish: r.finish.since(Time::ZERO),
                         baseline,
                         ce_events: r.noise_events,
-                        per_rank: noise.per_rank_events().to_vec(),
+                        per_rank: noise.per_rank_events(),
                         diverged: false,
                     })
                 })

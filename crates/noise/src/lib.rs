@@ -5,9 +5,12 @@
 //!
 //! * [`ce`] — the heart of the study: [`ce::CeNoise`] models per-node CE
 //!   arrivals as independent Poisson processes (exponential inter-arrival
-//!   times with mean `MTBCE_node`) and stretches every CPU interval the
-//!   engine executes by one detour of the logging mode's per-event cost.
-//!   Scope can be all nodes (Figs. 4–7) or a single node (Fig. 3).
+//!   times) and stretches every CPU interval the engine executes by one
+//!   detour of the logging mode's per-event cost. One process covers every
+//!   use: one MTBCE on all nodes (Figs. 4–7) or a single node (Fig. 3),
+//!   a rate and detour per rank (the substrate of the fleet engine,
+//!   `cesim-fleet`), and an optional two-state Markov burst modulation
+//!   (CE "avalanches").
 //! * [`selfish`] — a model of the `selfish` system-noise microbenchmark:
 //!   it samples a node's activity and records every CPU *detour* longer
 //!   than a threshold (the paper uses 150 ns), producing the bar-trace
@@ -20,26 +23,17 @@
 //!   firmware/EMCA.
 //! * [`trace`] — replays any recorded [`DetourTrace`] (e.g. a Fig. 2
 //!   signature) as simulation noise, closing the measure→inject loop.
-//! * [`bursty`] — a two-state Markov-modulated extension of the CE
-//!   process (CE "avalanches"), plus noise-model composition.
-//! * [`hetero`] — per-rank heterogeneous CE rates and detour costs, the
-//!   substrate of the fleet engine (`cesim-fleet`): each rank carries the
-//!   MTBCE and logging-mode cost of the cluster node it was placed on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bursty;
 pub mod ce;
 pub mod einj;
-pub mod hetero;
 pub mod selfish;
 pub mod signature;
 pub mod trace;
 
-pub use bursty::{BurstSpec, BurstyCeNoise, ComposedNoise};
-pub use ce::{CeNoise, Scope};
-pub use hetero::{HeteroCeNoise, RankCeParams};
+pub use ce::{BurstSpec, CeNoise, RankCeParams, Scope};
 pub use selfish::{Detour, DetourTrace};
 pub use signature::SignatureKind;
 pub use trace::TraceNoise;

@@ -7,7 +7,7 @@
 //! signatures — can be replayed verbatim onto a simulated rank, instead
 //! of going through the Poisson abstraction.
 //!
-//! Semantics match [`crate::CeNoise`]: detours that fall inside a busy
+//! Semantics match the CE process of [`crate::ce`]: detours that fall inside a busy
 //! CPU interval stretch it; detours that fall while the rank is blocked
 //! are absorbed by idle time.
 

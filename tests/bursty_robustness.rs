@@ -4,7 +4,7 @@
 
 use dram_ce_sim::engine::{simulate, NoNoise};
 use dram_ce_sim::model::{LogGopsParams, LoggingMode, Span};
-use dram_ce_sim::noise::{BurstSpec, BurstyCeNoise, CeNoise, ComposedNoise, Scope};
+use dram_ce_sim::noise::{BurstSpec, CeNoise, Scope};
 use dram_ce_sim::workloads::{self, AppId, WorkloadConfig};
 
 fn spec() -> BurstSpec {
@@ -28,7 +28,7 @@ fn bursty_and_memoryless_agree_within_small_factor() {
     let mut bursty = 0.0;
     let mut smooth = 0.0;
     for seed in 0..reps {
-        let mut bn = BurstyCeNoise::new(32, s, detour, seed);
+        let mut bn = CeNoise::bursty(32, s, detour, seed);
         bursty += simulate(&sched, &params, &mut bn)
             .unwrap()
             .slowdown_pct(base.finish)
@@ -47,57 +47,5 @@ fn bursty_and_memoryless_agree_within_small_factor() {
     assert!(
         (0.3..4.0).contains(&ratio),
         "bursty {bursty}% vs memoryless {smooth}% (ratio {ratio})"
-    );
-}
-
-#[test]
-fn composition_of_ce_and_background_noise_is_additive_ish() {
-    let params = LogGopsParams::xc40();
-    let cfg = WorkloadConfig::default().with_steps(30);
-    let sched = workloads::build(AppId::Hpcg, 16, &cfg);
-    let base = simulate(&sched, &params, &mut NoNoise).unwrap();
-    let ce = || {
-        CeNoise::new(
-            16,
-            Span::from_secs(2),
-            LoggingMode::Firmware.per_event_cost(),
-            Scope::AllRanks,
-            3,
-        )
-    };
-    let bg = || {
-        CeNoise::new(
-            16,
-            Span::from_ms(1),
-            Span::from_us(2), // a 1 kHz timer tick's worth of jitter
-            Scope::AllRanks,
-            9,
-        )
-    };
-    let mut only_ce = ce();
-    let s_ce = simulate(&sched, &params, &mut only_ce)
-        .unwrap()
-        .slowdown_pct(base.finish)
-        .expect("positive baseline");
-    let mut only_bg = bg();
-    let s_bg = simulate(&sched, &params, &mut only_bg)
-        .unwrap()
-        .slowdown_pct(base.finish)
-        .expect("positive baseline");
-    let mut both = ComposedNoise::new(ce(), bg());
-    let s_both = simulate(&sched, &params, &mut both)
-        .unwrap()
-        .slowdown_pct(base.finish)
-        .expect("positive baseline");
-    // Composition must be on the order of the dominant component (the
-    // background shifts interval boundaries, so a few CE arrivals can
-    // migrate into idle windows — allow 15% relative slack).
-    assert!(
-        s_both * 1.15 + 0.5 >= s_ce.max(s_bg),
-        "{s_both} vs {s_ce}/{s_bg}"
-    );
-    assert!(
-        s_both <= (s_ce + s_bg) * 1.5 + 1.0,
-        "composition should not wildly super-add: {s_both} vs {s_ce}+{s_bg}"
     );
 }
