@@ -112,6 +112,9 @@ pub struct CompiledEntry {
     pub baseline: Time,
 }
 
+/// One key's entry, filled by the first caller to compile it.
+type Slot = Mutex<Option<Arc<CompiledEntry>>>;
+
 /// Thread-safe LRU of [`CompiledEntry`]s keyed by
 /// `(app, ranks, workload knobs, network params)`.
 ///
@@ -120,8 +123,11 @@ pub struct CompiledEntry {
 /// form is injective (floats print in shortest-round-trip form, so two
 /// distinct bit patterns never collide), which makes the string an exact
 /// — not hashed — identity.
+///
+/// Each key maps to a slot that the first caller fills; callers racing
+/// on the same key wait on the slot rather than compiling again.
 pub struct ScheduleCache {
-    inner: Mutex<Lru<String, Arc<CompiledEntry>>>,
+    inner: Mutex<Lru<String, Arc<Slot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -145,9 +151,12 @@ impl ScheduleCache {
 
     /// Fetch the compiled schedule + baseline for `(app, nodes,
     /// workload, params)`, compiling and simulating the baseline on a
-    /// miss. Compilation happens outside the lock: two racing requests
-    /// for the same key may both compile (identical results; last insert
-    /// wins), but neither blocks unrelated requests.
+    /// miss. Single-flight: the first caller for a key compiles while
+    /// holding only that key's slot, so racing callers for the same key
+    /// wait for its result and count a hit, and unrelated requests are
+    /// never blocked. A failed compile leaves the slot empty for the next
+    /// caller to retry. Build, compile and baseline run no rayon work, so
+    /// a pool worker waiting on a slot cannot starve the compiling one.
     pub fn get_or_compile(
         &self,
         app: AppId,
@@ -157,29 +166,40 @@ impl ScheduleCache {
     ) -> Result<Arc<CompiledEntry>, SimError> {
         let ranks = natural_ranks(app, nodes);
         let key = Self::key(app, ranks, workload, params);
-        if let Some(hit) = self.inner.lock().expect("schedule cache lock").get(&key) {
+        let slot = {
+            let mut guard = self.inner.lock().expect("schedule cache lock");
+            match guard.get(&key) {
+                Some(slot) => slot,
+                None => {
+                    let slot = Arc::new(Slot::default());
+                    let evicted = guard.insert(key, Arc::clone(&slot));
+                    let len = guard.len();
+                    drop(guard);
+                    if evicted {
+                        flight_record(FlightKind::CacheEvict, "schedule", len as u64, 0);
+                    }
+                    slot
+                }
+            }
+        };
+        // A slot only ever holds a finished entry, so one poisoned by a
+        // panicking compile is still sound to use.
+        let mut filled = slot.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = filled.as_ref() {
             self.hits.fetch_add(1, Relaxed);
-            return Ok(hit);
+            return Ok(Arc::clone(hit));
         }
         self.misses.fetch_add(1, Relaxed);
-        let entry = {
-            let _s = Span::enter("compile");
-            let sched = cesim_workloads::build(app, ranks, workload);
-            let cs = Arc::new(CompiledSchedule::compile(&sched));
-            let base = simulate_compiled(&cs, params, &mut NoNoise)?;
-            Arc::new(CompiledEntry {
-                ranks,
-                schedule: cs,
-                baseline: base.finish,
-            })
-        };
-        let mut guard = self.inner.lock().expect("schedule cache lock");
-        let evicted = guard.insert(key, Arc::clone(&entry));
-        let len = guard.len();
-        drop(guard);
-        if evicted {
-            flight_record(FlightKind::CacheEvict, "schedule", len as u64, 0);
-        }
+        let _s = Span::enter("compile");
+        let sched = cesim_workloads::build(app, ranks, workload);
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let base = simulate_compiled(&cs, params, &mut NoNoise)?;
+        let entry = Arc::new(CompiledEntry {
+            ranks,
+            schedule: cs,
+            baseline: base.finish,
+        });
+        *filled = Some(Arc::clone(&entry));
         Ok(entry)
     }
 
@@ -334,6 +354,31 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn racing_callers_share_one_compile() {
+        const THREADS: usize = 8;
+        let cache = ScheduleCache::new(4);
+        let wl = WorkloadConfig::default().with_steps(2);
+        let params = LogGopsParams::xc40();
+        let start = std::sync::Barrier::new(THREADS);
+        let entries: Vec<Arc<CompiledEntry>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache
+                            .get_or_compile(AppId::Lulesh, 27, &wl, &params)
+                            .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.misses(), 1, "one compile per key");
+        assert_eq!(cache.hits(), THREADS as u64 - 1);
+        assert!(entries.iter().all(|e| Arc::ptr_eq(e, &entries[0])));
     }
 
     #[test]
