@@ -511,11 +511,15 @@ pub fn install_engine_hook() {
 mod tests {
     use super::*;
 
-    /// The registry and ring are process-global; tests that toggle the
-    /// sink serialize on this.
-    fn with_sink<T>(f: impl FnOnce() -> T) -> T {
+    /// The registry, ring and enabled flag are process-global; every
+    /// test that touches them serializes on this lock.
+    fn sink_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn with_sink<T>(f: impl FnOnce() -> T) -> T {
+        let _g = sink_lock();
         reset();
         set_enabled(true);
         let out = f();
@@ -526,8 +530,9 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
-        // Not under the sink lock: the default state is disabled, and
-        // a disabled span must not touch the registry.
+        // Under the sink lock: clearing the process-wide flag while a
+        // sink test runs would silently drop that test's writes.
+        let _g = sink_lock();
         let before = flight_total();
         set_enabled(false);
         {
