@@ -6,12 +6,12 @@
 //! split across lookahead-window shards, and checks on every trial
 //! that the sharded result equals the serial one exactly.
 //!
-//! The headline uses `ShardMode::Lockstep` (all shards round-robin on
-//! the calling thread): on a multi-core host threads only add to the
-//! win, but lockstep isolates the *algorithmic* effect — S event heaps
-//! of n/S entries and shard-local match queues/scratch slices with
-//! much smaller per-window working sets — which is the honest number
-//! to commit from a single-core runner.
+//! The headline reports two rows per shard count. `ShardMode::Lockstep`
+//! (all shards round-robin on the calling thread) isolates the
+//! *algorithmic* effect — shard-local queues, match queues and scratch
+//! slices with smaller per-window working sets. `ShardMode::Threads` (one
+//! OS thread per shard) adds real parallelism, so its speedup depends on
+//! the host's CPU count, which every row records.
 //!
 //! Scaling knobs (for CI smoke runs):
 //!
@@ -119,32 +119,34 @@ fn bench_shard(c: &mut Criterion) {
          ({:.2}M events/s)",
         serial_r.events_processed as f64 / serial_s / 1e6
     );
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rows = Vec::new();
     for &s in &shard_counts {
-        let (t, r) = best_secs(trials, &mut || {
-            simulate_compiled_sharded(
-                &cs,
-                &params,
-                s,
-                ShardMode::Lockstep,
-                &cesim_core::engine::NoNoise,
-            )
-            .unwrap()
-        });
-        assert_eq!(r, serial_r, "sharded result diverged at {s} shards");
-        let speedup = serial_s / t;
-        println!("  {s} shards (lockstep): {t:.3}s, {speedup:.2}x vs serial");
-        rows.push(format!(
-            "    {{ \"shards\": {s}, \"secs\": {t:.3}, \"speedup\": {speedup:.3} }}"
-        ));
+        for (mode, name) in [
+            (ShardMode::Lockstep, "lockstep"),
+            (ShardMode::Threads, "threads"),
+        ] {
+            let (t, r) = best_secs(trials, &mut || {
+                simulate_compiled_sharded(&cs, &params, s, mode, &cesim_core::engine::NoNoise)
+                    .unwrap()
+            });
+            assert_eq!(
+                r, serial_r,
+                "sharded result diverged at {s} shards ({name})"
+            );
+            let speedup = serial_s / t;
+            println!("  {s} shards ({name}): {t:.3}s, {speedup:.2}x vs serial");
+            rows.push(format!(
+                "    {{ \"shards\": {s}, \"mode\": \"{name}\", \"host_cpus\": {host_cpus}, \
+                 \"secs\": {t:.3}, \"speedup\": {speedup:.3} }}"
+            ));
+        }
     }
 
     if let Ok(path) = std::env::var("SHARD_BENCH_JSON") {
-        let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let json = format!(
             "{{\n  \"bench\": \"sharded_single_run_scaling\",\n  \
              \"workload\": \"allreduce_recursive_doubling\",\n  \
-             \"mode\": \"lockstep\",\n  \"host_cpus\": {host_cpus},\n  \
              \"ranks\": {ranks},\n  \"allreduces\": {rounds},\n  \
              \"ops\": {ops},\n  \"events\": {},\n  \
              \"serial_secs\": {serial_s:.3},\n  \"sharded\": [\n{}\n  ]\n}}\n",
