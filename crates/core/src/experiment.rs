@@ -212,8 +212,30 @@ pub struct RunStats {
     pub finish: Span,
     /// CE detours injected during the run.
     pub ce_events: u64,
-    /// Engine events processed (for throughput reporting).
+    /// Engine events processed (for throughput reporting); `0` for a
+    /// replica [`quiet_replica`] answered without simulating.
     pub events: u64,
+}
+
+/// The result of a replica that no CE can reach, or `None` if one can.
+///
+/// `baseline` must be the noise-free finish of the schedule the replica
+/// would run, under the same parameters. A detour only stretches an
+/// active CPU interval, and every CPU interval of the noise-free run ends
+/// at or before `baseline`. So when the earliest pending arrival on the
+/// ranks that take detours ([`CeNoise::first_arrival`]) is strictly
+/// later, no interval is stretched and no arrival is drawn: the replica
+/// is the baseline run, bit for bit. An arrival exactly at `baseline`
+/// still hits the interval that ends there, hence the strict comparison.
+///
+/// The answer reports `finish = baseline`, no CE events and `events: 0`,
+/// since the engine processed nothing.
+pub fn quiet_replica(noise: &CeNoise, baseline: Time) -> Option<RunStats> {
+    (noise.first_arrival() > baseline).then(|| RunStats {
+        finish: baseline.since(Time::ZERO),
+        ce_events: 0,
+        events: 0,
+    })
 }
 
 /// Aggregated result of an [`Experiment`].
@@ -361,6 +383,12 @@ pub fn run_against_baseline_observed(
 /// `observe_replicas` is the number of leading replicas (`rep <
 /// observe_replicas`) to record and summarize; `0` disables observation
 /// entirely.
+///
+/// **Quiet replicas.** `baseline` must be the noise-free finish of `cs`
+/// under `exp.params`: an unobserved replica whose first CE arrival
+/// comes after it is answered by [`quiet_replica`] without simulating
+/// (exact, see there). Observed replicas always simulate, since they need
+/// the timeline.
 pub fn run_against_baseline_compiled(
     exp: &Experiment,
     ranks: usize,
@@ -376,6 +404,10 @@ pub fn run_against_baseline_compiled(
 /// replica accumulates per-shard busy/stall/barrier counters into it
 /// (see `cesim_engine::ShardTelemetry`). Results are byte-identical
 /// with or without the handle.
+///
+/// Replicas skipped by [`quiet_replica`] never reach the engine: they add
+/// nothing to the shard telemetry, and their [`RunStats::events`] is `0`,
+/// so `events` counts only events the engine actually processed.
 pub fn run_against_baseline_compiled_telem(
     exp: &Experiment,
     ranks: usize,
@@ -459,6 +491,8 @@ pub fn run_against_baseline_compiled_telem(
                         dropped: rec.dropped(),
                     }),
                 ))
+            } else if let Some(stats) = quiet_replica(&noise, baseline) {
+                Ok((stats, None))
             } else {
                 let res = if exp.shards > 1 {
                     simulate_sharded_instrumented(

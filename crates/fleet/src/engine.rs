@@ -7,7 +7,10 @@
 //! 2. **run** — every running job simulates one epoch slice of its
 //!    workload through the compile-once engine, with
 //!    a per-rank [`CeNoise`](cesim_noise::CeNoise::per_rank) carrying each
-//!    hosting node's MTBCE and logging-mode detour (`fleet_run`);
+//!    hosting node's MTBCE and logging-mode detour (`fleet_run`). A
+//!    slice whose first CE arrival comes after its noise-free finish is
+//!    the baseline run and is answered without simulating
+//!    ([`quiet_replica`](cesim_core::experiment::quiet_replica));
 //! 3. **observe** — per-rank CE counts are attributed back to the hosting
 //!    nodes;
 //! 4. **react** — the mitigation policy sees the observations and may
@@ -29,7 +32,7 @@
 use crate::cluster::{build_cluster, Node};
 use crate::policy::{build_policy, Action};
 use crate::spec::{FleetSpec, JobSpec, Placement};
-use cesim_core::experiment::DIVERGENCE_LIMIT;
+use cesim_core::experiment::{quiet_replica, DIVERGENCE_LIMIT};
 use cesim_core::seed::{fnv1a, mix, point_seed, rep_seed};
 use cesim_core::ScheduleCache;
 use cesim_engine::simulate_compiled;
@@ -434,6 +437,18 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                             ce_events: 0,
                             per_rank: vec![0; entry.ranks],
                             diverged: true,
+                        });
+                    }
+                    if let Some(quiet) = quiet_replica(&noise, entry.baseline) {
+                        // No CE reaches the slice: it is the baseline run,
+                        // and the untouched process counts no events.
+                        return Ok(SliceResult {
+                            job_index: inp.job_index,
+                            finish: quiet.finish,
+                            baseline,
+                            ce_events: quiet.ce_events,
+                            per_rank: noise.per_rank_events(),
+                            diverged: false,
                         });
                     }
                     let mut noise = noise;

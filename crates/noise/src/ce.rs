@@ -241,6 +241,23 @@ impl CeNoise {
         self.ranks.iter().map(|p| p.events).collect()
     }
 
+    /// The earliest pending CE arrival among the ranks that receive
+    /// detours: the scoped rank under [`Scope::SingleRank`], else every
+    /// rank. A run whose CPU intervals all end strictly before this time
+    /// takes no detour and draws nothing (see `stretch`), so it is
+    /// exactly the noise-free run.
+    pub fn first_arrival(&self) -> Time {
+        match self.scope {
+            Scope::SingleRank(r) => self.ranks[r.idx()].next,
+            Scope::AllRanks => self
+                .ranks
+                .iter()
+                .map(|p| p.next)
+                .min()
+                .expect("ranks are non-empty"),
+        }
+    }
+
     /// The largest per-rank utilization `detour / mtbce` (for a bursty
     /// process, at the current phases' rates). Drivers should treat
     /// configurations at or above ~0.95 as "no forward progress" rather
@@ -419,6 +436,38 @@ mod tests {
                 .or(err.downcast_ref::<&str>().copied())
                 .expect("panic message");
             assert!(msg.contains("must be positive"), "{name}: {msg}");
+        }
+    }
+
+    #[test]
+    fn first_arrival_respects_scope() {
+        let build = |scope| CeNoise::new(3, Span::from_ms(1), Span::from_us(10), scope, 8);
+        let scoped: Vec<Time> = (0..3)
+            .map(|r| build(Scope::SingleRank(Rank(r))).first_arrival())
+            .collect();
+        assert!(scoped.windows(2).all(|w| w[0] != w[1]), "{scoped:?}");
+        let earliest = *scoped.iter().min().unwrap();
+        assert_eq!(build(Scope::AllRanks).first_arrival(), earliest);
+    }
+
+    #[test]
+    fn interval_ending_at_the_pending_arrival_takes_a_detour() {
+        // The quiet-replica skip compares `first_arrival() > finish`
+        // strictly: an interval that ends exactly at the arrival is hit.
+        let detour = Span::from_us(10);
+        for r in 0..3 {
+            let build = || CeNoise::new(3, Span::from_ms(1), detour, Scope::SingleRank(Rank(r)), 4);
+            let at = build().first_arrival();
+            let work = at.since(Time::ZERO);
+            let mut hit = build();
+            assert_eq!(hit.stretch(Rank(r), Time::ZERO, work), at + detour);
+            assert_eq!(hit.events_injected(), 1);
+            // One picosecond short: no detour, and nothing drawn.
+            let mut miss = build();
+            let short = work - Span::from_ps(1);
+            assert_eq!(miss.stretch(Rank(r), Time::ZERO, short), Time::ZERO + short);
+            assert_eq!(miss.events_injected(), 0);
+            assert_eq!(miss.first_arrival(), at);
         }
     }
 

@@ -71,7 +71,8 @@ use cesim_json::JsonValue;
 use http::{HttpError, Response};
 use metrics::Metrics;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -237,7 +238,7 @@ pub fn run(cfg: ServeConfig) -> std::io::Result<()> {
 
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
-        let mut stream = match listener.accept() {
+        let stream = match listener.accept() {
             Ok((s, _)) => s,
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -276,12 +277,41 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             shared.traces.offer(tracectx::shed_trace());
             let mut resp = Response::error(429, "queue full; retry later");
             resp.extra_headers.push(("retry-after", "1".into()));
-            let _ = http::write_response(&mut stream, &resp);
+            shed_connection(stream, &resp);
         } else {
             q.push_back(stream);
             shared.metrics.set_queue_depth(q.len());
             drop(q);
             shared.queue_cv.notify_one();
+        }
+    }
+}
+
+/// The longest the accept thread spends draining a shed connection.
+const SHED_DRAIN: Duration = Duration::from_millis(50);
+
+/// Answer a connection no worker will serve, then close it cleanly.
+///
+/// The request is still unread, and closing a socket with unread input
+/// makes the kernel send a reset, which can destroy the response before
+/// the client reads it. So half-close the write side (the client sees the
+/// response, then EOF) and discard the client's input until it closes or
+/// [`SHED_DRAIN`] runs out, whichever comes first.
+fn shed_connection(mut stream: TcpStream, resp: &Response) {
+    if http::write_response(&mut stream, resp).is_err() || stream.shutdown(Shutdown::Write).is_err()
+    {
+        return;
+    }
+    let deadline = Instant::now() + SHED_DRAIN;
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
     }
 }
@@ -574,7 +604,37 @@ fn test_sleep(body: &[u8]) -> Response {
 
 #[cfg(test)]
 mod tests {
-    use super::access_log_line;
+    use super::{access_log_line, shed_connection, Response, SHED_DRAIN};
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn shed_drain_is_bounded_when_the_client_never_closes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(b"POST /v1/simulate HTTP/1.1\r\n").unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let start = Instant::now();
+        shed_connection(server_side, &Response::error(429, "queue full"));
+        let took = start.elapsed();
+        assert!(
+            took >= SHED_DRAIN,
+            "returned before the drain bound: {took:?}"
+        );
+        assert!(
+            took < SHED_DRAIN + Duration::from_secs(1),
+            "drain overran: {took:?}"
+        );
+        // The client, still open, reads the whole response, then EOF.
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut raw = String::new();
+        client.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 429"), "{raw}");
+        assert!(raw.ends_with("{\"error\":\"queue full\"}"), "{raw}");
+    }
 
     #[test]
     fn access_log_line_is_stable_and_greppable() {
