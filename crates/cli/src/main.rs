@@ -150,7 +150,9 @@ FLEET OPTIONS (cesim fleet SPEC.json)
   --jsonl FILE      Write per-epoch JSONL (queue/run/completion counts,
                     policy actions) with a trailing summary line
   --profile         Span-profiler phase breakdown (fleet_place/fleet_run/
-                    fleet_policy) on stderr after the run
+                    fleet_policy) on stderr after the run, plus the job
+                    slices resumed from baseline snapshots and the engine
+                    events they skipped
   --quiet           Suppress the '#' summary trailer on stdout
 
 FIG2 OPTIONS
@@ -412,6 +414,11 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
     }
     if profile {
         eprint!("{}", telemetry::profile_table(wall));
+        eprintln!(
+            "baseline forks  : {} slices resumed from a snapshot, {} events skipped",
+            cache.forks(),
+            cache.forked_events()
+        );
     }
     Ok(())
 }

@@ -7,9 +7,11 @@
 //! compile-once-per-(app, ranks, workload, params) across requests:
 //!
 //! * [`ScheduleCache`] — a bounded LRU of compiled schedules **plus
-//!   their noise-free baselines** (the baseline is a deterministic
-//!   function of the schedule and network parameters, so it is cached
-//!   alongside and never re-simulated on a hit);
+//!   their noise-free baselines and baseline fork tables** (the baseline
+//!   is a deterministic function of the schedule and network parameters,
+//!   so it is cached alongside and never re-simulated on a hit; its
+//!   snapshots let noisy replicas skip their noise-free prefix, see
+//!   [`cesim_engine::fork`]);
 //! * [`ResponseCache`] — a bounded LRU of full response bodies keyed by
 //!   the canonicalized request. Sound because every run is seeded and
 //!   deterministic: the same request always produces the same bytes
@@ -18,7 +20,7 @@
 //! Both caches are thread-safe and export hit/miss counters that the
 //! daemon surfaces on `/metrics`.
 
-use cesim_engine::{simulate_compiled, CompiledSchedule, NoNoise, SimError};
+use cesim_engine::{CompiledSchedule, ForkTable, SimError};
 use cesim_model::{LogGopsParams, Time};
 use cesim_obs::telemetry::{flight_record, FlightKind, Span};
 use cesim_workloads::{natural_ranks, AppId, WorkloadConfig};
@@ -102,14 +104,23 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
 }
 
 /// A compiled schedule plus everything per-request work shares: the
-/// snapped rank count and the noise-free baseline finish time.
+/// snapped rank count and the baseline fork table, which holds the
+/// noise-free finish time.
 pub struct CompiledEntry {
     /// Ranks actually simulated (after [`natural_ranks`] snapping).
     pub ranks: usize,
     /// The immutable compiled schedule (shared, never copied).
     pub schedule: Arc<CompiledSchedule>,
+    /// Snapshots of the noise-free run under `params`, built with it
+    /// (see [`cesim_engine::fork`]).
+    pub forks: ForkTable,
+}
+
+impl CompiledEntry {
     /// Noise-free baseline finish time for `params`.
-    pub baseline: Time,
+    pub fn baseline(&self) -> Time {
+        self.forks.finish()
+    }
 }
 
 /// One key's entry, filled by the first caller to compile it.
@@ -130,6 +141,8 @@ pub struct ScheduleCache {
     inner: Mutex<Lru<String, Arc<Slot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    forks: AtomicU64,
+    forked_events: AtomicU64,
 }
 
 impl ScheduleCache {
@@ -141,6 +154,8 @@ impl ScheduleCache {
             inner: Mutex::new(Lru::new(cap)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            forks: AtomicU64::new(0),
+            forked_events: AtomicU64::new(0),
         }
     }
 
@@ -151,10 +166,11 @@ impl ScheduleCache {
 
     /// Fetch the compiled schedule + baseline for `(app, nodes,
     /// workload, params)`, compiling and simulating the baseline on a
-    /// miss. Single-flight: the first caller for a key compiles while
-    /// holding only that key's slot, so racing callers for the same key
-    /// wait for its result and count a hit, and unrelated requests are
-    /// never blocked. A failed compile leaves the slot empty for the next
+    /// miss; the baseline run also builds the entry's fork table.
+    /// Single-flight: the first caller for a key compiles while holding
+    /// only that key's slot, so racing callers for the same key wait for
+    /// its result and count a hit, and unrelated requests are never
+    /// blocked. A failed compile leaves the slot empty for the next
     /// caller to retry. Build, compile and baseline run no rayon work, so
     /// a pool worker waiting on a slot cannot starve the compiling one.
     pub fn get_or_compile(
@@ -193,11 +209,11 @@ impl ScheduleCache {
         let _s = Span::enter("compile");
         let sched = cesim_workloads::build(app, ranks, workload);
         let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let base = simulate_compiled(&cs, params, &mut NoNoise)?;
+        let (forks, _) = ForkTable::build(&cs, params)?;
         let entry = Arc::new(CompiledEntry {
             ranks,
             schedule: cs,
-            baseline: base.finish,
+            forks,
         });
         *filled = Some(Arc::clone(&entry));
         Ok(entry)
@@ -211,6 +227,27 @@ impl ScheduleCache {
     /// Lookups that compiled.
     pub fn misses(&self) -> u64 {
         self.misses.load(Relaxed)
+    }
+
+    /// Count the replicas of cached entries that resumed from a baseline
+    /// snapshot: each item is one replica's skipped prefix in engine
+    /// events ([`crate::experiment::RunStats::skipped`]), `0` for a
+    /// replica that did not resume.
+    pub fn record_forks(&self, skipped: impl IntoIterator<Item = u64>) {
+        for events in skipped.into_iter().filter(|&e| e > 0) {
+            self.forks.fetch_add(1, Relaxed);
+            self.forked_events.fetch_add(events, Relaxed);
+        }
+    }
+
+    /// Replicas resumed from a baseline snapshot.
+    pub fn forks(&self) -> u64 {
+        self.forks.load(Relaxed)
+    }
+
+    /// Engine events those replicas skipped.
+    pub fn forked_events(&self) -> u64 {
+        self.forked_events.load(Relaxed)
     }
 
     /// Entries currently held.
@@ -298,6 +335,7 @@ impl ResponseCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cesim_engine::{simulate_compiled, NoNoise};
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -345,7 +383,7 @@ mod tests {
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(Arc::ptr_eq(&a, &b), "hit returns the shared entry");
-        assert_eq!(a.baseline, b.baseline);
+        assert_eq!(a.baseline(), b.baseline());
         // A different workload knob is a different schedule.
         let wl3 = WorkloadConfig::default().with_steps(3);
         let c = cache
@@ -354,6 +392,21 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn entry_carries_the_baseline_and_counts_forks() {
+        let cache = ScheduleCache::new(4);
+        let wl = WorkloadConfig::default().with_steps(3);
+        let params = LogGopsParams::xc40();
+        let e = cache.get_or_compile(AppId::Hpcg, 8, &wl, &params).unwrap();
+        let base = simulate_compiled(&e.schedule, &params, &mut NoNoise).unwrap();
+        assert_eq!(e.baseline(), base.finish);
+        assert!(!e.forks.snapshots().is_empty());
+        assert_eq!((cache.forks(), cache.forked_events()), (0, 0));
+        // Replicas that did not resume (0) are not counted.
+        cache.record_forks([0, 120, 0, 30]);
+        assert_eq!((cache.forks(), cache.forked_events()), (2, 150));
     }
 
     #[test]

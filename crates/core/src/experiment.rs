@@ -13,10 +13,12 @@
 //! [`DIVERGENCE_LIMIT`] are not simulated; their outcome reports
 //! `slowdown = None`.
 
+use crate::cache::CompiledEntry;
 use crate::seed::rep_seed;
 use cesim_engine::{
-    simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, NoNoise, NullRecorder,
-    ShardMode, ShardTelemetry, SimError, Simulator, WindowObserver,
+    resume_compiled, simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, Fork,
+    ForkTable, NoNoise, NullRecorder, ShardMode, ShardTelemetry, SimError, SimResult, Simulator,
+    WindowObserver,
 };
 use cesim_goal::Schedule;
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
@@ -212,30 +214,59 @@ pub struct RunStats {
     pub finish: Span,
     /// CE detours injected during the run.
     pub ce_events: u64,
-    /// Engine events processed (for throughput reporting); `0` for a
-    /// replica [`quiet_replica`] answered without simulating.
+    /// Engine events processed (for throughput reporting). A replica
+    /// resumed from a baseline snapshot counts only the events after it,
+    /// and one answered by the baseline counts `0`.
     pub events: u64,
+    /// Engine events of the noise-free prefix a resumed replica skipped
+    /// (`0` unless it resumed); `events + skipped` is what a full run
+    /// processes.
+    pub skipped: u64,
 }
 
-/// The result of a replica that no CE can reach, or `None` if one can.
-///
-/// `baseline` must be the noise-free finish of the schedule the replica
-/// would run, under the same parameters. A detour only stretches an
-/// active CPU interval, and every CPU interval of the noise-free run ends
-/// at or before `baseline`. So when the earliest pending arrival on the
-/// ranks that take detours ([`CeNoise::first_arrival`]) is strictly
-/// later, no interval is stretched and no arrival is drawn: the replica
-/// is the baseline run, bit for bit. An arrival exactly at `baseline`
-/// still hits the interval that ends there, hence the strict comparison.
-///
-/// The answer reports `finish = baseline`, no CE events and `events: 0`,
-/// since the engine processed nothing.
-pub fn quiet_replica(noise: &CeNoise, baseline: Time) -> Option<RunStats> {
-    (noise.first_arrival() > baseline).then(|| RunStats {
-        finish: baseline.since(Time::ZERO),
-        ce_events: 0,
-        events: 0,
-    })
+impl RunStats {
+    /// The stats of an engine run that skipped `skipped` prefix events.
+    fn of(r: &SimResult, skipped: u64) -> Self {
+        RunStats {
+            finish: r.finish.since(Time::ZERO),
+            ce_events: r.noise_events,
+            events: r.events_processed,
+            skipped,
+        }
+    }
+
+    /// The answer for a replica no CE reaches: the noise-free run,
+    /// which the engine did not process again.
+    fn baseline(finish: Time) -> Self {
+        RunStats {
+            finish: finish.since(Time::ZERO),
+            ce_events: 0,
+            events: 0,
+            skipped: 0,
+        }
+    }
+}
+
+/// One replica with `noise` on the serial engine, answered from the
+/// baseline fork table of `cs` under `params` (see
+/// [`cesim_engine::fork`]): the baseline itself when no CE reaches the
+/// replica, a resume from the last snapshot before its first arrival, or
+/// a full run. All three are bit-identical to a full run, apart from the
+/// event counts ([`RunStats::events`], [`RunStats::skipped`]). `noise`
+/// must be fresh; afterwards it holds the replica's per-rank CE counts.
+pub fn run_forked(
+    cs: &CompiledSchedule,
+    params: &LogGopsParams,
+    forks: &ForkTable,
+    noise: &mut CeNoise,
+) -> Result<RunStats, SimError> {
+    match forks.lookup(noise.first_arrival()) {
+        Fork::Baseline => Ok(RunStats::baseline(forks.finish())),
+        Fork::Resume(snap) => {
+            resume_compiled(cs, params, snap, noise).map(|r| RunStats::of(&r, snap.events()))
+        }
+        Fork::Cold => simulate_compiled(cs, params, noise).map(|r| RunStats::of(&r, 0)),
+    }
 }
 
 /// Aggregated result of an [`Experiment`].
@@ -385,10 +416,12 @@ pub fn run_against_baseline_observed(
 /// entirely.
 ///
 /// **Quiet replicas.** `baseline` must be the noise-free finish of `cs`
-/// under `exp.params`: an unobserved replica whose first CE arrival
-/// comes after it is answered by [`quiet_replica`] without simulating
-/// (exact, see there). Observed replicas always simulate, since they need
-/// the timeline.
+/// under `exp.params`. It is the terminal entry of a fork table with no
+/// snapshots: an unobserved replica whose first CE arrival comes after it
+/// is the baseline run, answered without simulating (exact, see
+/// [`cesim_engine::fork`]). Observed replicas always simulate, since they
+/// need the timeline. [`run_against_baseline_entry`] also resumes
+/// replicas from the snapshots of a cached entry.
 pub fn run_against_baseline_compiled(
     exp: &Experiment,
     ranks: usize,
@@ -405,7 +438,7 @@ pub fn run_against_baseline_compiled(
 /// (see `cesim_engine::ShardTelemetry`). Results are byte-identical
 /// with or without the handle.
 ///
-/// Replicas skipped by [`quiet_replica`] never reach the engine: they add
+/// Replicas answered by the baseline never reach the engine: they add
 /// nothing to the shard telemetry, and their [`RunStats::events`] is `0`,
 /// so `events` counts only events the engine actually processed.
 pub fn run_against_baseline_compiled_telem(
@@ -416,7 +449,42 @@ pub fn run_against_baseline_compiled_telem(
     observe_replicas: usize,
     telem: Option<&ShardTelemetry>,
 ) -> Result<Outcome, SimError> {
-    let baseline_span = baseline.since(Time::ZERO);
+    let forks = ForkTable::terminal(baseline);
+    run_replicas(exp, ranks, cs, &forks, observe_replicas, telem)
+}
+
+/// [`run_against_baseline_compiled`] against a cached entry: unobserved
+/// serial replicas use every entry of its fork table ([`run_forked`]),
+/// so a replica whose first CE arrival comes after a snapshot's horizon
+/// resumes there instead of simulating its noise-free prefix. Sharded
+/// replicas use only the terminal entry. Outcomes are identical to
+/// [`run_against_baseline_compiled`] with the entry's baseline, except
+/// for the event counts of resumed replicas.
+pub fn run_against_baseline_entry(
+    exp: &Experiment,
+    entry: &CompiledEntry,
+    observe_replicas: usize,
+) -> Result<Outcome, SimError> {
+    run_replicas(
+        exp,
+        entry.ranks,
+        &entry.schedule,
+        &entry.forks,
+        observe_replicas,
+        None,
+    )
+}
+
+/// The replica fan-out behind the `run_against_baseline_*` family.
+fn run_replicas(
+    exp: &Experiment,
+    ranks: usize,
+    cs: &Arc<CompiledSchedule>,
+    forks: &ForkTable,
+    observe_replicas: usize,
+    telem: Option<&ShardTelemetry>,
+) -> Result<Outcome, SimError> {
+    let baseline_span = forks.finish().since(Time::ZERO);
     if exp.diverges() {
         return Ok(Outcome {
             app: exp.app,
@@ -478,11 +546,7 @@ pub fn run_against_baseline_compiled_telem(
                 let attr = cesim_obs::critical::attribute(&events);
                 let prov = cesim_obs::provenance::analyze(&events, rec.dropped()).summary();
                 Ok((
-                    RunStats {
-                        finish: r.finish.since(Time::ZERO),
-                        ce_events: r.noise_events,
-                        events: r.events_processed,
-                    },
+                    RunStats::of(&r, 0),
                     Some(ReplicaObs {
                         rep,
                         attr,
@@ -491,11 +555,11 @@ pub fn run_against_baseline_compiled_telem(
                         dropped: rec.dropped(),
                     }),
                 ))
-            } else if let Some(stats) = quiet_replica(&noise, baseline) {
-                Ok((stats, None))
-            } else {
-                let res = if exp.shards > 1 {
-                    simulate_sharded_instrumented(
+            } else if exp.shards > 1 {
+                // Sharded replicas use only the terminal entry.
+                match forks.lookup(noise.first_arrival()) {
+                    Fork::Baseline => Ok(RunStats::baseline(forks.finish())),
+                    _ => simulate_sharded_instrumented(
                         cs,
                         &exp.params,
                         exp.shards,
@@ -505,19 +569,11 @@ pub fn run_against_baseline_compiled_telem(
                         telem,
                         window_obs,
                     )
-                } else {
-                    simulate_compiled(cs, &exp.params, &mut noise)
-                };
-                res.map(|r| {
-                    (
-                        RunStats {
-                            finish: r.finish.since(Time::ZERO),
-                            ce_events: r.noise_events,
-                            events: r.events_processed,
-                        },
-                        None,
-                    )
-                })
+                    .map(|r| RunStats::of(&r, 0)),
+                }
+                .map(|stats| (stats, None))
+            } else {
+                run_forked(cs, &exp.params, forks, &mut noise).map(|stats| (stats, None))
             }
         })
         .collect();

@@ -16,7 +16,7 @@
 //! runs.
 
 use crate::cache::{ResponseCache, ScheduleCache};
-use crate::experiment::{run_against_baseline_compiled, Experiment};
+use crate::experiment::{run_against_baseline_entry, Experiment};
 use crate::figures::{self, FigureData, ScaleConfig};
 use cesim_goal::Rank;
 use cesim_json::JsonValue;
@@ -311,9 +311,12 @@ pub fn handle_simulate(
         .map_err(|e| ServiceError::Internal(e.to_string()))?;
     let out = {
         let _s = cesim_obs::telemetry::Span::enter("run");
-        run_against_baseline_compiled(&exp, entry.ranks, &entry.schedule, entry.baseline, 0)
+        run_against_baseline_entry(&exp, &entry, 0)
             .map_err(|e| ServiceError::Internal(e.to_string()))?
     };
+    state
+        .schedules
+        .record_forks(out.runs.iter().map(|r| r.skipped));
     let ci = out.slowdown_ci95_pct();
     Ok(JsonValue::object([
         ("app", req.app.name().into()),

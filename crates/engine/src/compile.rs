@@ -206,6 +206,25 @@ impl CompiledSchedule {
         self.dep_tgt.len() as u64
     }
 
+    /// Bytes this table holds on the heap (the capacity of every array).
+    /// The baseline fork table sizes its snapshot budget from it (see
+    /// [`crate::fork`]).
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.rank_off)
+            + bytes(&self.class)
+            + bytes(&self.dur)
+            + bytes(&self.peer)
+            + bytes(&self.bytes)
+            + bytes(&self.tag)
+            + bytes(&self.dep_off)
+            + bytes(&self.dep_tgt)
+            + bytes(&self.indeg0)
+            + bytes(&self.roots)
+    }
+
     /// Flat index of `(rank, op)`.
     #[inline]
     pub(crate) fn flat(&self, rank: u32, op: u32) -> usize {

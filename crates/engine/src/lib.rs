@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod compile;
+pub mod fork;
 pub mod matchq;
 pub mod noise;
 pub mod queue;
@@ -40,6 +41,7 @@ pub mod sim;
 pub mod topology;
 
 pub use compile::CompiledSchedule;
+pub use fork::{resume_compiled, Fork, ForkTable, Snapshot};
 pub use matchq::TagQueue;
 pub use noise::{NoNoise, NoiseModel};
 pub use record::{MsgClass, NullRecorder, Recorder, SegKind, SimEvent, VecRecorder};

@@ -119,6 +119,17 @@ impl<E> TagQueue<E> {
         self.len = 0;
     }
 
+    /// Replace the contents with `entries`, pushed in order. Fed what
+    /// [`TagQueue::iter`] listed (FIFO within each tag), it rebuilds a
+    /// queue that matches exactly like the one iterated; allocations
+    /// are kept as by [`TagQueue::clear`].
+    pub fn restore(&mut self, entries: impl IntoIterator<Item = (Tag, E)>) {
+        self.clear();
+        for (tag, e) in entries {
+            self.push(tag, e);
+        }
+    }
+
     /// Remove and return the earliest-pushed entry under `tag` for which
     /// `pred` holds, or `None` if no such entry exists.
     ///
@@ -231,6 +242,55 @@ mod tests {
         assert!(q.spare.len() >= 5);
         q.push(Tag(9), 1);
         assert_eq!(q.take_first(Tag(9), |_| true), Some(1));
+    }
+
+    /// A queue rebuilt by `restore` from another's `iter` — mid-run, into
+    /// a queue that has already been used — matches every later lookup
+    /// exactly as the original does.
+    #[test]
+    fn restore_from_iter_round_trips_mid_run() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        // (is_push, tag, value): pushes of (src, id) records and
+        // source-filtered takes, over a few tags.
+        let ops: Vec<(bool, u32, u32)> = (0..400)
+            .map(|i| {
+                let r = next();
+                (r % 5 < 3, (r >> 8) as u32 % 4, i)
+            })
+            .collect();
+        let apply = |q: &mut TagQueue<(u32, u32)>, &(push, tag, v): &(bool, u32, u32)| {
+            if push {
+                q.push(Tag(tag), (v % 3, v));
+                None
+            } else {
+                q.take_first(Tag(tag), |&(src, _)| src == v % 3)
+            }
+        };
+        let mut used = TagQueue::new();
+        for op in &ops[..150] {
+            apply(&mut used, op);
+        }
+        for at in (0..ops.len()).step_by(25) {
+            let mut q = TagQueue::new();
+            for op in &ops[..at] {
+                apply(&mut q, op);
+            }
+            used.restore(q.iter().map(|(t, &e)| (t, e)));
+            assert_eq!(used.len(), q.len());
+            for op in &ops[at..] {
+                assert_eq!(
+                    apply(&mut used, op),
+                    apply(&mut q, op),
+                    "restored at op {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -440,12 +440,73 @@ impl<E: Copy> EventQueue<E> {
         self.pushed
     }
 
+    /// Copy every queued event out (payloads mapped through `f`), for a
+    /// later [`EventQueue::restore_with`]. Events still queued at the
+    /// active timestamp are recorded at `last`; the layout itself is not
+    /// kept, because pop order depends only on `(time, key)`.
+    pub fn snapshot_with<S>(&self, mut f: impl FnMut(E) -> S) -> QueueSnapshot<S> {
+        let mut entries = Vec::with_capacity(self.len);
+        for &(k, ev) in self.run[self.cursor..].iter().chain(&self.side) {
+            entries.push((self.last, k, f(ev)));
+        }
+        for e in self.buckets.iter().flatten() {
+            entries.push((e.t, e.k, f(e.ev)));
+        }
+        QueueSnapshot {
+            last: self.last,
+            pushed: self.pushed,
+            entries,
+        }
+    }
+
+    /// Replace the contents with a snapshot's events (payloads mapped
+    /// back through `f`). The restored queue pops exactly the sequence
+    /// the snapshotted one would have, and counts the same pushes.
+    pub fn restore_with<S: Copy>(&mut self, snap: &QueueSnapshot<S>, mut f: impl FnMut(S) -> E) {
+        self.clear();
+        self.last = snap.last;
+        for &(t, k, ev) in &snap.entries {
+            self.file(Entry { t, k, ev: f(ev) });
+        }
+        self.len = snap.entries.len();
+        self.pushed = snap.pushed;
+    }
+
     /// Entries the queue's buffers can hold without reallocating.
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {
         self.buckets.iter().map(Vec::capacity).sum::<usize>()
             + self.run.capacity()
             + self.side.capacity()
+    }
+}
+
+/// The events of an [`EventQueue`] at one instant, as plain
+/// `(time, packed key, payload)` triples (see
+/// [`EventQueue::snapshot_with`]).
+#[derive(Clone, Debug)]
+pub struct QueueSnapshot<S> {
+    /// The radix base: every entry's time is at or after it.
+    last: u64,
+    /// Events pushed before the snapshot.
+    pushed: u64,
+    entries: Vec<(u64, u64, S)>,
+}
+
+impl<S> QueueSnapshot<S> {
+    /// Number of events held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if the snapshotted queue was empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(u64, u64, S)>()
     }
 }
 
@@ -785,6 +846,87 @@ mod tests {
             .map(|(t, _, _)| t.as_ps())
             .collect();
         assert_eq!(popped, sorted);
+    }
+
+    /// A snapshot taken mid-run and restored into a queue that has
+    /// already been used pops exactly what the uninterrupted queue pops,
+    /// including events left in a partly drained run or the side heap.
+    #[test]
+    fn snapshot_round_trip_preserves_pop_order() {
+        // A causal workload: every pop pushes up to two successors, a
+        // third of them at the popped instant.
+        #[derive(Clone)]
+        struct Driver {
+            rng: u64,
+            seq: [u32; 4],
+            budget: u32,
+        }
+        impl Driver {
+            fn next(&mut self) -> u64 {
+                self.rng ^= self.rng << 13;
+                self.rng ^= self.rng >> 7;
+                self.rng ^= self.rng << 17;
+                self.rng
+            }
+            fn step(&mut self, q: &mut EventQueue<u32>) -> Option<(Time, EvKey, u32)> {
+                let popped = q.pop()?;
+                for _ in 0..2 {
+                    let r = self.next();
+                    if self.budget == 0 || r.is_multiple_of(4) {
+                        continue;
+                    }
+                    self.budget -= 1;
+                    let dt = if r.is_multiple_of(3) {
+                        0
+                    } else {
+                        (r >> 8) % 40
+                    };
+                    let c = ((r >> 16) % 4) as usize;
+                    let key = k(c as u32, self.seq[c]);
+                    self.seq[c] += 1;
+                    q.push(popped.0 + cesim_model::Span::from_ps(dt), key, popped.2 + 1);
+                }
+                Some(popped)
+            }
+        }
+        let start = |d: &mut Driver| {
+            let mut q = EventQueue::new();
+            for c in 0..4u32 {
+                q.push(Time::from_ps(u64::from(c % 2)), k(c, 0), 0);
+                d.seq[c as usize] = 1;
+            }
+            q
+        };
+        let fresh = Driver {
+            rng: 0x2545_F491_4F6C_DD1D,
+            seq: [0; 4],
+            budget: 600,
+        };
+        let mut d = fresh.clone();
+        let mut q = start(&mut d);
+        let full: Vec<_> = std::iter::from_fn(|| d.step(&mut q)).collect();
+        assert!(full.len() > 400, "{} events", full.len());
+        // A used queue to restore into: it ran the same workload and
+        // still holds half of it.
+        let mut used_d = fresh.clone();
+        let mut used = start(&mut used_d);
+        for _ in 0..200 {
+            used_d.step(&mut used);
+        }
+        for at in (0..full.len()).step_by(7) {
+            let mut d = fresh.clone();
+            let mut q = start(&mut d);
+            for _ in 0..at {
+                d.step(&mut q);
+            }
+            let snap = q.snapshot_with(|e| e);
+            assert_eq!(snap.len(), q.len());
+            used.restore_with(&snap, |e| e);
+            assert_eq!(used.len(), q.len());
+            assert_eq!(used.total_pushed(), q.total_pushed());
+            let rest: Vec<_> = std::iter::from_fn(|| d.step(&mut used)).collect();
+            assert_eq!(rest, full[at..], "restored at event {at}");
+        }
     }
 
     /// Repeated resets of a desynchronized wide-timestamp run keep the

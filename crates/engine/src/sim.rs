@@ -73,8 +73,8 @@ impl Msg {
 /// one `alloc`-to-`take` lifetime of its slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct MsgRef {
-    slot: u32,
-    gen: u32,
+    pub(crate) slot: u32,
+    pub(crate) gen: u32,
 }
 
 /// Generational arena for in-flight messages.
@@ -96,7 +96,7 @@ pub(crate) struct MsgSlab {
 impl MsgSlab {
     /// Park `msg` in the arena until its arrival; returns its ref.
     #[inline]
-    fn alloc(&mut self, msg: Msg) -> MsgRef {
+    pub(crate) fn alloc(&mut self, msg: Msg) -> MsgRef {
         match self.free.pop() {
             Some(slot) => {
                 self.msgs[slot as usize] = msg;
@@ -123,6 +123,16 @@ impl MsgSlab {
         self.gens[i] = self.gens[i].wrapping_add(1);
         self.free.push(r.slot);
         self.msgs[i]
+    }
+
+    /// The message `r` refers to, leaving it in flight.
+    #[inline]
+    pub(crate) fn get(&self, r: MsgRef) -> Msg {
+        debug_assert_eq!(
+            self.gens[r.slot as usize], r.gen,
+            "stale MsgRef dereferenced"
+        );
+        self.msgs[r.slot as usize]
     }
 
     /// Messages currently in flight.
@@ -159,7 +169,7 @@ pub(crate) enum Event {
 // The matching tag is the `TagQueue` bucket key, not repeated in the
 // queued records.
 #[derive(Clone, Copy, Debug)]
-struct PostedRecv {
+pub(crate) struct PostedRecv {
     op: u32,
     src: Option<u32>,
     posted_at: Time,
@@ -172,7 +182,7 @@ enum UnexKind {
 }
 
 #[derive(Clone, Copy, Debug)]
-struct UnexMsg {
+pub(crate) struct UnexMsg {
     /// Message id (recorder attribution, see [`Msg::id`]).
     id: u64,
     src: u32,
@@ -202,15 +212,15 @@ pub struct RunScratch {
     // Per-rank resource cursors and accounting (indexed by rank minus
     // `rank_lo` — the serial engine owns every rank, so `rank_lo` is 0
     // and the index is the rank itself; a shard owns `[rank_lo, rank_hi)`).
-    cpu_free: Vec<Time>,
-    nic_free: Vec<Time>,
+    pub(crate) cpu_free: Vec<Time>,
+    pub(crate) nic_free: Vec<Time>,
     pub(crate) finish: Vec<Time>,
     /// CPU-occupied time (useful work + injected detours).
     pub(crate) busy: Vec<Span>,
     /// Useful work requested (busy minus detours).
     pub(crate) work: Vec<Span>,
     /// Per-rank event-creation counters — the `cseq` half of [`EvKey`].
-    push_seq: Vec<u32>,
+    pub(crate) push_seq: Vec<u32>,
     // Per-op state (indexed by flat op id minus `op_base`).
     pub(crate) indeg: Vec<u32>,
     pub(crate) done: Vec<bool>,
@@ -221,10 +231,10 @@ pub struct RunScratch {
     /// `ops` table was planned for.
     plan_stamp: Option<(u64, u64, u32, u32)>,
     // Per-rank MPI match queues.
-    posted: Vec<TagQueue<PostedRecv>>,
-    unexpected: Vec<TagQueue<UnexMsg>>,
+    pub(crate) posted: Vec<TagQueue<PostedRecv>>,
+    pub(crate) unexpected: Vec<TagQueue<UnexMsg>>,
     /// In-flight message arena; `Event::Arrive` holds refs into it.
-    slab: MsgSlab,
+    pub(crate) slab: MsgSlab,
     pub(crate) queue: EventQueue<Event>,
     /// Reused buffer for the batch dispatch loop ([`EventQueue::pop_batch`]).
     pub(crate) batch: Vec<(Time, EvKey, Event)>,
@@ -471,13 +481,17 @@ pub fn simulate_compiled<N: NoiseModel + ?Sized>(
     params: &LogGopsParams,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
-    thread_local! {
-        static SCRATCH: RefCell<RunScratch> = RefCell::new(RunScratch::new());
-    }
-    SCRATCH.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        simulate_compiled_with(cs, params, &mut scratch, noise)
-    })
+    with_thread_scratch(|scratch| simulate_compiled_with(cs, params, scratch, noise))
+}
+
+thread_local! {
+    static SCRATCH: RefCell<RunScratch> = RefCell::new(RunScratch::new());
+}
+
+/// Run `f` on this thread's pooled scratch (the one behind
+/// [`simulate_compiled`] and the baseline fork entry points).
+pub(crate) fn with_thread_scratch<T>(f: impl FnOnce(&mut RunScratch) -> T) -> T {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
 
 /// [`simulate_compiled`] with caller-managed scratch: resets `scratch`
@@ -552,7 +566,7 @@ impl<R: Recorder> Simulator<R> {
     }
 }
 
-/// The event loop: run `cs` in `scratch` (reset first) to completion.
+/// Run `cs` in `scratch` (reset first) to completion.
 pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
     cs: &CompiledSchedule,
     params: LogGopsParams,
@@ -561,15 +575,48 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
     rec: R,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
+    start(cs, &params, scratch)?;
+    drive(cs, params, topology, scratch, rec, noise, |_, _, _| {})
+}
+
+/// Prepare `scratch` to run `cs` from time zero: reset, plan dispatch,
+/// and seed the initial ready wavefront as bucket appends (root keys
+/// reproduce the legacy rank-major seeding order: time 0, rank-major
+/// `crank`, in-rank `cseq` in root order).
+pub(crate) fn start(
+    cs: &CompiledSchedule,
+    params: &LogGopsParams,
+    scratch: &mut RunScratch,
+) -> Result<(), SimError> {
     if cs.num_ranks() == 0 {
         return Err(SimError::EmptySchedule);
     }
     scratch.reset(cs);
-    scratch.plan_dispatch(cs, &params);
-    // Seed the initial ready wavefront as bucket appends; root keys
-    // reproduce the legacy rank-major seeding order (time 0, rank-major
-    // `crank`, in-rank `cseq` in root order).
+    scratch.plan_dispatch(cs, params);
     scratch.seed_roots(cs);
+    Ok(())
+}
+
+/// The event loop: drive a prepared `scratch` (see [`start`], or a
+/// restored baseline snapshot in [`crate::fork`]) to completion.
+/// `between` runs after every batch with the scratch, the noise model
+/// and the events processed so far; those are the only points where
+/// the baseline fork table takes snapshots. `SimResult::events_processed`
+/// counts only the events this call dispatched.
+pub(crate) fn drive<R, N, F>(
+    cs: &CompiledSchedule,
+    params: LogGopsParams,
+    topology: &dyn Topology,
+    scratch: &mut RunScratch,
+    rec: R,
+    noise: &mut N,
+    mut between: F,
+) -> Result<SimResult, SimError>
+where
+    R: Recorder,
+    N: NoiseModel + ?Sized,
+    F: FnMut(&RunScratch, &N, u64),
+{
     let mut batch = std::mem::take(&mut scratch.batch);
     let mut eng = Engine {
         cs,
@@ -601,6 +648,7 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
             events_processed += 1;
             eng.dispatch(noise, bev, bt);
         }
+        between(eng.s, noise, events_processed);
     }
     eng.s.batch = batch;
     if eng.s.completed != cs.total_ops() {
@@ -1889,6 +1937,55 @@ mod tests {
             slab.reset();
             assert_eq!(slab.live(), 0);
         }
+    }
+
+    /// Live messages copied out mid-run (`get`) and parked again in a
+    /// slab that has already been used (`alloc`) come back out exactly
+    /// as they would have from the uninterrupted slab.
+    #[test]
+    fn msg_slab_round_trips_into_a_used_slab() {
+        let mk = |id: u64| Msg {
+            id,
+            src: id as u32 % 3,
+            dst: 1,
+            tag: Tag(id as u32 % 5),
+            bytes: 8 * id,
+            src_op: 0,
+            kind: MsgKind::Eager,
+        };
+        let mut slab = MsgSlab::default();
+        let mut live: Vec<MsgRef> = (0..12).map(|i| slab.alloc(mk(i))).collect();
+        for i in [3, 0, 7, 5] {
+            slab.take(live.remove(i));
+        }
+        live.extend((12..15).map(|i| slab.alloc(mk(i))));
+        let snap: Vec<Msg> = live.iter().map(|&r| slab.get(r)).collect();
+        let mut used = MsgSlab::default();
+        for i in 0..40 {
+            let r = used.alloc(mk(100 + i));
+            if i % 3 != 0 {
+                used.take(r);
+            }
+        }
+        used.reset();
+        let restored: Vec<MsgRef> = snap.iter().map(|&m| used.alloc(m)).collect();
+        assert_eq!(used.live(), slab.live());
+        // Continue both the same way: interleave takes and new allocs.
+        let (mut a, mut b) = (live, restored);
+        for round in 0..a.len() {
+            let i = (round * 5) % a.len();
+            let (x, y) = (slab.take(a.remove(i)), used.take(b.remove(i)));
+            assert_eq!(format!("{x:?}"), format!("{y:?}"));
+            a.push(slab.alloc(mk(200 + round as u64)));
+            b.push(used.alloc(mk(200 + round as u64)));
+        }
+        for (ra, rb) in a.into_iter().zip(b) {
+            assert_eq!(
+                format!("{:?}", slab.take(ra)),
+                format!("{:?}", used.take(rb))
+            );
+        }
+        assert_eq!((slab.live(), used.live()), (0, 0));
     }
 
     /// Engine-level arena reuse: 100 replicas through one warm scratch

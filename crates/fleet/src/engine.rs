@@ -7,10 +7,12 @@
 //! 2. **run** — every running job simulates one epoch slice of its
 //!    workload through the compile-once engine, with
 //!    a per-rank [`CeNoise`](cesim_noise::CeNoise::per_rank) carrying each
-//!    hosting node's MTBCE and logging-mode detour (`fleet_run`). A
-//!    slice whose first CE arrival comes after its noise-free finish is
-//!    the baseline run and is answered without simulating
-//!    ([`quiet_replica`](cesim_core::experiment::quiet_replica));
+//!    hosting node's MTBCE and logging-mode detour (`fleet_run`). Each
+//!    slice is answered from its cached schedule's baseline fork table
+//!    ([`run_forked`]): a slice whose first CE arrival comes after its
+//!    noise-free finish is the baseline run, and one whose first arrival
+//!    comes after a snapshot's horizon resumes there instead of
+//!    simulating its noise-free prefix;
 //! 3. **observe** — per-rank CE counts are attributed back to the hosting
 //!    nodes;
 //! 4. **react** — the mitigation policy sees the observations and may
@@ -32,10 +34,9 @@
 use crate::cluster::{build_cluster, Node};
 use crate::policy::{build_policy, Action};
 use crate::spec::{FleetSpec, JobSpec, Placement};
-use cesim_core::experiment::{quiet_replica, DIVERGENCE_LIMIT};
+use cesim_core::experiment::{run_forked, DIVERGENCE_LIMIT};
 use cesim_core::seed::{fnv1a, mix, point_seed, rep_seed};
 use cesim_core::ScheduleCache;
-use cesim_engine::simulate_compiled;
 use cesim_model::rng::Rng64;
 use cesim_model::{LogGopsParams, Span, Time};
 use cesim_noise::{CeNoise, RankCeParams};
@@ -424,8 +425,8 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                     let rank_params: Vec<RankCeParams> = (0..entry.ranks)
                         .map(|r| inp.rank_params_of[r % inp.rank_params_of.len()])
                         .collect();
-                    let baseline = entry.baseline.since(Time::ZERO);
-                    let noise = CeNoise::per_rank(rank_params, inp.seed);
+                    let baseline = entry.baseline().since(Time::ZERO);
+                    let mut noise = CeNoise::per_rank(rank_params, inp.seed);
                     if noise.max_utilization() >= DIVERGENCE_LIMIT {
                         // No forward progress on at least one hosting
                         // node; the slice is skipped, not simulated
@@ -439,26 +440,16 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                             diverged: true,
                         });
                     }
-                    if let Some(quiet) = quiet_replica(&noise, entry.baseline) {
-                        // No CE reaches the slice: it is the baseline run,
-                        // and the untouched process counts no events.
-                        return Ok(SliceResult {
-                            job_index: inp.job_index,
-                            finish: quiet.finish,
-                            baseline,
-                            ce_events: quiet.ce_events,
-                            per_rank: noise.per_rank_events(),
-                            diverged: false,
-                        });
-                    }
-                    let mut noise = noise;
-                    let r = simulate_compiled(&entry.schedule, &params, &mut noise)
+                    // A slice no CE reaches leaves the process untouched,
+                    // so its per-rank counts are all zero.
+                    let r = run_forked(&entry.schedule, &params, &entry.forks, &mut noise)
                         .map_err(|e| format!("job {}: {e}", inp.job_index))?;
+                    schedules.record_forks([r.skipped]);
                     Ok(SliceResult {
                         job_index: inp.job_index,
-                        finish: r.finish.since(Time::ZERO),
+                        finish: r.finish,
                         baseline,
-                        ce_events: r.noise_events,
+                        ce_events: r.ce_events,
                         per_rank: noise.per_rank_events(),
                         diverged: false,
                     })

@@ -244,6 +244,16 @@ impl Metrics {
                 "Full-response cache misses.",
                 state.responses.misses(),
             ),
+            (
+                "cesim_baseline_forks_total",
+                "Replicas resumed from a snapshot of the cached baseline.",
+                state.schedules.forks(),
+            ),
+            (
+                "cesim_forked_events_total",
+                "Engine events those replicas skipped.",
+                state.schedules.forked_events(),
+            ),
         ] {
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
@@ -356,6 +366,8 @@ mod tests {
         assert!(text.contains("cesim_worker_panics_total 1"));
         assert!(text.contains("cesim_schedule_cache_hits_total 0"));
         assert!(text.contains("cesim_response_cache_misses_total 0"));
+        assert!(text.contains("cesim_baseline_forks_total 0"));
+        assert!(text.contains("cesim_forked_events_total 0"));
     }
 
     #[test]

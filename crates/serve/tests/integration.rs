@@ -375,6 +375,8 @@ fn scrape_is_valid_prometheus_and_flightrec_dumps() {
         "cesim_shard_runs_total",
         "cesim_phase_seconds_bucket{phase=\"parse\"",
         "cesim_phase_seconds_bucket{phase=\"run\"",
+        "cesim_baseline_forks_total ",
+        "cesim_forked_events_total ",
     ] {
         assert!(
             scrape.body.contains(needle),

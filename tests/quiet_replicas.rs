@@ -1,24 +1,30 @@
 //! The quiet-replica rule: a replica whose first CE arrival comes after
 //! the noise-free finish is the baseline run, so it is answered without
-//! simulating (`cesim_core::experiment::quiet_replica`).
+//! simulating. It is the terminal entry of every baseline fork table
+//! (`cesim_engine::fork`), whose snapshots extend the same argument to
+//! the noise-free prefix of the replicas that still simulate.
 //!
 //! The rule rests on one engine invariant — every CPU interval of a
 //! noise-free run ends at or before `SimResult::finish` — pinned here for
 //! every workload and collective, on the serial and the sharded engine.
-//! The equivalence tests then check the rule itself against full
-//! simulation, on a grid where it fires and where it does not.
+//! The equivalence tests then check the fork table's answers against full
+//! simulation, on a grid where each of them occurs.
+
+mod common;
 
 use dram_ce_sim::engine::{
-    simulate_compiled, simulate_compiled_sharded, CompiledSchedule, NoNoise, NoiseModel, ShardMode,
+    resume_compiled, simulate_compiled, simulate_compiled_sharded, CompiledSchedule, Fork,
+    ForkTable, NoNoise, NoiseModel, ShardMode,
 };
-use dram_ce_sim::experiment::{quiet_replica, run_against_baseline_compiled, Experiment};
-use dram_ce_sim::goal::builder::TagPool;
-use dram_ce_sim::goal::collectives::{self, AllreduceAlgo, CollectiveCosts};
-use dram_ce_sim::goal::{OpId, Rank, Schedule, ScheduleBuilder};
+use dram_ce_sim::experiment::{
+    run_against_baseline_compiled, run_against_baseline_entry, Experiment,
+};
+use dram_ce_sim::goal::{Rank, Schedule};
 use dram_ce_sim::model::{LogGopsParams, LoggingMode, Span, Time};
 use dram_ce_sim::noise::{CeNoise, Scope};
 use dram_ce_sim::seed::rep_seed;
-use dram_ce_sim::workloads::{self, natural_ranks, AppId, WorkloadConfig};
+use dram_ce_sim::workloads::{self, natural_ranks, AppId};
+use dram_ce_sim::ScheduleCache;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,128 +73,84 @@ fn assert_intervals_end_by_finish(label: &str, sched: &Schedule) {
 
 #[test]
 fn noise_free_intervals_end_by_finish_for_every_app() {
-    let cfg = WorkloadConfig {
-        steps_override: Some(2),
-        ..WorkloadConfig::default()
-    };
-    for app in AppId::all() {
-        let ranks = natural_ranks(app, 16);
-        let sched = workloads::build(app, ranks, &cfg);
-        assert_intervals_end_by_finish(app.name(), &sched);
+    for (label, sched) in common::app_schedules(16, 2) {
+        assert_intervals_end_by_finish(&label, &sched);
     }
 }
 
 #[test]
 fn noise_free_intervals_end_by_finish_for_every_collective() {
-    type Expand = fn(&mut ScheduleBuilder, &mut TagPool, u64, &[OpId]) -> Vec<OpId>;
-    let costs = CollectiveCosts::default();
-    let expansions: [(&str, Expand); 9] = [
-        ("allreduce_rd", |b, t, bytes, e| {
-            let c = CollectiveCosts::default();
-            collectives::allreduce(b, t, AllreduceAlgo::RecursiveDoubling, bytes, &c, e)
-        }),
-        ("allreduce_rb", |b, t, bytes, e| {
-            let c = CollectiveCosts::default();
-            collectives::allreduce(b, t, AllreduceAlgo::ReduceBcast, bytes, &c, e)
-        }),
-        ("barrier", |b, t, _, e| {
-            collectives::barrier_dissemination(b, t, e)
-        }),
-        ("bcast", |b, t, bytes, e| {
-            collectives::bcast_binomial(b, t, Rank(1), bytes, e)
-        }),
-        ("reduce", |b, t, bytes, e| {
-            let c = CollectiveCosts::default();
-            collectives::reduce_binomial(b, t, Rank(1), bytes, &c, e)
-        }),
-        ("allgather", |b, t, bytes, e| {
-            collectives::allgather_ring(b, t, bytes, e)
-        }),
-        ("alltoall", |b, t, bytes, e| {
-            collectives::alltoall_pairwise(b, t, bytes, e)
-        }),
-        ("scatter", |b, t, bytes, e| {
-            collectives::scatter_binomial(b, t, Rank(1), bytes, e)
-        }),
-        ("gather", |b, t, bytes, e| {
-            collectives::gather_binomial(b, t, Rank(1), bytes, e)
-        }),
-    ];
-    let rendezvous = LogGopsParams::xc40().eager_threshold + 1;
-    for (name, expand) in expansions {
-        for n in [5, 16] {
-            for bytes in [8, rendezvous] {
-                let mut b = ScheduleBuilder::new(n);
-                let mut tags = TagPool::new();
-                // Staggered entry work, then the collective, then a
-                // closing reduction step on every rank.
-                let entry: Vec<OpId> = (0..n)
-                    .map(|r| b.calc(Rank::from(r), Span::from_us(1 + 3 * r as u64), &[]))
-                    .collect();
-                let out = expand(&mut b, &mut tags, bytes, &entry);
-                for (r, &op) in out.iter().enumerate() {
-                    b.calc(Rank::from(r), costs.reduce_cost(bytes), &[op]);
-                }
-                let label = format!("{name} n={n} bytes={bytes}");
-                assert_intervals_end_by_finish(&label, &b.build());
-            }
-        }
+    for (label, sched) in common::collective_schedules() {
+        assert_intervals_end_by_finish(&label, &sched);
     }
 }
 
-/// Wherever the rule fires on the grid app × scope × MTBCE × seed, full
-/// simulation gives the baseline finish and no CE anywhere. The grid
-/// holds both outcomes.
+/// On the grid app × scope × MTBCE × seed, every answer of the fork
+/// table matches full simulation: a Baseline answer gives the baseline
+/// finish and no CE anywhere, and a Resume answer gives the full run's
+/// result, per-rank CE counts included. The grid holds all three
+/// answers.
 #[test]
 fn quiet_replica_matches_full_simulation() {
     let p = LogGopsParams::xc40();
     let detour = LoggingMode::Software.per_event_cost();
-    let cfg = WorkloadConfig {
-        steps_override: Some(2),
-        ..WorkloadConfig::default()
-    };
-    let (mut fired, mut simulated) = (0, 0);
-    for app in AppId::all() {
-        let ranks = natural_ranks(app, 8);
-        let cs = CompiledSchedule::compile(&workloads::build(app, ranks, &cfg));
-        let base = simulate_compiled(&cs, &p, &mut NoNoise).unwrap();
+    let (mut baseline, mut resumed, mut cold) = (0, 0, 0);
+    for (app, sched) in common::app_schedules(8, 2) {
+        let ranks = sched.num_ranks();
+        let cs = CompiledSchedule::compile(&sched);
+        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
         let base_ps = base.finish.as_ps();
         let last = Rank::from(ranks - 1);
         for scope in [Scope::AllRanks, Scope::SingleRank(last)] {
             // MTBCEs at fixed multiples of this schedule's makespan, so
-            // every app sees both quiet and noisy replicas.
+            // every app sees quiet, resumed and cold replicas.
             for k in [1, 8, 64] {
                 let mtbce = Span::from_ps(base_ps * k);
                 for seed in 0..4 {
                     let noise = CeNoise::new(ranks, mtbce, detour, scope, seed);
-                    let Some(quiet) = quiet_replica(&noise, base.finish) else {
-                        simulated += 1;
-                        continue;
-                    };
-                    fired += 1;
                     let mut full = noise.clone();
                     let r = simulate_compiled(&cs, &p, &mut full).unwrap();
                     let at = format!("{app} {scope:?} mtbce={mtbce} seed={seed}");
-                    assert_eq!(r.finish, base.finish, "{at}");
-                    assert_eq!(quiet.finish, r.finish.since(Time::ZERO), "{at}");
-                    assert_eq!(r.noise_events, 0, "{at}");
-                    assert_eq!(quiet.ce_events, r.noise_events, "{at}");
-                    assert!(full.per_rank_events().iter().all(|&e| e == 0), "{at}");
-                    assert_eq!(full.first_arrival(), noise.first_arrival(), "{at}");
+                    match forks.lookup(noise.first_arrival()) {
+                        Fork::Baseline => {
+                            baseline += 1;
+                            assert_eq!(r.finish, base.finish, "{at}");
+                            assert_eq!(forks.finish(), r.finish, "{at}");
+                            assert_eq!(r.noise_events, 0, "{at}");
+                            assert!(full.per_rank_events().iter().all(|&e| e == 0), "{at}");
+                            assert_eq!(full.first_arrival(), noise.first_arrival(), "{at}");
+                        }
+                        Fork::Resume(snap) => {
+                            resumed += 1;
+                            assert!(snap.horizon() < noise.first_arrival(), "{at}");
+                            let mut fork = noise.clone();
+                            let f = resume_compiled(&cs, &p, snap, &mut fork).unwrap();
+                            let events = r.events_processed - snap.events();
+                            assert_eq!(f.events_processed, events, "{at}");
+                            let f = dram_ce_sim::engine::SimResult {
+                                events_processed: r.events_processed,
+                                ..f
+                            };
+                            assert_eq!(f, r, "{at}");
+                            assert_eq!(fork.per_rank_events(), full.per_rank_events(), "{at}");
+                        }
+                        Fork::Cold => cold += 1,
+                    }
                 }
             }
         }
     }
     assert!(
-        fired > 0 && simulated > 0,
-        "fired {fired}, simulated {simulated}"
+        baseline > 0 && resumed > 0 && cold > 0,
+        "baseline {baseline}, resumed {resumed}, cold {cold}"
     );
 }
 
-/// End to end through `run_against_baseline_compiled`, serial and
-/// sharded: every replica's finish and CE count equal a full simulation
-/// of that replica, and exactly the skipped replicas report no engine
-/// events.
+/// End to end through `run_against_baseline_compiled` (serial and
+/// sharded) and `run_against_baseline_entry`: every replica's finish and
+/// CE count equal a full simulation of that replica. Exactly the replicas
+/// no CE reaches report no engine events, and a resumed replica's events
+/// plus its skipped prefix are the full run's.
 #[test]
 fn experiment_replicas_match_full_simulation() {
     // (app, scope, targeted ranks): MTBCE = 2 x targeted ranks x the
@@ -197,6 +159,7 @@ fn experiment_replicas_match_full_simulation() {
         (AppId::Hpcg, Scope::AllRanks, 8),
         (AppId::Lulesh, Scope::SingleRank(Rank(3)), 1),
     ] {
+        let cache = ScheduleCache::new(4);
         for shards in [1, 2] {
             let exp = Experiment::new(app, 8)
                 .mode(LoggingMode::Software)
@@ -212,25 +175,41 @@ fn experiment_replicas_match_full_simulation() {
             )));
             let base = simulate_compiled(&cs, &exp.params, &mut NoNoise).unwrap();
             let exp = exp.mtbce(Span::from_ps(base.finish.as_ps() * 2 * targeted));
+            let entry = cache
+                .get_or_compile(app, exp.nodes, &exp.workload, &exp.params)
+                .unwrap();
+            assert_eq!(entry.baseline(), base.finish);
             let out = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
+            let forked = run_against_baseline_entry(&exp, &entry, 0).unwrap();
+            assert_eq!(forked.baseline, out.baseline);
             let detour = exp.mode.per_event_cost();
-            let mut skipped = 0;
-            for (rep, run) in out.runs.iter().enumerate() {
+            let (mut skipped, mut resumed) = (0, 0);
+            for (rep, (run, fork)) in out.runs.iter().zip(&forked.runs).enumerate() {
                 let seed = rep_seed(exp.seed, rep as u32);
                 let mut noise = CeNoise::new(ranks, exp.mtbce, detour, scope, seed);
-                let quiet = quiet_replica(&noise, base.finish).is_some();
+                let quiet = noise.first_arrival() > base.finish;
                 let full = simulate_compiled(&cs, &exp.params, &mut noise).unwrap();
                 let at = format!("{app} shards={shards} rep={rep}");
-                assert_eq!(run.finish, full.finish.since(Time::ZERO), "{at}");
-                assert_eq!(run.ce_events, full.noise_events, "{at}");
-                assert_eq!(run.events == 0, quiet, "{at}");
+                for r in [run, fork] {
+                    assert_eq!(r.finish, full.finish.since(Time::ZERO), "{at}");
+                    assert_eq!(r.ce_events, full.noise_events, "{at}");
+                    assert_eq!(r.events == 0, quiet, "{at}");
+                    if !quiet {
+                        assert_eq!(r.events + r.skipped, full.events_processed, "{at}");
+                    }
+                }
+                assert_eq!(run.skipped, 0, "{at}: no snapshots to resume from");
                 skipped += usize::from(quiet);
+                resumed += usize::from(fork.skipped > 0);
             }
             assert!(
                 0 < skipped && skipped < out.runs.len(),
                 "{app}: {skipped} of {} replicas skipped",
                 out.runs.len()
             );
+            if shards > 1 {
+                assert_eq!(resumed, 0, "{app}: sharded replicas never resume");
+            }
         }
     }
 }
