@@ -11,13 +11,13 @@
 //!
 //! The runtime-telemetry layer (span profiler + flight recorder) has
 //! the same contract at runtime instead of compile time: disabled via
-//! its process-wide atomic, the sharded engine path with the window
-//! hook installed must stay within 2% of the pre-hook path.
+//! its process-wide atomic, the sharded engine path (4 threaded shards)
+//! with the window hook installed must stay within 2% of the pre-hook
+//! path.
 
 use cesim_bench::regen_scale;
 use cesim_core::engine::{
-    simulate, simulate_compiled_sharded, CompiledSchedule, NoNoise, NullRecorder, ShardMode,
-    Simulator,
+    simulate, simulate_compiled_sharded, CompiledSchedule, NoNoise, NullRecorder, Simulator,
 };
 use cesim_core::model::LogGopsParams;
 use cesim_core::obs::telemetry::{self, Span};
@@ -93,7 +93,7 @@ fn bench_obs(c: &mut Criterion) {
     let cs = CompiledSchedule::compile(&sched);
     let run_sharded = |cs: &CompiledSchedule| {
         let _s = Span::enter("bench_cell");
-        black_box(simulate_compiled_sharded(cs, &params, 4, ShardMode::Lockstep, &NoNoise).unwrap())
+        black_box(simulate_compiled_sharded(cs, &params, 4, &NoNoise).unwrap())
     };
     let mut t_before = f64::INFINITY;
     for _ in 0..rounds {

@@ -6,12 +6,9 @@
 //! split across lookahead-window shards, and checks on every trial
 //! that the sharded result equals the serial one exactly.
 //!
-//! The headline reports two rows per shard count. `ShardMode::Lockstep`
-//! (all shards round-robin on the calling thread) isolates the
-//! *algorithmic* effect — shard-local queues, match queues and scratch
-//! slices with smaller per-window working sets. `ShardMode::Threads` (one
-//! OS thread per shard) adds real parallelism, so its speedup depends on
-//! the host's CPU count, which every row records.
+//! The headline reports one row per shard count, each run on one OS
+//! thread per shard, so its speedup depends on the host's CPU count,
+//! which every row records.
 //!
 //! Scaling knobs (for CI smoke runs):
 //!
@@ -24,7 +21,7 @@
 //!   this path (merged into `BENCH_engine.json`).
 
 use cesim_core::engine::{
-    simulate_compiled, simulate_compiled_sharded, CompiledSchedule, ShardMode, SimResult,
+    simulate_compiled, simulate_compiled_sharded, CompiledSchedule, SimResult,
 };
 use cesim_core::goal::builder::TagPool;
 use cesim_core::goal::collectives::{allreduce_recursive_doubling, CollectiveCosts};
@@ -93,19 +90,6 @@ fn bench_shard(c: &mut Criterion) {
         g.bench_function(format!("serial_{ranks}r"), |b| {
             b.iter(|| simulate_compiled(black_box(&cs), &params, &mut cesim_core::engine::NoNoise))
         });
-        for &s in &shard_counts {
-            g.bench_function(format!("lockstep_{s}shards_{ranks}r"), |b| {
-                b.iter(|| {
-                    simulate_compiled_sharded(
-                        black_box(&cs),
-                        &params,
-                        s,
-                        ShardMode::Lockstep,
-                        &cesim_core::engine::NoNoise,
-                    )
-                })
-            });
-        }
         g.finish();
     }
 
@@ -122,25 +106,16 @@ fn bench_shard(c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rows = Vec::new();
     for &s in &shard_counts {
-        for (mode, name) in [
-            (ShardMode::Lockstep, "lockstep"),
-            (ShardMode::Threads, "threads"),
-        ] {
-            let (t, r) = best_secs(trials, &mut || {
-                simulate_compiled_sharded(&cs, &params, s, mode, &cesim_core::engine::NoNoise)
-                    .unwrap()
-            });
-            assert_eq!(
-                r, serial_r,
-                "sharded result diverged at {s} shards ({name})"
-            );
-            let speedup = serial_s / t;
-            println!("  {s} shards ({name}): {t:.3}s, {speedup:.2}x vs serial");
-            rows.push(format!(
-                "    {{ \"shards\": {s}, \"mode\": \"{name}\", \"host_cpus\": {host_cpus}, \
-                 \"secs\": {t:.3}, \"speedup\": {speedup:.3} }}"
-            ));
-        }
+        let (t, r) = best_secs(trials, &mut || {
+            simulate_compiled_sharded(&cs, &params, s, &cesim_core::engine::NoNoise).unwrap()
+        });
+        assert_eq!(r, serial_r, "sharded result diverged at {s} shards");
+        let speedup = serial_s / t;
+        println!("  {s} shards (threads): {t:.3}s, {speedup:.2}x vs serial");
+        rows.push(format!(
+            "    {{ \"shards\": {s}, \"mode\": \"threads\", \"host_cpus\": {host_cpus}, \
+             \"secs\": {t:.3}, \"speedup\": {speedup:.3} }}"
+        ));
     }
 
     if let Ok(path) = std::env::var("SHARD_BENCH_JSON") {
@@ -148,7 +123,7 @@ fn bench_shard(c: &mut Criterion) {
             "{{\n  \"bench\": \"sharded_single_run_scaling\",\n  \
              \"workload\": \"allreduce_recursive_doubling\",\n  \
              \"ranks\": {ranks},\n  \"allreduces\": {rounds},\n  \
-             \"ops\": {ops},\n  \"events\": {},\n  \
+             \"ops\": {ops},\n  \"events\": {},\n  \"host_cpus\": {host_cpus},\n  \
              \"serial_secs\": {serial_s:.3},\n  \"sharded\": [\n{}\n  ]\n}}\n",
             serial_r.events_processed,
             rows.join(",\n")

@@ -17,7 +17,7 @@ use crate::cache::CompiledEntry;
 use crate::seed::rep_seed;
 use cesim_engine::{
     resume_compiled, simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, Fork,
-    ForkTable, NoNoise, NullRecorder, ShardMode, ShardTelemetry, SimError, SimResult, Simulator,
+    ForkTable, NoNoise, NullRecorder, ShardTelemetry, SimError, SimResult, Simulator,
     WindowObserver,
 };
 use cesim_goal::Schedule;
@@ -531,7 +531,6 @@ fn run_replicas(
                         cs,
                         &exp.params,
                         exp.shards,
-                        ShardMode::Auto,
                         &noise,
                         &mut rec,
                         telem,
@@ -563,7 +562,6 @@ fn run_replicas(
                         cs,
                         &exp.params,
                         exp.shards,
-                        ShardMode::Auto,
                         &noise,
                         &mut NullRecorder,
                         telem,

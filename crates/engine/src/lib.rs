@@ -48,9 +48,8 @@ pub use record::{MsgClass, NullRecorder, Recorder, SegKind, SimEvent, VecRecorde
 pub use result::{SimError, SimResult};
 pub use shard::{
     auto_shards, set_window_hook, shard_globals, simulate_compiled_sharded,
-    simulate_compiled_sharded_observed, simulate_sharded_instrumented, simulate_sharded_recorded,
-    simulate_sharded_recorded_observed, ShardGlobals, ShardHealth, ShardHealthReport, ShardMode,
-    ShardTelemetry, WindowHook, WindowObserver, WINDOW_BATCH,
+    simulate_sharded_instrumented, ShardGlobals, ShardHealth, ShardHealthReport, ShardTelemetry,
+    WindowHook, WindowObserver, WINDOW_BATCH,
 };
 pub use sim::{simulate, simulate_compiled, simulate_compiled_with, RunScratch, Simulator};
 pub use topology::{Dragonfly, FatTree, FlatCrossbar, Topology, Torus3D};

@@ -1,6 +1,6 @@
-//! Intra-run parallel DES: shard the event loop by rank, advance shards
-//! in lockstep lookahead windows, and stay **byte-identical** to the
-//! serial engine.
+//! Intra-run parallel DES: shard the event loop by rank, advance the
+//! shards on scoped threads in lookahead windows, and stay
+//! **byte-identical** to the serial engine.
 //!
 //! # Why `L` is a safe lookahead
 //!
@@ -12,21 +12,23 @@
 //! at time `m`, no shard can receive a message with timestamp below
 //! `m + L` that does not already exist — which makes `[m, m + L)` a
 //! window every shard may execute to completion without hearing from the
-//! others. (`L = 0` disables sharding; the driver falls back to the
-//! serial engine.)
+//! others. (`L = 0` disables sharding; the entry point runs the serial
+//! engine.)
 //!
 //! # The window protocol
 //!
 //! Ranks are partitioned into `S` contiguous slices; each shard owns the
 //! per-rank state (CPU/NIC cursors, match queues, event heap — its own
 //! [`RunScratch`] slice) of its ranks, while the [`CompiledSchedule`]
-//! stays shared and immutable. Shards repeat:
+//! stays shared and immutable. Each shard runs on its own scoped thread
+//! and repeats:
 //!
 //! 1. **min**: publish the timestamp of the earliest local pending
 //!    event; the global minimum `m` defines `window_end = m + L`.
-//! 2. **run**: pop-and-process local events with `time < window_end`,
-//!    exactly like the serial loop. Events created for foreign ranks go
-//!    to a per-shard *outbox* instead of the local heap.
+//! 2. **run**: dispatch local events with `time < window_end` with the
+//!    engine's one batch loop — the serial engine runs the same loop
+//!    over one full-range slice with no bound. Events created for
+//!    foreign ranks go to a per-shard *outbox* instead of the local heap.
 //! 3. **exchange**: route outbox entries to the owning shard's mailbox;
 //!    each shard drains its mailbox into its heap before the next round.
 //!
@@ -63,15 +65,16 @@ use crate::noise::NoiseModel;
 use crate::queue::EvKey;
 use crate::record::{NullRecorder, Recorder, SimEvent};
 use crate::result::{SimError, SimResult};
-use crate::sim::{run_engine, stuck_ops, Engine, Msg, RunScratch};
+use crate::sim::{assemble, run_engine, start, Engine, Msg, RunScratch};
 use crate::topology::FlatCrossbar;
 use cesim_model::{LogGopsParams, Time};
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Provisional-id stride per shard for recorded runs: shard `i` hands
+/// Provisional-id stride per shard: shard `i` hands
 /// out ids starting at `(i + 1) << 48`, far above any dense serial id,
 /// so provisional ids never collide across shards (or with the dense
 /// range) before the merge renumbers them.
@@ -177,7 +180,7 @@ pub struct ShardStats {
     /// Wall nanoseconds spent in windows that popped nothing — the
     /// shard rode along while others had the work.
     stall_ns: AtomicU64,
-    /// Wall nanoseconds waiting at window barriers (threaded mode).
+    /// Wall nanoseconds waiting at window barriers.
     barrier_ns: AtomicU64,
     /// Total accounted wall nanoseconds. Every accounted nanosecond
     /// lands in exactly one of the three buckets above, so
@@ -258,7 +261,7 @@ impl<'a> Stamp<'a> {
 
 /// Aggregated shard-health telemetry for one or more sharded runs.
 /// Create one sized for the shard count, pass it to
-/// [`simulate_compiled_sharded_observed`] (possibly from many replicas
+/// [`simulate_sharded_instrumented`] (possibly from many replicas
 /// concurrently — counters accumulate), then read [`Self::report`].
 #[derive(Debug, Default)]
 pub struct ShardTelemetry {
@@ -316,7 +319,8 @@ pub struct ShardHealth {
     pub busy: Duration,
     /// Wall time in windows where this shard had nothing to do.
     pub stall: Duration,
-    /// Wall time waiting at window barriers (threaded mode only).
+    /// Wall time waiting at window barriers for the other shards
+    /// (zero for a run that fell back to the serial engine).
     pub barrier: Duration,
     /// Total accounted wall time (`busy + stall + barrier`, exactly).
     pub wall: Duration,
@@ -461,35 +465,6 @@ impl fmt::Display for ShardHealthReport {
     }
 }
 
-/// How the sharded driver executes its shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardMode {
-    /// One OS thread per shard when the host has more than one CPU,
-    /// otherwise single-threaded lockstep. Output is identical either
-    /// way; this only picks the faster execution on the current host.
-    Auto,
-    /// One OS thread per shard, synchronized with barriers.
-    Threads,
-    /// All shards advanced round-robin on the calling thread — the same
-    /// window schedule without any thread or barrier overhead. This is
-    /// still a win on its own: per-shard heaps are a fraction of the
-    /// serial heap's size, so pops cost `O(log(n/S))` and the working
-    /// set per window is `~1/S` of the serial one.
-    Lockstep,
-}
-
-impl ShardMode {
-    fn threaded(self) -> bool {
-        match self {
-            ShardMode::Threads => true,
-            ShardMode::Lockstep => false,
-            ShardMode::Auto => std::thread::available_parallelism()
-                .map(|n| n.get() > 1)
-                .unwrap_or(false),
-        }
-    }
-}
-
 /// Contiguous rank partition: shard `s` owns ranks
 /// `[cut(s), cut(s+1))` with `cut(s) = n·s/S`.
 fn cuts(nranks: usize, shards: usize) -> Vec<u32> {
@@ -504,14 +479,13 @@ fn cuts(nranks: usize, shards: usize) -> Vec<u32> {
 /// work (finer splits drown in window overhead and are where the
 /// measured scaling went non-monotonic), and clamped to 64.
 ///
-/// Single-CPU hosts return 1. The old binary-heap queue rewarded
-/// splitting even without parallelism — each shard's heap, and
-/// therefore every sift, shrank by the split factor (the first
-/// `sharded_single_run_scaling` entry in `BENCH_engine.json` climbs
-/// through 1.55x at 64 shards) — but the bucket queue already
-/// works on one small sorted run at a time, so the remeasured lockstep
-/// scaling is flat (0.92–1.00x at 64k ranks) and sharding is pure
-/// overhead without real cores behind it.
+/// Single-CPU hosts return 1: the shard threads would only take turns.
+/// Splitting without parallelism once paid off through smaller
+/// per-shard heaps (the first `sharded_single_run_scaling` entry in
+/// `BENCH_engine.json` climbs through 1.55x at 64 shards), but the
+/// bucket queue works on one small sorted run at a time, so the
+/// remeasured single-thread scaling is flat (0.92–1.00x at 64k ranks)
+/// and sharding is pure overhead without real cores behind it.
 ///
 /// Schedules below 2048 ranks also return 1: window overhead beats any
 /// split there regardless of host.
@@ -547,28 +521,31 @@ struct Tagged {
     ev: SimEvent,
 }
 
-/// Per-shard recorder used by recorded sharded runs: buffers tagged
-/// events for the post-run merge.
-struct KeyedRecorder {
+/// Per-shard recorder of a sharded run whose caller records into an
+/// `R`: buffers tagged events for the post-run merge. It is enabled
+/// exactly when `R` is, so an unrecorded run compiles the tagging away.
+struct KeyedRecorder<R> {
     buf: Vec<Tagged>,
     t: Time,
     key: EvKey,
     n: u32,
+    sink: PhantomData<fn(&mut R)>,
 }
 
-impl KeyedRecorder {
+impl<R> KeyedRecorder<R> {
     fn new() -> Self {
         KeyedRecorder {
             buf: Vec::new(),
             t: Time::ZERO,
             key: EvKey { crank: 0, cseq: 0 },
             n: 0,
+            sink: PhantomData,
         }
     }
 }
 
-impl Recorder for KeyedRecorder {
-    const ENABLED: bool = true;
+impl<R: Recorder> Recorder for KeyedRecorder<R> {
+    const ENABLED: bool = R::ENABLED;
 
     #[inline]
     fn record(&mut self, ev: SimEvent) {
@@ -580,34 +557,23 @@ impl Recorder for KeyedRecorder {
         });
         self.n += 1;
     }
-}
 
-/// A [`Recorder`] that additionally learns which pop is being processed
-/// — what the window loop needs to tag emissions for the merge.
-trait WindowRecorder: Recorder {
-    /// Called once per popped event, before dispatch.
-    fn begin_pop(&mut self, t: Time, key: EvKey);
-}
-
-impl WindowRecorder for NullRecorder {
-    #[inline(always)]
-    fn begin_pop(&mut self, _t: Time, _key: EvKey) {}
-}
-
-impl WindowRecorder for KeyedRecorder {
     #[inline]
     fn begin_pop(&mut self, t: Time, key: EvKey) {
-        self.t = t;
-        self.key = key;
-        self.n = 0;
+        if R::ENABLED {
+            self.t = t;
+            self.key = key;
+            self.n = 0;
+        }
     }
 }
 
-impl<R: WindowRecorder> WindowRecorder for &mut R {
-    #[inline(always)]
-    fn begin_pop(&mut self, t: Time, key: EvKey) {
-        (**self).begin_pop(t, key);
-    }
+/// One shard of a run recording into an `R`: the scratch of its rank
+/// slice, its clone of the noise prototype, and its recorder.
+struct Shard<N, R> {
+    s: RunScratch,
+    noise: N,
+    rec: KeyedRecorder<R>,
 }
 
 /// Simulate a [`CompiledSchedule`] split across `shards` rank-contiguous
@@ -617,106 +583,31 @@ impl<R: WindowRecorder> WindowRecorder for &mut R {
 /// per-rank noise substreams consumed are exactly the serial ones).
 ///
 /// `shards <= 1`, a single-rank schedule, or `params.latency == 0` (no
-/// usable lookahead) all fall back to the serial engine.
+/// usable lookahead) all run the serial engine.
 pub fn simulate_compiled_sharded<N: NoiseModel + Clone + Send>(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     shards: usize,
-    mode: ShardMode,
     noise: &N,
 ) -> Result<SimResult, SimError> {
-    run_sharded(
-        cs,
-        params,
-        shards,
-        mode,
-        noise,
-        &mut NullRecorder,
-        None,
-        None,
-    )
+    simulate_sharded_instrumented(cs, params, shards, noise, &mut NullRecorder, None, None)
 }
 
-/// [`simulate_compiled_sharded`] with shard-health telemetry: per-shard
-/// busy/stall/barrier time, window and event counts accumulate into
-/// `telem` (relaxed atomics — safe to share across concurrent
-/// replicas). The simulation result is byte-identical with or without
-/// the telemetry handle.
-pub fn simulate_compiled_sharded_observed<N: NoiseModel + Clone + Send>(
-    cs: &CompiledSchedule,
-    params: &LogGopsParams,
-    shards: usize,
-    mode: ShardMode,
-    noise: &N,
-    telem: &ShardTelemetry,
-) -> Result<SimResult, SimError> {
-    run_sharded(
-        cs,
-        params,
-        shards,
-        mode,
-        noise,
-        &mut NullRecorder,
-        Some(telem),
-        None,
-    )
-}
-
-/// [`simulate_compiled_sharded`] with instrumentation: per-shard event
-/// streams are merged back into serial emission order (ids densely
-/// renumbered) and replayed into `rec`, so the recording is
-/// byte-identical to a serial recorded run.
-pub fn simulate_sharded_recorded<N: NoiseModel + Clone + Send, R: Recorder>(
-    cs: &CompiledSchedule,
-    params: &LogGopsParams,
-    shards: usize,
-    mode: ShardMode,
-    noise: &N,
-    rec: &mut R,
-) -> Result<SimResult, SimError> {
-    run_sharded(cs, params, shards, mode, noise, rec, None, None)
-}
-
-/// [`simulate_sharded_recorded`] with shard-health telemetry (see
-/// [`simulate_compiled_sharded_observed`]).
-pub fn simulate_sharded_recorded_observed<N: NoiseModel + Clone + Send, R: Recorder>(
-    cs: &CompiledSchedule,
-    params: &LogGopsParams,
-    shards: usize,
-    mode: ShardMode,
-    noise: &N,
-    rec: &mut R,
-    telem: &ShardTelemetry,
-) -> Result<SimResult, SimError> {
-    run_sharded(cs, params, shards, mode, noise, rec, Some(telem), None)
-}
-
-/// The fully instrumented sharded entry point: event recording,
-/// optional shard-health telemetry, and an optional per-run
-/// [`WindowObserver`] in one call. Every other `simulate_*sharded*`
-/// wrapper delegates here with the instruments it lacks set to
-/// `None`/`NullRecorder`; results are byte-identical regardless of
-/// which instruments are attached.
-#[allow(clippy::too_many_arguments)]
+/// [`simulate_compiled_sharded`] with instruments attached; results are
+/// byte-identical regardless of which are.
+///
+/// * `rec`: per-shard event streams are merged back into serial emission
+///   order (ids densely renumbered) and replayed into `rec`, so the
+///   recording is byte-identical to a serial recorded run.
+/// * `telem`: per-shard busy/stall/barrier time, window and event counts
+///   accumulate into it (relaxed atomics — safe to share across
+///   concurrent replicas).
+/// * `observer`: told about window progress every [`WINDOW_BATCH`]
+///   windows.
 pub fn simulate_sharded_instrumented<N: NoiseModel + Clone + Send, R: Recorder>(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     shards: usize,
-    mode: ShardMode,
-    noise: &N,
-    rec: &mut R,
-    telem: Option<&ShardTelemetry>,
-    observer: Option<&dyn WindowObserver>,
-) -> Result<SimResult, SimError> {
-    run_sharded(cs, params, shards, mode, noise, rec, telem, observer)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sharded<N: NoiseModel + Clone + Send, R: Recorder>(
-    cs: &CompiledSchedule,
-    params: &LogGopsParams,
-    shards: usize,
-    mode: ShardMode,
     noise: &N,
     rec: &mut R,
     telem: Option<&ShardTelemetry>,
@@ -731,8 +622,14 @@ fn run_sharded<N: NoiseModel + Clone + Send, R: Recorder>(
         // sharded engine with one shard.
         let t0 = telem.map(|_| Instant::now());
         let mut scratch = RunScratch::new();
-        let mut n = noise.clone();
-        let out = run_engine(cs, *params, &FlatCrossbar, &mut scratch, &mut *rec, &mut n);
+        let out = run_engine(
+            cs,
+            *params,
+            &FlatCrossbar,
+            &mut scratch,
+            &mut *rec,
+            &mut noise.clone(),
+        );
         if let (Some(t), Some(t0)) = (telem, t0) {
             let events = out.as_ref().map(|r| r.events_processed).unwrap_or(0);
             t.note_serial_fallback(t0.elapsed(), events);
@@ -741,268 +638,50 @@ fn run_sharded<N: NoiseModel + Clone + Send, R: Recorder>(
     }
 
     let cuts = cuts(cs.num_ranks(), s_eff);
-    let mut scratches: Vec<RunScratch> = (0..s_eff).map(|_| RunScratch::new()).collect();
-    let mut noises: Vec<N> = Vec::with_capacity(s_eff);
-    let noise_base = noise.events_injected();
-    for (i, s) in scratches.iter_mut().enumerate() {
-        s.reset_range(cs, cuts[i], cuts[i + 1]);
-        s.plan_dispatch(cs, params);
-        if R::ENABLED {
-            s.offset_ids((i as u64 + 1) * ID_STRIDE);
-        }
-        s.seed_roots(cs);
-        noises.push(noise.clone());
-    }
-
-    let events_processed = if R::ENABLED {
-        let mut recs: Vec<KeyedRecorder> = (0..s_eff).map(|_| KeyedRecorder::new()).collect();
-        let n = drive(
-            cs,
-            *params,
-            mode,
-            &cuts,
-            &mut scratches,
-            &mut noises,
-            &mut recs,
-            telem,
-            observer,
-        );
-        merge_records(recs, rec);
-        n
-    } else {
-        let mut recs = vec![NullRecorder; s_eff];
-        drive(
-            cs,
-            *params,
-            mode,
-            &cuts,
-            &mut scratches,
-            &mut noises,
-            &mut recs,
-            telem,
-            observer,
-        )
-    };
-
-    let completed: u64 = scratches.iter().map(|s| s.completed).sum();
-    if completed != cs.total_ops() {
-        let parts: Vec<&RunScratch> = scratches.iter().collect();
-        return Err(SimError::Deadlock {
-            completed,
-            total: cs.total_ops(),
-            stuck_examples: stuck_ops(cs, &parts, 8),
+    let mut shards: Vec<Shard<N, R>> = Vec::with_capacity(s_eff);
+    for (i, w) in cuts.windows(2).enumerate() {
+        let mut s = RunScratch::new();
+        start(cs, params, &mut s, w[0]..w[1], (i as u64 + 1) * ID_STRIDE)?;
+        shards.push(Shard {
+            s,
+            noise: noise.clone(),
+            rec: KeyedRecorder::new(),
         });
     }
-
-    let mut per_rank_finish = Vec::with_capacity(cs.num_ranks());
-    let mut per_rank_busy = Vec::with_capacity(cs.num_ranks());
-    let mut per_rank_work = Vec::with_capacity(cs.num_ranks());
-    for s in &scratches {
-        per_rank_finish.extend_from_slice(&s.finish);
-        per_rank_busy.extend_from_slice(&s.busy);
-        per_rank_work.extend_from_slice(&s.work);
-    }
-    let noise_events = noise_base
-        + noises
+    let events = drive_threaded(cs, *params, &cuts, &mut shards, telem, observer);
+    let base = noise.events_injected();
+    let noise_events = base
+        + shards
             .iter()
-            .map(|n| n.events_injected() - noise_base)
+            .map(|p| p.noise.events_injected() - base)
             .sum::<u64>();
-    let finish = per_rank_finish.iter().copied().max().unwrap_or(Time::ZERO);
-    Ok(SimResult {
-        finish,
-        per_rank_finish,
-        per_rank_busy,
-        per_rank_work,
-        ops_executed: completed,
-        msgs_delivered: scratches.iter().map(|s| s.msgs_delivered).sum(),
-        control_msgs: scratches.iter().map(|s| s.control_msgs).sum(),
-        noise_events,
-        max_unexpected: scratches
-            .iter()
-            .map(|s| s.max_unexpected)
-            .max()
-            .unwrap_or(0),
-        max_posted: scratches.iter().map(|s| s.max_posted).max().unwrap_or(0),
-        events_processed,
-    })
+    let parts: Vec<&RunScratch> = shards.iter().map(|p| &p.s).collect();
+    let out = assemble(cs, &parts, noise_events, events);
+    if R::ENABLED {
+        merge_records(shards.into_iter().map(|p| p.rec.buf), rec);
+    }
+    out
 }
 
-/// Run the window protocol to completion in the requested mode;
-/// returns total events processed.
-#[allow(clippy::too_many_arguments)]
-fn drive<N: NoiseModel + Clone + Send, R: WindowRecorder + Send>(
+/// Run the window protocol to completion, one OS thread per shard;
+/// returns total events processed. Three barriers per window round:
+/// after **publishing** local minima (so the leader sees them all),
+/// after the leader computes the **window bound** (so everyone reads
+/// it), and after **routing** outboxes (so mailbox drains see every
+/// message). Mailbox mutexes are uncontended by construction — senders
+/// and the draining owner are separated by the route barrier.
+fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
     cs: &CompiledSchedule,
     params: LogGopsParams,
-    mode: ShardMode,
     cuts: &[u32],
-    scratches: &mut [RunScratch],
-    noises: &mut [N],
-    recs: &mut [R],
+    shards: &mut [Shard<N, R>],
     telem: Option<&ShardTelemetry>,
     observer: Option<&dyn WindowObserver>,
 ) -> u64 {
     G_RUNS_ACTIVE.fetch_add(1, Ordering::Relaxed);
     G_RUNS_TOTAL.fetch_add(1, Ordering::Relaxed);
     let t0 = Instant::now();
-    let events = if mode.threaded() {
-        drive_threaded(cs, params, cuts, scratches, noises, recs, telem, observer)
-    } else {
-        drive_lockstep(cs, params, cuts, scratches, noises, recs, telem, observer)
-    };
-    if let Some(t) = telem {
-        t.drive_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        t.runs.fetch_add(1, Ordering::Relaxed);
-    }
-    G_RUNS_ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    events
-}
-
-/// Process one shard's slice of the window `[.., wend)`; returns events
-/// processed. Outbox entries accumulate in the scratch for the caller
-/// to route.
-fn run_window<N: NoiseModel + ?Sized, R: WindowRecorder>(
-    cs: &CompiledSchedule,
-    params: LogGopsParams,
-    scratch: &mut RunScratch,
-    noise: &mut N,
-    rec: &mut R,
-    wend: Time,
-) -> u64 {
-    let mut events = 0u64;
-    let mut batch = std::mem::take(&mut scratch.batch);
-    let mut eng = Engine {
-        cs,
-        params,
-        topology: &FlatCrossbar,
-        s: scratch,
-        rec,
-    };
-    // Same batched delivery as the serial loop (see `run_engine`): a
-    // whole same-timestamp run per queue drain, with the head at the
-    // active timestamp re-checked before each batch entry so newly
-    // created same-time events interleave exactly as repeated pops
-    // would. Every batch
-    // entry sits strictly below `wend`, and interleaved events share the
-    // batch timestamp, so the window bound holds for all of them.
-    loop {
-        match eng.s.queue.peek_time() {
-            Some(t) if t < wend => {}
-            _ => break,
-        }
-        eng.s.queue.pop_batch(&mut batch);
-        for &(bt, bkey, bev) in &batch {
-            while let Some((qt, qkey)) = eng.s.queue.peek_active_min() {
-                if (qt, qkey) < (bt, bkey) {
-                    let (t, key, ev) = eng.s.queue.pop().expect("peeked entry exists");
-                    eng.rec.begin_pop(t, key);
-                    events += 1;
-                    eng.dispatch(noise, ev, t);
-                } else {
-                    break;
-                }
-            }
-            eng.rec.begin_pop(bt, bkey);
-            events += 1;
-            eng.dispatch(noise, bev, bt);
-        }
-    }
-    eng.s.batch = batch;
-    events
-}
-
-/// Single-threaded lockstep: the same window schedule as the threaded
-/// driver, shards advanced round-robin on the calling thread.
-#[allow(clippy::too_many_arguments)]
-fn drive_lockstep<N: NoiseModel, R: WindowRecorder>(
-    cs: &CompiledSchedule,
-    params: LogGopsParams,
-    cuts: &[u32],
-    scratches: &mut [RunScratch],
-    noises: &mut [N],
-    recs: &mut [R],
-    telem: Option<&ShardTelemetry>,
-    observer: Option<&dyn WindowObserver>,
-) -> u64 {
-    let lookahead = params.latency;
-    let mut events = 0u64;
-    let mut outbox: Vec<(Time, EvKey, Msg)> = Vec::new();
-    let mut prev_m_ps = u64::MAX;
-    let mut windows = 0u64;
-    let mut last_wend_ps = 0u64;
-    while let Some(m) = scratches.iter().filter_map(|s| s.queue.peek_time()).min() {
-        let wend = m + lookahead;
-        note_window(m.as_ps(), prev_m_ps, wend.as_ps());
-        prev_m_ps = m.as_ps();
-        if observer.is_some() {
-            windows += 1;
-            last_wend_ps = wend.as_ps();
-            if windows.is_multiple_of(WINDOW_BATCH) {
-                if let Some(o) = observer {
-                    o.on_window_batch(WINDOW_BATCH, last_wend_ps);
-                }
-            }
-        }
-        let mut window_events = 0u64;
-        for (i, ((s, n), r)) in scratches
-            .iter_mut()
-            .zip(noises.iter_mut())
-            .zip(recs.iter_mut())
-            .enumerate()
-        {
-            let popped = match telem.and_then(|t| t.stats.get(i)) {
-                Some(st) => {
-                    let t0 = Instant::now();
-                    let popped = run_window(cs, params, s, n, r, wend);
-                    let bucket = if popped == 0 { Lap::Stall } else { Lap::Busy };
-                    st.lap(bucket, t0.elapsed().as_nanos() as u64);
-                    st.windows.fetch_add(1, Ordering::Relaxed);
-                    st.events.fetch_add(popped, Ordering::Relaxed);
-                    st.outbox_msgs
-                        .fetch_add(s.outbox.len() as u64, Ordering::Relaxed);
-                    popped
-                }
-                None => run_window(cs, params, s, n, r, wend),
-            };
-            events += popped;
-            window_events += popped;
-            // Stage this shard's cross-shard sends; routed below once the
-            // borrow on `scratches` is back.
-            outbox.append(&mut s.outbox);
-        }
-        G_EVENTS.fetch_add(window_events, Ordering::Relaxed);
-        for (t, key, m) in outbox.drain(..) {
-            let d = shard_of(cuts, m.dst);
-            scratches[d].deliver(t, key, m);
-        }
-    }
-    if let Some(o) = observer {
-        let rem = windows % WINDOW_BATCH;
-        if rem > 0 {
-            o.on_window_batch(rem, last_wend_ps);
-        }
-    }
-    events
-}
-
-/// One OS thread per shard. Three barriers per window round:
-/// after **publishing** local minima (so the leader sees them all),
-/// after the leader computes the **window bound** (so everyone reads
-/// it), and after **routing** outboxes (so mailbox drains see every
-/// message). Mailbox mutexes are uncontended by construction — senders
-/// and the draining owner are separated by the route barrier.
-#[allow(clippy::too_many_arguments)]
-fn drive_threaded<N: NoiseModel + Clone + Send, R: WindowRecorder + Send>(
-    cs: &CompiledSchedule,
-    params: LogGopsParams,
-    cuts: &[u32],
-    scratches: &mut [RunScratch],
-    noises: &mut [N],
-    recs: &mut [R],
-    telem: Option<&ShardTelemetry>,
-    observer: Option<&dyn WindowObserver>,
-) -> u64 {
-    let s_eff = scratches.len();
+    let s_eff = shards.len();
     let lookahead = params.latency;
     let barrier = Barrier::new(s_eff);
     let mins: Vec<AtomicU64> = (0..s_eff).map(|_| AtomicU64::new(0)).collect();
@@ -1017,12 +696,7 @@ fn drive_threaded<N: NoiseModel + Clone + Send, R: WindowRecorder + Send>(
     let windows_seen = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        for (i, ((scratch, noise), rec)) in scratches
-            .iter_mut()
-            .zip(noises.iter_mut())
-            .zip(recs.iter_mut())
-            .enumerate()
-        {
+        for (i, shard) in shards.iter_mut().enumerate() {
             let (barrier, mins, wend_ps, prev_m_ps, done, mailboxes, events_total, windows_seen) = (
                 &barrier,
                 &mins,
@@ -1034,6 +708,11 @@ fn drive_threaded<N: NoiseModel + Clone + Send, R: WindowRecorder + Send>(
                 &windows_seen,
             );
             scope.spawn(move || {
+                let Shard {
+                    s: scratch,
+                    noise,
+                    rec,
+                } = shard;
                 let stats = telem.and_then(|t| t.stats.get(i));
                 let mut stamp = stats.map(Stamp::new);
                 let mut events = 0u64;
@@ -1070,7 +749,14 @@ fn drive_threaded<N: NoiseModel + Clone + Send, R: WindowRecorder + Send>(
                         break;
                     }
                     let wend = Time::from_ps(wend_ps.load(Ordering::SeqCst));
-                    let popped = run_window(cs, params, scratch, noise, rec, wend);
+                    let popped = Engine {
+                        cs,
+                        params,
+                        topology: &FlatCrossbar,
+                        s: &mut *scratch,
+                        rec: &mut *rec,
+                    }
+                    .run_until(noise, wend, |_, _, _| {});
                     events += popped;
                     G_EVENTS.fetch_add(popped, Ordering::Relaxed);
                     if let Some(s) = stamp.as_mut() {
@@ -1111,17 +797,20 @@ fn drive_threaded<N: NoiseModel + Clone + Send, R: WindowRecorder + Send>(
             o.on_window_batch(rem, wend_ps.load(Ordering::SeqCst));
         }
     }
+    if let Some(t) = telem {
+        t.drive_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        t.runs.fetch_add(1, Ordering::Relaxed);
+    }
+    G_RUNS_ACTIVE.fetch_sub(1, Ordering::Relaxed);
     events_total.load(Ordering::SeqCst)
 }
 
 /// Merge per-shard tagged streams into serial emission order and replay
 /// into `rec`, renumbering message and detour ids densely (the exact
 /// ids a serial recorded run assigns).
-fn merge_records<R: Recorder>(recs: Vec<KeyedRecorder>, rec: &mut R) {
-    let mut all: Vec<Tagged> = Vec::with_capacity(recs.iter().map(|r| r.buf.len()).sum());
-    for r in recs {
-        all.extend(r.buf);
-    }
+fn merge_records<R: Recorder>(bufs: impl Iterator<Item = Vec<Tagged>>, rec: &mut R) {
+    let mut all: Vec<Tagged> = bufs.flatten().collect();
     // (pop time, pop key, intra-pop index) is unique per record, so this
     // is a total order — the serial emission order.
     all.sort_unstable_by_key(|e| (e.t, e.key, e.n));
@@ -1208,7 +897,7 @@ mod tests {
     use super::*;
     use crate::noise::NoNoise;
     use crate::record::VecRecorder;
-    use crate::sim::{simulate, simulate_compiled};
+    use crate::sim::{simulate, simulate_compiled, Simulator};
     use cesim_goal::{builder::TagPool, collectives as coll, Rank, Schedule, ScheduleBuilder, Tag};
     use cesim_model::Span;
 
@@ -1224,6 +913,23 @@ mod tests {
 
     fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
         GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A sharded run of `cs` with shard-health telemetry attached.
+    fn with_telemetry(
+        cs: &CompiledSchedule,
+        shards: usize,
+        telem: &ShardTelemetry,
+    ) -> Result<SimResult, SimError> {
+        simulate_sharded_instrumented(
+            cs,
+            &xc40(),
+            shards,
+            &NoNoise,
+            &mut NullRecorder,
+            Some(telem),
+            None,
+        )
     }
 
     /// A communication-heavy schedule: per-rank entry calcs feeding a
@@ -1274,10 +980,8 @@ mod tests {
             let cs = CompiledSchedule::compile(&sched);
             let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise);
             for shards in [2usize, 3, 4, 7] {
-                for mode in [ShardMode::Lockstep, ShardMode::Threads] {
-                    let got = simulate_compiled_sharded(&cs, &xc40(), shards, mode, &NoNoise);
-                    assert_eq!(got, serial, "n={n} shards={shards} mode={mode:?}");
-                }
+                let got = simulate_compiled_sharded(&cs, &xc40(), shards, &NoNoise);
+                assert_eq!(got, serial, "n={n} shards={shards}");
             }
         }
     }
@@ -1339,16 +1043,8 @@ mod tests {
                 simulate_compiled(&cs, &xc40(), &mut n)
             };
             for shards in [2usize, 4, 7] {
-                for mode in [ShardMode::Lockstep, ShardMode::Threads] {
-                    let got = simulate_compiled_sharded(
-                        &cs,
-                        &xc40(),
-                        shards,
-                        mode,
-                        &TestNoise::new(9, seed),
-                    );
-                    assert_eq!(got, serial, "seed={seed} shards={shards} mode={mode:?}");
-                }
+                let got = simulate_compiled_sharded(&cs, &xc40(), shards, &TestNoise::new(9, seed));
+                assert_eq!(got, serial, "seed={seed} shards={shards}");
             }
         }
     }
@@ -1370,14 +1066,10 @@ mod tests {
         )
         .unwrap();
         for shards in [2usize, 3, 5] {
-            for mode in [ShardMode::Lockstep, ShardMode::Threads] {
-                let mut rec = VecRecorder::default();
-                simulate_sharded_recorded(&cs, &xc40(), shards, mode, &NoNoise, &mut rec).unwrap();
-                assert_eq!(
-                    rec.events, serial_rec.events,
-                    "shards={shards} mode={mode:?}"
-                );
-            }
+            let mut rec = VecRecorder::default();
+            simulate_sharded_instrumented(&cs, &xc40(), shards, &NoNoise, &mut rec, None, None)
+                .unwrap();
+            assert_eq!(rec.events, serial_rec.events, "shards={shards}");
         }
     }
 
@@ -1392,10 +1084,8 @@ mod tests {
         b.calc(Rank(2), Span::from_us(1), &[]);
         let cs = CompiledSchedule::compile(&b.build());
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise).unwrap_err();
-        for mode in [ShardMode::Lockstep, ShardMode::Threads] {
-            let got = simulate_compiled_sharded(&cs, &xc40(), 3, mode, &NoNoise).unwrap_err();
-            assert_eq!(got, serial, "mode={mode:?}");
-        }
+        let got = simulate_compiled_sharded(&cs, &xc40(), 3, &NoNoise).unwrap_err();
+        assert_eq!(got, serial);
     }
 
     #[test]
@@ -1405,25 +1095,22 @@ mod tests {
         let cs = CompiledSchedule::compile(&sched);
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise);
         // One shard, more shards than ranks (clamped), zero latency.
+        assert_eq!(simulate_compiled_sharded(&cs, &xc40(), 1, &NoNoise), serial);
         assert_eq!(
-            simulate_compiled_sharded(&cs, &xc40(), 1, ShardMode::Auto, &NoNoise),
-            serial
-        );
-        assert_eq!(
-            simulate_compiled_sharded(&cs, &xc40(), 64, ShardMode::Lockstep, &NoNoise),
-            simulate_compiled_sharded(&cs, &xc40(), 4, ShardMode::Lockstep, &NoNoise)
+            simulate_compiled_sharded(&cs, &xc40(), 64, &NoNoise),
+            simulate_compiled_sharded(&cs, &xc40(), 4, &NoNoise)
         );
         let ideal = LogGopsParams::ideal();
         assert!(ideal.latency.is_zero());
         let serial_ideal = simulate_compiled(&cs, &ideal, &mut NoNoise);
         assert_eq!(
-            simulate_compiled_sharded(&cs, &ideal, 4, ShardMode::Auto, &NoNoise),
+            simulate_compiled_sharded(&cs, &ideal, 4, &NoNoise),
             serial_ideal
         );
         // Empty schedule still rejected.
         let empty = CompiledSchedule::compile(&Schedule::default());
         assert_eq!(
-            simulate_compiled_sharded(&empty, &xc40(), 4, ShardMode::Auto, &NoNoise).unwrap_err(),
+            simulate_compiled_sharded(&empty, &xc40(), 4, &NoNoise).unwrap_err(),
             SimError::EmptySchedule
         );
     }
@@ -1434,37 +1121,34 @@ mod tests {
         let sched = busy_schedule(8);
         let cs = CompiledSchedule::compile(&sched);
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise).unwrap();
-        for mode in [ShardMode::Lockstep, ShardMode::Threads] {
-            let telem = ShardTelemetry::new(4);
-            let got = simulate_compiled_sharded_observed(&cs, &xc40(), 4, mode, &NoNoise, &telem)
-                .unwrap();
-            assert_eq!(got, serial, "telemetry must not alter results ({mode:?})");
-            let report = telem.report();
-            assert_eq!(report.runs, 1);
-            assert_eq!(report.per_shard.len(), 4);
+        let telem = ShardTelemetry::new(4);
+        let got = with_telemetry(&cs, 4, &telem).unwrap();
+        assert_eq!(got, serial, "telemetry must not alter results");
+        let report = telem.report();
+        assert_eq!(report.runs, 1);
+        assert_eq!(report.per_shard.len(), 4);
+        assert_eq!(
+            report.events(),
+            serial.events_processed,
+            "per-shard events must sum to the serial count"
+        );
+        let windows = report.windows();
+        assert!(windows > 0, "windowed run must advance windows");
+        for (i, s) in report.per_shard.iter().enumerate() {
+            assert_eq!(s.windows, windows, "shard {i} missed windows");
             assert_eq!(
-                report.events(),
-                serial.events_processed,
-                "per-shard events must sum to the serial count ({mode:?})"
+                s.busy + s.stall + s.barrier,
+                s.wall,
+                "shard {i} time buckets must partition wall time"
             );
-            let windows = report.windows();
-            assert!(windows > 0, "windowed run must advance windows");
-            for (i, s) in report.per_shard.iter().enumerate() {
-                assert_eq!(s.windows, windows, "shard {i} missed windows ({mode:?})");
-                assert_eq!(
-                    s.busy + s.stall + s.barrier,
-                    s.wall,
-                    "shard {i} time buckets must partition wall time ({mode:?})"
-                );
-            }
-            assert!(report.imbalance() >= 1.0);
-            assert!(report.lookahead_efficiency() > 0.0);
-            // The Display table renders without panicking and mentions
-            // the headline aggregates.
-            let text = report.to_string();
-            assert!(text.contains("shard health"), "{text}");
-            assert!(text.contains("imbalance"), "{text}");
         }
+        assert!(report.imbalance() >= 1.0);
+        assert!(report.lookahead_efficiency() > 0.0);
+        // The Display table renders without panicking and mentions the
+        // headline aggregates.
+        let text = report.to_string();
+        assert!(text.contains("shard health"), "{text}");
+        assert!(text.contains("imbalance"), "{text}");
     }
 
     #[test]
@@ -1475,24 +1159,15 @@ mod tests {
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise).unwrap();
         let telem = ShardTelemetry::new(3);
         for _ in 0..2 {
-            simulate_compiled_sharded_observed(
-                &cs,
-                &xc40(),
-                3,
-                ShardMode::Lockstep,
-                &NoNoise,
-                &telem,
-            )
-            .unwrap();
+            with_telemetry(&cs, 3, &telem).unwrap();
         }
         // Serial fallback (one shard) still credits events and a run.
-        simulate_compiled_sharded_observed(&cs, &xc40(), 1, ShardMode::Auto, &NoNoise, &telem)
-            .unwrap();
+        with_telemetry(&cs, 1, &telem).unwrap();
         let report = telem.report();
         assert_eq!(report.runs, 3);
         assert_eq!(report.events(), 3 * serial.events_processed);
         let before = shard_globals();
-        simulate_compiled_sharded(&cs, &xc40(), 3, ShardMode::Lockstep, &NoNoise).unwrap();
+        simulate_compiled_sharded(&cs, &xc40(), 3, &NoNoise).unwrap();
         let after = shard_globals();
         assert!(after.windows > before.windows);
         assert_eq!(after.events - before.events, serial.events_processed);
@@ -1500,10 +1175,66 @@ mod tests {
         assert!(after.sim_ps_advanced >= before.sim_ps_advanced);
     }
 
+    /// The [`WindowObserver`] contract: attached together with a recorder
+    /// and telemetry, the observer changes neither the result nor the
+    /// recorded stream; every call but the last carries exactly
+    /// [`WINDOW_BATCH`] windows with non-decreasing window ends; and the
+    /// calls add up to the windows the telemetry counted.
+    #[test]
+    fn window_observer_sees_every_window_in_batches() {
+        let _globals = lock_globals();
+        struct Calls(std::sync::Mutex<Vec<(u64, u64)>>);
+        impl WindowObserver for Calls {
+            fn on_window_batch(&self, windows: u64, wend_ps: u64) {
+                self.0.lock().unwrap().push((windows, wend_ps));
+            }
+        }
+        // Back-to-back allreduces: every exchange step needs its own
+        // windows, so the run spans several observer batches.
+        let n = 4;
+        let mut b = ScheduleBuilder::new(n);
+        let mut tags = TagPool::new();
+        let mut cur: Vec<_> = (0..n).map(|r| b.join(Rank::from(r), &[])).collect();
+        for _ in 0..400 {
+            let costs = coll::CollectiveCosts::default();
+            cur = coll::allreduce_recursive_doubling(&mut b, &mut tags, 8, &costs, &cur);
+        }
+        let cs = std::sync::Arc::new(CompiledSchedule::compile(&b.build()));
+        let mut serial_rec = VecRecorder::default();
+        let serial = Simulator::from_compiled(std::sync::Arc::clone(&cs), xc40())
+            .with_recorder(&mut serial_rec)
+            .run(&mut NoNoise)
+            .unwrap();
+
+        let calls = Calls(std::sync::Mutex::new(Vec::new()));
+        let telem = ShardTelemetry::new(2);
+        let mut rec = VecRecorder::default();
+        let got = simulate_sharded_instrumented(
+            &cs,
+            &xc40(),
+            2,
+            &NoNoise,
+            &mut rec,
+            Some(&telem),
+            Some(&calls),
+        )
+        .unwrap();
+        assert_eq!(got, serial);
+        assert_eq!(rec.events, serial_rec.events);
+
+        let calls = calls.0.into_inner().unwrap();
+        assert!(calls.len() >= 2, "only {} observer calls", calls.len());
+        let (last, full) = calls.split_last().unwrap();
+        assert!(full.iter().all(|&(w, _)| w == WINDOW_BATCH), "{calls:?}");
+        assert!((1..=WINDOW_BATCH).contains(&last.0), "{calls:?}");
+        assert!(calls.windows(2).all(|p| p[0].1 <= p[1].1), "{calls:?}");
+        let total: u64 = calls.iter().map(|&(w, _)| w).sum();
+        assert_eq!(total, telem.report().windows());
+    }
+
     /// A same-tick wildcard race across shards: two eager sends injected
     /// so both arrivals reach the receiver at the same timestamp. The
-    /// key order (creator rank, then seq) must decide the match in both
-    /// modes.
+    /// key order (creator rank, then seq) must decide the match.
     #[test]
     fn same_time_wildcard_arrivals_match_identically() {
         let _globals = lock_globals();
@@ -1520,13 +1251,11 @@ mod tests {
         let serial = simulate(&s, &p, &mut NoNoise);
         assert_eq!(simulate_compiled(&cs, &p, &mut NoNoise), serial);
         for shards in [2usize, 3] {
-            for mode in [ShardMode::Lockstep, ShardMode::Threads] {
-                assert_eq!(
-                    simulate_compiled_sharded(&cs, &p, shards, mode, &NoNoise),
-                    serial,
-                    "shards={shards} mode={mode:?}"
-                );
-            }
+            assert_eq!(
+                simulate_compiled_sharded(&cs, &p, shards, &NoNoise),
+                serial,
+                "shards={shards}"
+            );
         }
     }
 }

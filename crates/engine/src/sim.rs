@@ -348,14 +348,6 @@ impl RunScratch {
         );
     }
 
-    /// Start provisional message/detour ids at `base` — each shard of a
-    /// recorded run gets a distinct high-bits base so provisional ids
-    /// never collide before the merge renumbers them densely.
-    pub(crate) fn offset_ids(&mut self, base: u64) {
-        self.next_msg_id = base;
-        self.next_detour_id = base;
-    }
-
     /// (Re)build the per-op dispatch table for the owned slice: every
     /// field the hot loop needs — op class with the eager-vs-rendezvous
     /// protocol decision folded into the opcode, the size/duration
@@ -575,30 +567,38 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
     rec: R,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
-    start(cs, &params, scratch)?;
+    start(cs, &params, scratch, 0..cs.num_ranks() as u32, 0)?;
     drive(cs, params, topology, scratch, rec, noise, |_, _, _| {})
 }
 
-/// Prepare `scratch` to run `cs` from time zero: reset, plan dispatch,
-/// and seed the initial ready wavefront as bucket appends (root keys
-/// reproduce the legacy rank-major seeding order: time 0, rank-major
-/// `crank`, in-rank `cseq` in root order).
+/// Prepare `scratch` to run the ranks `ranks` of `cs` from time zero:
+/// reset the slice, plan dispatch, start message and detour ids at
+/// `id_base`, and seed the initial ready wavefront as bucket appends
+/// (root keys reproduce the legacy rank-major seeding order: time 0,
+/// rank-major `crank`, in-rank `cseq` in root order). The serial engine
+/// prepares one full-range slice with ids from 0; each shard of a
+/// sharded run prepares its own slice with a disjoint id base.
 pub(crate) fn start(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     scratch: &mut RunScratch,
+    ranks: std::ops::Range<u32>,
+    id_base: u64,
 ) -> Result<(), SimError> {
     if cs.num_ranks() == 0 {
         return Err(SimError::EmptySchedule);
     }
-    scratch.reset(cs);
+    scratch.reset_range(cs, ranks.start, ranks.end);
     scratch.plan_dispatch(cs, params);
+    scratch.next_msg_id = id_base;
+    scratch.next_detour_id = id_base;
     scratch.seed_roots(cs);
     Ok(())
 }
 
-/// The event loop: drive a prepared `scratch` (see [`start`], or a
-/// restored baseline snapshot in [`crate::fork`]) to completion.
+/// Drive a prepared `scratch` (see [`start`], or a restored baseline
+/// snapshot in [`crate::fork`]) to completion with the batch loop
+/// ([`Engine::run_until`] without a bound) and assemble its result.
 /// `between` runs after every batch with the scratch, the noise model
 /// and the events processed so far; those are the only points where
 /// the baseline fork table takes snapshots. `SimResult::events_processed`
@@ -610,63 +610,77 @@ pub(crate) fn drive<R, N, F>(
     scratch: &mut RunScratch,
     rec: R,
     noise: &mut N,
-    mut between: F,
+    between: F,
 ) -> Result<SimResult, SimError>
 where
     R: Recorder,
     N: NoiseModel + ?Sized,
     F: FnMut(&RunScratch, &N, u64),
 {
-    let mut batch = std::mem::take(&mut scratch.batch);
-    let mut eng = Engine {
+    let events = Engine {
         cs,
         params,
         topology,
         s: scratch,
         rec,
-    };
-    let mut events_processed = 0u64;
-    // Batched delivery: drain whole same-timestamp runs in one queue
-    // operation, then dispatch them in order. Dispatching an entry can
-    // push events that sort *before* a later batch entry (zero-duration
-    // completions ready dependents at the same timestamp under a lower
-    // creator key), so the inner loop re-checks the queue's head at the
-    // active timestamp before every batch entry — the dispatched
-    // sequence is exactly the one repeated `pop` would produce. Pushes
-    // are causal, so later timestamps can never sort first.
-    while eng.s.queue.pop_batch(&mut batch) > 0 {
-        for &(bt, bkey, bev) in &batch {
-            while let Some((qt, qkey)) = eng.s.queue.peek_active_min() {
-                if (qt, qkey) < (bt, bkey) {
-                    let (t, _key, ev) = eng.s.queue.pop().expect("peeked entry exists");
-                    events_processed += 1;
-                    eng.dispatch(noise, ev, t);
-                } else {
-                    break;
+    }
+    .run_until(noise, Time::MAX, between);
+    assemble(cs, &[scratch], noise.events_injected(), events)
+}
+
+/// The result of a finished run from its rank slices (`parts`: one
+/// full-range scratch for the serial engine, one per shard in rank order
+/// for the sharded one), so results and deadlock reports are
+/// byte-identical across shard counts.
+pub(crate) fn assemble(
+    cs: &CompiledSchedule,
+    parts: &[&RunScratch],
+    noise_events: u64,
+    events_processed: u64,
+) -> Result<SimResult, SimError> {
+    let completed: u64 = parts.iter().map(|s| s.completed).sum();
+    if completed != cs.total_ops() {
+        // Up to 8 stuck ops, scanning the slices in rank order.
+        let mut stuck_examples = Vec::new();
+        'outer: for s in parts {
+            for r in s.rank_lo..s.rank_hi {
+                let base = cs.rank_off[r as usize] as usize;
+                for i in 0..cs.ops_on(r) {
+                    let f = base + i - s.op_base;
+                    if !s.done[f] {
+                        stuck_examples.push(format!(
+                            "rank {r} op {i}: {} (unmet deps: {})",
+                            cs.op_kind(base + i),
+                            s.indeg[f]
+                        ));
+                        if stuck_examples.len() >= 8 {
+                            break 'outer;
+                        }
+                    }
                 }
             }
-            events_processed += 1;
-            eng.dispatch(noise, bev, bt);
         }
-        between(eng.s, noise, events_processed);
+        return Err(SimError::Deadlock {
+            completed,
+            total: cs.total_ops(),
+            stuck_examples,
+        });
     }
-    eng.s.batch = batch;
-    if eng.s.completed != cs.total_ops() {
-        return Err(eng.deadlock_report());
-    }
-    let per_rank_finish = eng.s.finish.clone();
-    let finish = per_rank_finish.iter().copied().max().unwrap_or(Time::ZERO);
+    let per_rank_finish: Vec<Time> = parts
+        .iter()
+        .flat_map(|s| s.finish.iter().copied())
+        .collect();
     Ok(SimResult {
-        finish,
+        finish: per_rank_finish.iter().copied().max().unwrap_or(Time::ZERO),
         per_rank_finish,
-        per_rank_busy: eng.s.busy.clone(),
-        per_rank_work: eng.s.work.clone(),
-        ops_executed: eng.s.completed,
-        msgs_delivered: eng.s.msgs_delivered,
-        control_msgs: eng.s.control_msgs,
-        noise_events: noise.events_injected(),
-        max_unexpected: eng.s.max_unexpected,
-        max_posted: eng.s.max_posted,
+        per_rank_busy: parts.iter().flat_map(|s| s.busy.iter().copied()).collect(),
+        per_rank_work: parts.iter().flat_map(|s| s.work.iter().copied()).collect(),
+        ops_executed: completed,
+        msgs_delivered: parts.iter().map(|s| s.msgs_delivered).sum(),
+        control_msgs: parts.iter().map(|s| s.control_msgs).sum(),
+        noise_events,
+        max_unexpected: parts.iter().map(|s| s.max_unexpected).max().unwrap_or(0),
+        max_posted: parts.iter().map(|s| s.max_posted).max().unwrap_or(0),
         events_processed,
     })
 }
@@ -681,10 +695,53 @@ pub(crate) struct Engine<'e, R: Recorder> {
 }
 
 impl<'e, R: Recorder> Engine<'e, R> {
-    /// Process one popped event (the body of the serial loop; the
-    /// sharded window loop calls it directly).
+    /// The batch loop, shared by the serial engine (`wend = Time::MAX`)
+    /// and every shard window (`wend = m + L`): dispatch queued events
+    /// strictly below `wend`; returns the number dispatched.
+    ///
+    /// Batched delivery: drain a whole same-timestamp run in one queue
+    /// operation, then dispatch it in order. Dispatching an entry can
+    /// push events that sort *before* a later batch entry (zero-duration
+    /// completions ready dependents at the same timestamp under a lower
+    /// creator key), so the queue's head at the active timestamp is
+    /// re-checked before every batch entry — the dispatched sequence is
+    /// exactly the one repeated `pop` would produce. Pushes are causal,
+    /// so later timestamps can never sort first, and interleaved events
+    /// share the batch timestamp, so all of them sit below `wend` too.
+    /// `between` runs after every batch with the scratch, the noise model
+    /// and the events dispatched so far.
+    pub(crate) fn run_until<N, F>(&mut self, noise: &mut N, wend: Time, mut between: F) -> u64
+    where
+        N: NoiseModel + ?Sized,
+        F: FnMut(&RunScratch, &N, u64),
+    {
+        let mut batch = std::mem::take(&mut self.s.batch);
+        let mut events = 0u64;
+        while self.s.queue.peek_time().is_some_and(|t| t < wend) {
+            self.s.queue.pop_batch(&mut batch);
+            for &(bt, bkey, bev) in &batch {
+                while let Some((qt, qkey)) = self.s.queue.peek_active_min() {
+                    if (qt, qkey) >= (bt, bkey) {
+                        break;
+                    }
+                    let (t, key, ev) = self.s.queue.pop().expect("peeked entry exists");
+                    self.rec.begin_pop(t, key);
+                    events += 1;
+                    self.dispatch(noise, ev, t);
+                }
+                self.rec.begin_pop(bt, bkey);
+                events += 1;
+                self.dispatch(noise, bev, bt);
+            }
+            between(self.s, noise, events);
+        }
+        self.s.batch = batch;
+        events
+    }
+
+    /// Process one popped event.
     #[inline]
-    pub(crate) fn dispatch<N: NoiseModel + ?Sized>(&mut self, noise: &mut N, ev: Event, t: Time) {
+    fn dispatch<N: NoiseModel + ?Sized>(&mut self, noise: &mut N, ev: Event, t: Time) {
         match ev {
             Event::OpReady { rank, op } => self.exec_op(noise, rank, op, t),
             Event::Arrive(mref) => {
@@ -1193,42 +1250,6 @@ impl<'e, R: Recorder> Engine<'e, R> {
             }
         }
     }
-
-    fn deadlock_report(&self) -> SimError {
-        SimError::Deadlock {
-            completed: self.s.completed,
-            total: self.cs.total_ops(),
-            stuck_examples: stuck_ops(self.cs, std::slice::from_ref(&&*self.s), 8),
-        }
-    }
-}
-
-/// Up to `cap` formatted stuck-op examples, scanning the scratches'
-/// owned rank slices in rank order. Shared between the serial engine
-/// (one full-range scratch) and the sharded driver (one scratch per
-/// shard, contiguous and rank-ordered), so the deadlock message is
-/// byte-identical in both modes.
-pub(crate) fn stuck_ops(cs: &CompiledSchedule, parts: &[&RunScratch], cap: usize) -> Vec<String> {
-    let mut stuck = Vec::new();
-    'outer: for s in parts {
-        for r in s.rank_lo..s.rank_hi {
-            let base = cs.rank_off[r as usize] as usize;
-            for i in 0..cs.ops_on(r) {
-                let f = base + i;
-                if !s.done[f - s.op_base] {
-                    stuck.push(format!(
-                        "rank {r} op {i}: {} (unmet deps: {})",
-                        cs.op_kind(f),
-                        s.indeg[f - s.op_base]
-                    ));
-                    if stuck.len() >= cap {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-    }
-    stuck
 }
 
 #[cfg(test)]

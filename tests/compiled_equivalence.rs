@@ -17,7 +17,7 @@
 //!    explicitly reused scratch that previously ran a *different*
 //!    schedule (state-bleed detector);
 //! 4. `simulate_compiled_sharded` — the lookahead-window sharded engine
-//!    at shard counts {2, 4, 7} in both lockstep and threaded modes.
+//!    at shard counts {2, 4, 7}.
 //!
 //! A structural property additionally checks the flat tables of
 //! [`CompiledSchedule`] against a naive per-rank reference built
@@ -28,7 +28,7 @@
 
 use dram_ce_sim::engine::{
     simulate, simulate_compiled, simulate_compiled_sharded, simulate_compiled_with,
-    CompiledSchedule, NoNoise, RunScratch, ShardMode,
+    CompiledSchedule, NoNoise, RunScratch,
 };
 use dram_ce_sim::goal::{OpKind, Rank, Schedule, ScheduleBuilder, Tag};
 use dram_ce_sim::model::{LogGopsParams, Span};
@@ -176,20 +176,12 @@ proptest! {
         );
 
         // Sharded execution must agree on the full Result — including
-        // deadlock reports — for any shard count and either drive mode.
-        // CeNoise draws from per-rank substreams, so shard-local clones
-        // consume exactly the streams the serial run would.
+        // deadlock reports — for any shard count. CeNoise draws from
+        // per-rank substreams, so shard-local clones consume exactly the
+        // streams the serial run would.
         for shards in [2usize, 4, 7] {
-            for mode in [ShardMode::Lockstep, ShardMode::Threads] {
-                prop_assert_eq!(
-                    &legacy,
-                    &simulate_compiled_sharded(&cs, &p, shards, mode, &NoNoise)
-                );
-                prop_assert_eq!(
-                    &legacy_noisy,
-                    &simulate_compiled_sharded(&cs, &p, shards, mode, &mk())
-                );
-            }
+            prop_assert_eq!(&legacy, &simulate_compiled_sharded(&cs, &p, shards, &NoNoise));
+            prop_assert_eq!(&legacy_noisy, &simulate_compiled_sharded(&cs, &p, shards, &mk()));
         }
     }
 
@@ -237,7 +229,7 @@ proptest! {
 /// rendezvous) never resynchronize them globally. Nearly every event
 /// lands at a distinct timestamp, so thousands are queued at once — the
 /// regime the small random DAGs above never reach. The serial engine,
-/// the legacy entry point and the 4-shard lockstep engine must agree.
+/// the legacy entry point and the 4-shard engine must agree.
 #[test]
 fn desynchronized_ranks_match_across_paths() {
     const RANKS: u32 = 1024;
@@ -271,6 +263,6 @@ fn desynchronized_ranks_match_across_paths() {
     assert_eq!(Ok(&serial), simulate(&sched, &p, &mut NoNoise).as_ref());
     assert_eq!(
         Ok(&serial),
-        simulate_compiled_sharded(&cs, &p, 4, ShardMode::Lockstep, &NoNoise).as_ref()
+        simulate_compiled_sharded(&cs, &p, 4, &NoNoise).as_ref()
     );
 }

@@ -14,7 +14,7 @@ mod common;
 
 use dram_ce_sim::engine::{
     resume_compiled, simulate_compiled, simulate_compiled_sharded, CompiledSchedule, Fork,
-    ForkTable, NoNoise, NoiseModel, ShardMode,
+    ForkTable, NoNoise, NoiseModel,
 };
 use dram_ce_sim::experiment::{
     run_against_baseline_compiled, run_against_baseline_entry, Experiment,
@@ -55,7 +55,7 @@ fn assert_intervals_end_by_finish(label: &str, sched: &Schedule) {
     let serial = LatestEnd::default();
     let r = simulate_compiled(&cs, &p, &mut serial.clone()).unwrap();
     let sharded = LatestEnd::default();
-    let s = simulate_compiled_sharded(&cs, &p, 3, ShardMode::Lockstep, &sharded).unwrap();
+    let s = simulate_compiled_sharded(&cs, &p, 3, &sharded).unwrap();
     for (engine, rec, res) in [("serial", &serial, &r), ("sharded", &sharded, &s)] {
         assert_eq!(res.finish, base.finish, "{label} {engine}: not noise-free");
         assert!(

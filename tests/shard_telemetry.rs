@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use dram_ce_sim::engine::{
-    simulate, simulate_compiled_sharded, simulate_compiled_sharded_observed, CompiledSchedule,
-    NoNoise, ShardMode, ShardTelemetry,
+    simulate, simulate_compiled_sharded, simulate_sharded_instrumented, CompiledSchedule, NoNoise,
+    NullRecorder, ShardTelemetry, SimResult,
 };
 use dram_ce_sim::goal::{Rank, Schedule, ScheduleBuilder, Tag};
 use dram_ce_sim::model::{LogGopsParams, Span};
@@ -84,23 +84,38 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
     })
 }
 
+/// A sharded run of `cs` with shard-health telemetry attached.
+fn with_telemetry(
+    cs: &CompiledSchedule,
+    params: &LogGopsParams,
+    shards: usize,
+    telem: &ShardTelemetry,
+) -> Result<SimResult, dram_ce_sim::engine::SimError> {
+    simulate_sharded_instrumented(
+        cs,
+        params,
+        shards,
+        &NoNoise,
+        &mut NullRecorder,
+        Some(telem),
+        None,
+    )
+}
+
 proptest! {
     /// Per shard, the three timing buckets partition accounted wall
     /// time with no gap and no double counting: boundary-timestamp
     /// accounting makes `busy + stall + barrier == wall` hold to the
-    /// nanosecond, for both execution modes.
+    /// nanosecond.
     #[test]
     fn buckets_partition_wall_exactly(
         sched in schedule_strategy(),
         shards in 2usize..5,
-        threaded in prop_oneof![Just(false), Just(true)],
     ) {
         let params = LogGopsParams::default();
         let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let mode = if threaded { ShardMode::Threads } else { ShardMode::Lockstep };
         let telem = ShardTelemetry::new(shards);
-        simulate_compiled_sharded_observed(&cs, &params, shards, mode, &NoNoise, &telem)
-            .expect("sharded run failed");
+        with_telemetry(&cs, &params, shards, &telem).expect("sharded run failed");
 
         let report = telem.report();
         prop_assert_eq!(report.per_shard.len(), shards);
@@ -111,10 +126,6 @@ proptest! {
                 s.wall,
                 "shard {} buckets do not partition wall", i
             );
-        }
-        // Lockstep mode never waits at a barrier.
-        if !threaded {
-            prop_assert!(report.barrier_fraction() == 0.0);
         }
     }
 
@@ -132,13 +143,10 @@ proptest! {
 
         let cs = Arc::new(CompiledSchedule::compile(&sched));
         let telem = ShardTelemetry::new(shards);
-        let observed = simulate_compiled_sharded_observed(
-            &cs, &params, shards, ShardMode::Lockstep, &NoNoise, &telem,
-        )
-        .expect("observed sharded run failed");
-        let plain =
-            simulate_compiled_sharded(&cs, &params, shards, ShardMode::Lockstep, &NoNoise)
-                .expect("plain sharded run failed");
+        let observed =
+            with_telemetry(&cs, &params, shards, &telem).expect("observed sharded run failed");
+        let plain = simulate_compiled_sharded(&cs, &params, shards, &NoNoise)
+            .expect("plain sharded run failed");
 
         let report = telem.report();
         prop_assert_eq!(report.events(), serial.events_processed);
