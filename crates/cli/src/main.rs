@@ -151,8 +151,8 @@ FLEET OPTIONS (cesim fleet SPEC.json)
                     policy actions) with a trailing summary line
   --profile         Span-profiler phase breakdown (fleet_place/fleet_run/
                     fleet_policy) on stderr after the run, plus the job
-                    slices resumed from baseline snapshots and the engine
-                    events they skipped
+                    slices resumed from baseline snapshots or rejoining
+                    the baseline and the engine events each skipped
   --quiet           Suppress the '#' summary trailer on stdout
 
 FIG2 OPTIONS
@@ -419,8 +419,19 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
             cache.forks(),
             cache.forked_events()
         );
+        eprintln!(
+            "baseline rejoins: {} slices rejoined the baseline, {} events skipped",
+            cache.rejoins(),
+            cache.rejoined_events()
+        );
     }
     Ok(())
+}
+
+/// The `--mtbce` option (or `default`): a duration of at least 1 ps.
+fn mtbce_arg(args: &Args, default: &str) -> Result<Span, String> {
+    let v = args.get("mtbce").unwrap_or(default);
+    cesim_core::model::parse_positive_span(v).map_err(|e| format!("--mtbce: {e}"))
 }
 
 /// `cesim metrics-check FILE` — validate a saved Prometheus scrape body
@@ -739,7 +750,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         base.finish
     );
     let mode = parse_mode(args.get("mode").unwrap_or("fw"))?;
-    let mtbce = cesim_core::model::parse_span(args.get("mtbce").unwrap_or("10"))?;
+    let mtbce = mtbce_arg(args, "10")?;
     let mut noise = CeNoise::new(
         sched.num_ranks(),
         mtbce,
@@ -846,7 +857,7 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
     let params = LogGopsParams::xc40();
     let base = simulate(&sched, &params, &mut NoNoise).map_err(|e| e.to_string())?;
     let mode = parse_mode(args.get("mode").unwrap_or("sw"))?;
-    let mtbce = cesim_core::model::parse_span(args.get("mtbce").unwrap_or("10"))?;
+    let mtbce = mtbce_arg(args, "10")?;
     let mut noise = CeNoise::new(
         sched.num_ranks(),
         mtbce,
@@ -932,7 +943,7 @@ fn cmd_ablate(args: &Args) -> Result<(), String> {
         Some(name) => AppId::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?,
     };
     let nodes = args.get_parsed("nodes", 128usize)?;
-    let mtbce = cesim_core::model::parse_span(args.get("mtbce").unwrap_or("10"))?;
+    let mtbce = mtbce_arg(args, "10")?;
     let reps = args.get_parsed("reps", 3u32)?;
     println!(
         "allreduce-expansion ablation: {app}, {nodes} nodes, firmware logging, MTBCE {mtbce}\n"
@@ -1010,7 +1021,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     };
     let nodes = args.get_parsed("nodes", 256usize)?;
     let mode = parse_mode(args.get("mode").unwrap_or("fw"))?;
-    let mtbce = cesim_core::model::parse_span(args.get("mtbce").unwrap_or("5544"))?;
+    let mtbce = mtbce_arg(args, "5544")?;
     let reps = args.get_parsed("reps", 3u32)?;
     let seed = args.get_parsed("seed", 0xCE11u64)?;
     let shards = parse_shards(args, 1, natural_ranks(app, nodes))?;

@@ -278,6 +278,28 @@ fn fleet_runtime_failures_exit_one_with_pointful_stderr() {
     assert!(stderr.contains("threshold_offline"), "stderr: {stderr}");
 }
 
+/// A zero MTBCE is an invalid option value on every command that takes
+/// one, not a panic (101) or a silent "no forward progress" (0).
+#[test]
+fn zero_mtbce_exits_one() {
+    let trace = example("ring8.trc");
+    let trace = trace.to_str().unwrap();
+    let cmds: [&[&str]; 4] = [
+        &["trace", trace],
+        &["attribute", trace],
+        &["run", "--app", "HPCG", "--nodes", "8", "--steps", "2"],
+        &["ablate", "--nodes", "8"],
+    ];
+    for cmd in cmds {
+        for zero in ["0s", "0", "0.1ps"] {
+            let args = [cmd, &["--mtbce", zero]].concat();
+            let (code, stderr) = run_cli(&args);
+            assert_eq!(code, 1, "{args:?}: stderr: {stderr}");
+            assert!(stderr.contains("--mtbce"), "{args:?}: stderr: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn successful_commands_exit_zero() {
     for args in [&["help"][..], &["table1"], &["list"], &["skeletons"]] {

@@ -20,6 +20,7 @@
 //! Both caches are thread-safe and export hit/miss counters that the
 //! daemon surfaces on `/metrics`.
 
+use crate::experiment::RunStats;
 use cesim_engine::{CompiledSchedule, ForkTable, SimError};
 use cesim_model::{LogGopsParams, Time};
 use cesim_obs::telemetry::{flight_record, FlightKind, Span};
@@ -143,6 +144,8 @@ pub struct ScheduleCache {
     misses: AtomicU64,
     forks: AtomicU64,
     forked_events: AtomicU64,
+    rejoins: AtomicU64,
+    rejoined_events: AtomicU64,
 }
 
 impl ScheduleCache {
@@ -156,6 +159,8 @@ impl ScheduleCache {
             misses: AtomicU64::new(0),
             forks: AtomicU64::new(0),
             forked_events: AtomicU64::new(0),
+            rejoins: AtomicU64::new(0),
+            rejoined_events: AtomicU64::new(0),
         }
     }
 
@@ -230,13 +235,21 @@ impl ScheduleCache {
     }
 
     /// Count the replicas of cached entries that resumed from a baseline
-    /// snapshot: each item is one replica's skipped prefix in engine
-    /// events ([`crate::experiment::RunStats::skipped`]), `0` for a
-    /// replica that did not resume.
-    pub fn record_forks(&self, skipped: impl IntoIterator<Item = u64>) {
-        for events in skipped.into_iter().filter(|&e| e > 0) {
-            self.forks.fetch_add(1, Relaxed);
-            self.forked_events.fetch_add(events, Relaxed);
+    /// snapshot (a non-zero [`RunStats::prefix`]) with the prefix events
+    /// they skipped, and separately those that rejoined the baseline (a
+    /// non-zero [`RunStats::suffix`]) with the suffix events they
+    /// skipped. One replica may do both.
+    pub fn record_forks<'a>(&self, runs: impl IntoIterator<Item = &'a RunStats>) {
+        for run in runs {
+            for (count, events, skipped) in [
+                (&self.forks, &self.forked_events, run.prefix()),
+                (&self.rejoins, &self.rejoined_events, run.suffix),
+            ] {
+                if skipped > 0 {
+                    count.fetch_add(1, Relaxed);
+                    events.fetch_add(skipped, Relaxed);
+                }
+            }
         }
     }
 
@@ -248,6 +261,16 @@ impl ScheduleCache {
     /// Engine events those replicas skipped.
     pub fn forked_events(&self) -> u64 {
         self.forked_events.load(Relaxed)
+    }
+
+    /// Replicas that rejoined the baseline before their end.
+    pub fn rejoins(&self) -> u64 {
+        self.rejoins.load(Relaxed)
+    }
+
+    /// Engine events of the baseline suffix those replicas skipped.
+    pub fn rejoined_events(&self) -> u64 {
+        self.rejoined_events.load(Relaxed)
     }
 
     /// Entries currently held.
@@ -336,6 +359,7 @@ impl ResponseCache {
 mod tests {
     use super::*;
     use cesim_engine::{simulate_compiled, NoNoise};
+    use cesim_model::Span;
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -404,9 +428,18 @@ mod tests {
         assert_eq!(e.baseline(), base.finish);
         assert!(!e.forks.snapshots().is_empty());
         assert_eq!((cache.forks(), cache.forked_events()), (0, 0));
-        // Replicas that did not resume (0) are not counted.
-        cache.record_forks([0, 120, 0, 30]);
+        // (prefix, suffix) skipped per replica: replicas that skipped
+        // neither are not counted, and one that did both counts twice.
+        let runs = [(0, 0), (120, 0), (0, 40), (30, 5)].map(|(prefix, suffix)| RunStats {
+            finish: Span::ZERO,
+            ce_events: 1,
+            events: 100,
+            skipped: prefix + suffix,
+            suffix,
+        });
+        cache.record_forks(&runs);
         assert_eq!((cache.forks(), cache.forked_events()), (2, 150));
+        assert_eq!((cache.rejoins(), cache.rejoined_events()), (2, 45));
     }
 
     #[test]

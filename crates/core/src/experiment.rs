@@ -16,9 +16,8 @@
 use crate::cache::CompiledEntry;
 use crate::seed::rep_seed;
 use cesim_engine::{
-    resume_compiled, simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, Fork,
-    ForkTable, NoNoise, NullRecorder, ShardTelemetry, SimError, SimResult, Simulator,
-    WindowObserver,
+    simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, Fork, ForkTable, NoNoise,
+    NullRecorder, ShardTelemetry, SimError, SimResult, Simulator, WindowObserver,
 };
 use cesim_goal::Schedule;
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
@@ -216,23 +215,36 @@ pub struct RunStats {
     pub ce_events: u64,
     /// Engine events processed (for throughput reporting). A replica
     /// resumed from a baseline snapshot counts only the events after it,
+    /// one that rejoined the baseline only those before the rejoin point,
     /// and one answered by the baseline counts `0`.
     pub events: u64,
-    /// Engine events of the noise-free prefix a resumed replica skipped
-    /// (`0` unless it resumed); `events + skipped` is what a full run
+    /// Engine events a full run would process that the replica did not:
+    /// the noise-free prefix it resumed past plus the baseline suffix it
+    /// rejoined before (`0` for a cold run to the end, and for a replica
+    /// answered by the baseline). `events + skipped` is what a full run
     /// processes.
     pub skipped: u64,
+    /// The suffix part of `skipped`: engine events of the baseline after
+    /// the snapshot the replica rejoined at (`0` unless it rejoined).
+    pub suffix: u64,
 }
 
 impl RunStats {
-    /// The stats of an engine run that skipped `skipped` prefix events.
-    fn of(r: &SimResult, skipped: u64) -> Self {
+    /// The stats of an engine run that skipped `prefix` events before
+    /// it and `suffix` events after it.
+    fn of(r: &SimResult, prefix: u64, suffix: u64) -> Self {
         RunStats {
             finish: r.finish.since(Time::ZERO),
             ce_events: r.noise_events,
             events: r.events_processed,
-            skipped,
+            skipped: prefix + suffix,
+            suffix,
         }
+    }
+
+    /// Engine events of the noise-free prefix a resumed replica skipped.
+    pub fn prefix(&self) -> u64 {
+        self.skipped - self.suffix
     }
 
     /// The answer for a replica no CE reaches: the noise-free run,
@@ -243,6 +255,7 @@ impl RunStats {
             ce_events: 0,
             events: 0,
             skipped: 0,
+            suffix: 0,
         }
     }
 }
@@ -250,23 +263,27 @@ impl RunStats {
 /// One replica with `noise` on the serial engine, answered from the
 /// baseline fork table of `cs` under `params` (see
 /// [`cesim_engine::fork`]): the baseline itself when no CE reaches the
-/// replica, a resume from the last snapshot before its first arrival, or
-/// a full run. All three are bit-identical to a full run, apart from the
-/// event counts ([`RunStats::events`], [`RunStats::skipped`]). `noise`
-/// must be fresh; afterwards it holds the replica's per-rank CE counts.
+/// replica, else a run resumed from the last snapshot before its first
+/// arrival, or from the start, that rejoins the baseline at a later
+/// snapshot once the rest of its run is the baseline's shifted in time
+/// ([`ForkTable::run`]). All four answers are bit-identical to a full
+/// run, apart from the event counts ([`RunStats::events`],
+/// [`RunStats::skipped`], [`RunStats::suffix`]). `noise` must be fresh;
+/// afterwards it holds the replica's per-rank CE counts.
 pub fn run_forked(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     forks: &ForkTable,
     noise: &mut CeNoise,
 ) -> Result<RunStats, SimError> {
-    match forks.lookup(noise.first_arrival()) {
-        Fork::Baseline => Ok(RunStats::baseline(forks.finish())),
-        Fork::Resume(snap) => {
-            resume_compiled(cs, params, snap, noise).map(|r| RunStats::of(&r, snap.events()))
-        }
-        Fork::Cold => simulate_compiled(cs, params, noise).map(|r| RunStats::of(&r, 0)),
-    }
+    let from = match forks.lookup(noise.first_arrival()) {
+        Fork::Baseline => return Ok(RunStats::baseline(forks.finish())),
+        Fork::Resume(snap) => Some(snap),
+        Fork::Cold => None,
+    };
+    let run = forks.run(cs, params, from, noise)?;
+    let prefix = from.map_or(0, |snap| snap.events());
+    Ok(RunStats::of(&run.result, prefix, run.suffix))
 }
 
 /// Aggregated result of an [`Experiment`].
@@ -456,10 +473,11 @@ pub fn run_against_baseline_compiled_telem(
 /// [`run_against_baseline_compiled`] against a cached entry: unobserved
 /// serial replicas use every entry of its fork table ([`run_forked`]),
 /// so a replica whose first CE arrival comes after a snapshot's horizon
-/// resumes there instead of simulating its noise-free prefix. Sharded
-/// replicas use only the terminal entry. Outcomes are identical to
-/// [`run_against_baseline_compiled`] with the entry's baseline, except
-/// for the event counts of resumed replicas.
+/// resumes there instead of simulating its noise-free prefix, and one
+/// whose rest of the run is the baseline's shifted in time rejoins it.
+/// Sharded replicas use only the terminal entry. Outcomes are identical
+/// to [`run_against_baseline_compiled`] with the entry's baseline, except
+/// for the event counts of resumed and rejoined replicas.
 pub fn run_against_baseline_entry(
     exp: &Experiment,
     entry: &CompiledEntry,
@@ -545,7 +563,7 @@ fn run_replicas(
                 let attr = cesim_obs::critical::attribute(&events);
                 let prov = cesim_obs::provenance::analyze(&events, rec.dropped()).summary();
                 Ok((
-                    RunStats::of(&r, 0),
+                    RunStats::of(&r, 0, 0),
                     Some(ReplicaObs {
                         rep,
                         attr,
@@ -567,7 +585,7 @@ fn run_replicas(
                         telem,
                         window_obs,
                     )
-                    .map(|r| RunStats::of(&r, 0)),
+                    .map(|r| RunStats::of(&r, 0, 0)),
                 }
                 .map(|stats| (stats, None))
             } else {

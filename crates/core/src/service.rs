@@ -20,7 +20,7 @@ use crate::experiment::{run_against_baseline_entry, Experiment};
 use crate::figures::{self, FigureData, ScaleConfig};
 use cesim_goal::Rank;
 use cesim_json::JsonValue;
-use cesim_model::{parse_span, LogGopsParams, LoggingMode, Span};
+use cesim_model::{parse_positive_span, parse_span, LogGopsParams, LoggingMode, Span};
 use cesim_noise::Scope;
 use cesim_workloads::{AppId, WorkloadConfig};
 use std::collections::BTreeMap;
@@ -191,14 +191,14 @@ fn parse_mode(v: &JsonValue) -> Result<LoggingMode, ServiceError> {
 }
 
 /// Parse an MTBCE: a duration string (`"1h"`, `"200ms"`) or a plain
-/// number of seconds.
+/// number of seconds, either way at least 1 ps.
 fn parse_mtbce(v: &JsonValue) -> Result<Span, ServiceError> {
     if let Some(s) = v.as_str() {
-        return parse_span(s).map_err(|e| bad(format!("mtbce: {e}")));
+        return parse_positive_span(s).map_err(|e| bad(format!("mtbce: {e}")));
     }
     if let Some(secs) = v.as_f64() {
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err(bad("mtbce seconds must be positive"));
+        if !secs.is_finite() || secs <= 0.0 || Span::from_secs_f64(secs).is_zero() {
+            return Err(bad("mtbce seconds must be positive (at least 1ps)"));
         }
         return Ok(Span::from_secs_f64(secs));
     }
@@ -314,9 +314,7 @@ pub fn handle_simulate(
         run_against_baseline_entry(&exp, &entry, 0)
             .map_err(|e| ServiceError::Internal(e.to_string()))?
     };
-    state
-        .schedules
-        .record_forks(out.runs.iter().map(|r| r.skipped));
+    state.schedules.record_forks(&out.runs);
     let ci = out.slowdown_ci95_pct();
     Ok(JsonValue::object([
         ("app", req.app.name().into()),
@@ -542,6 +540,19 @@ mod tests {
                 "{body} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn zero_mtbce_is_rejected_in_every_form() {
+        for mtbce in ["0", "0.0", "\"0s\"", "\"0\"", "\"0.1ps\"", "1e-13"] {
+            let body = format!(r#"{{"app":"HPCG","mtbce":{mtbce}}}"#);
+            match SimulateRequest::from_json(&parse(&body)) {
+                Err(ServiceError::BadRequest(m)) => assert!(m.contains("mtbce"), "{body}: {m}"),
+                other => panic!("{body} must be a bad request: {other:?}"),
+            }
+        }
+        let one = SimulateRequest::from_json(&parse(r#"{"app":"HPCG","mtbce":"1ps"}"#)).unwrap();
+        assert_eq!(one.mtbce, Span::from_ps(1));
     }
 
     #[test]

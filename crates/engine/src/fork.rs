@@ -1,5 +1,7 @@
 //! Baseline fork tables: resume noisy replicas from snapshots of the
-//! noise-free run instead of simulating their noise-free prefix.
+//! noise-free run instead of simulating their noise-free prefix, and stop
+//! simulating them once the rest of their run is the baseline's, shifted
+//! in time.
 //!
 //! A CE detour only stretches an *active* CPU interval (the paper's CE
 //! model, and LogGOPSim's noise injection). Up to its first CE arrival a
@@ -17,28 +19,67 @@
 //!   table's terminal entry: every interval of the run ends by then, so
 //!   the replica *is* the baseline); else [`Fork::Resume`] from the last
 //!   snapshot whose horizon is strictly before `a`; else [`Fork::Cold`].
-//! * [`resume_compiled`] resets the per-thread [`RunScratch`], applies the
-//!   snapshot, and drives the same event loop on with the replica's noise
-//!   model.
+//! * [`ForkTable::run`] simulates a resumed or cold replica and *rejoins*
+//!   the baseline at a later snapshot when it can (below): the fourth
+//!   answer. [`resume_compiled`] resumes without rejoining.
 //!
-//! **Exactness.** The noise model must leave an interval alone (return
-//! `start + work` and change no state) when its work is zero or it ends
-//! strictly before the model's first pending arrival. `CeNoise` does: its
-//! `stretch` returns early on zero work and draws nothing while the next
-//! arrival is after the interval's end. Every interval stretched before a
-//! snapshot ends at or before the snapshot's horizon. So a replica whose
-//! first arrival is later got exactly the baseline's stretch results up
-//! to the snapshot, and its noise model is still in its initial state
-//! there. An interval that ends exactly at an arrival takes the detour,
-//! hence the strict comparison.
+//! **Exactness of a resume.** The noise model must leave an interval
+//! alone (return `start + work` and change no state) when its work is
+//! zero or it ends strictly before the model's first pending arrival.
+//! `CeNoise` does: its `stretch` returns early on zero work and draws
+//! nothing while the next arrival is after the interval's end. Every
+//! interval stretched before a snapshot ends at or before the snapshot's
+//! horizon. So a replica whose first arrival is later got exactly the
+//! baseline's stretch results up to the snapshot, and its noise model is
+//! still in its initial state there. An interval that ends exactly at an
+//! arrival takes the detour, hence the strict comparison.
+//!
+//! **Rejoin.** LogGOPS costs are durations, so the engine commutes with
+//! a time shift. Let T be a snapshot's batch time in the baseline, and
+//! let a replica finish a batch at T' = T + Δ with the same completed-op
+//! count. If the replica's state there is the snapshot's shifted by Δ,
+//! and its noise model fires no detour in the shifted rest of the run,
+//! then the rest of the replica *is* the rest of the baseline, shifted by
+//! Δ. The match needs:
+//!
+//! * equal `done` bits, indegrees of ops not yet done, per-rank event
+//!   counters (the key half of every future event), and message counts;
+//! * `max(x, T') == max(x_base, T) + Δ` for every CPU and NIC cursor,
+//!   per-rank finish, posted receive's `posted_at` and unexpected
+//!   message's `arrived`. A time before the cut only ever enters the
+//!   engine through `max` with a later time (the current event time, or
+//!   a CPU end at or after it), so its exact value is dead: the clamp
+//!   compares what the future can observe;
+//! * the same queued `(time + Δ, key, event)` entries and the same match
+//!   queue contents, message ids (recorder-only) ignored;
+//! * on every rank, [`NoiseModel::next_arrival`] at T' strictly after the
+//!   rank's last non-zero-work interval end in the baseline, plus Δ.
+//!   Every later interval of the replica is a baseline interval shifted
+//!   by Δ, so none of them then ends at or after an arrival ("strictly"
+//!   because an interval that ends exactly at an arrival takes the
+//!   detour). A model that cannot tell answers `None` and never rejoins.
+//!
+//! The result is then assembled from the table instead of simulated: a
+//! rank with ops left finishes at its baseline finish plus Δ (and one
+//! without keeps its finish), busy and useful time add the baseline's
+//! rest to the replica's, message counts are the baseline's, and the
+//! queue high-water marks are the larger of the replica's and the rest of
+//! the baseline's. Every `SimResult` field equals a full run's except
+//! `events_processed`, which counts the events the replica dispatched;
+//! [`ForkRun::suffix`] holds the baseline events after the snapshot it
+//! skipped. Only snapshots in the table are tried, at batch boundaries
+//! where the completed-op counts agree.
 //!
 //! **Layout.** A [`Snapshot`] is a delta against [`RunScratch::reset`],
 //! not a clone. It holds the per-rank cursors and counters, `done` as a
 //! bitset, indegrees only where they differ from the compiled `indeg0`
-//! for ops not yet done, the queued events (message arrivals index a list
-//! of the live in-flight messages), the non-empty match queues, and the
-//! run statistics. The per-op dispatch plan is not stored: it depends only
-//! on the schedule and the parameters.
+//! for ops not yet done, the queued events sorted by key (message
+//! arrivals index a list of the live in-flight messages), the non-empty
+//! match queues, the run statistics, and the queue high-water marks of
+//! the rest of the run. The per-op dispatch plan is not stored: it
+//! depends only on the schedule and the parameters. The table also keeps,
+//! per rank, the baseline's last busy end and final finish, busy and
+//! useful time.
 //!
 //! **Sizing.** K is sized from a byte budget derived from the compiled
 //! schedule's heap ([`ForkTable::budget`]): the run offers
@@ -52,12 +93,14 @@ use crate::queue::QueueSnapshot;
 use crate::record::NullRecorder;
 use crate::result::{SimError, SimResult};
 use crate::sim::{
-    drive, start, with_thread_scratch, Event, Msg, MsgRef, PostedRecv, RunScratch, UnexMsg,
+    assemble, drive, simulate_compiled, start, with_thread_scratch, Engine, Event, Msg, MsgRef,
+    PostedRecv, RunScratch, UnexMsg,
 };
 use crate::topology::FlatCrossbar;
 use cesim_goal::{Rank, Tag};
 use cesim_model::{LogGopsParams, Span, Time};
 use std::mem::size_of;
+use std::ops::ControlFlow;
 
 /// Most snapshots a table holds.
 pub const MAX_SNAPSHOTS: usize = 16;
@@ -73,20 +116,51 @@ const MIN_BUDGET: usize = 4 << 10;
 pub enum Fork<'a> {
     /// No CE reaches the replica: it is the noise-free run, bit for bit.
     Baseline,
-    /// Resume from this snapshot with [`resume_compiled`].
+    /// Resume from this snapshot ([`ForkTable::run`] or
+    /// [`resume_compiled`]).
     Resume(&'a Snapshot),
-    /// Simulate from the start.
+    /// Simulate from the start ([`ForkTable::run`] with no snapshot).
     Cold,
 }
 
 /// Snapshots of one schedule's noise-free run under one parameter set,
-/// plus its finish (the terminal entry). See the module docs.
+/// plus its finish (the terminal entry) and what a rejoining replica
+/// needs of the rest of the run. See the module docs.
 #[derive(Debug)]
 pub struct ForkTable {
     finish: Time,
+    /// Engine events of the whole baseline run.
+    events: u64,
+    /// Per rank, the baseline's final accounting; empty in a terminal
+    /// table.
+    ranks: Vec<RankEnd>,
+    msgs_delivered: u64,
+    control_msgs: u64,
     /// Ascending completed ops, non-decreasing horizons, each strictly
     /// before `finish`.
     snapshots: Vec<Snapshot>,
+}
+
+/// One rank at the end of the baseline run.
+#[derive(Clone, Copy, Debug)]
+struct RankEnd {
+    /// End of the rank's last non-zero-work CPU interval.
+    last_busy: Time,
+    finish: Time,
+    busy: Span,
+    work: Span,
+}
+
+/// A replica run by [`ForkTable::run`].
+#[derive(Debug)]
+pub struct ForkRun {
+    /// Equal to a full run of the replica in every field but
+    /// `events_processed`, which counts only the events this run
+    /// dispatched.
+    pub result: SimResult,
+    /// Baseline events after the snapshot the replica rejoined at, which
+    /// it did not process; `0` if it ran to the end.
+    pub suffix: u64,
 }
 
 impl ForkTable {
@@ -96,6 +170,10 @@ impl ForkTable {
     pub fn terminal(finish: Time) -> Self {
         ForkTable {
             finish,
+            events: 0,
+            ranks: Vec::new(),
+            msgs_delivered: 0,
+            control_msgs: 0,
             snapshots: Vec::new(),
         }
     }
@@ -115,17 +193,24 @@ impl ForkTable {
             let mut snapshots: Vec<Snapshot> = Vec::new();
             // Index of the next fraction `next / (k + 1)` to snapshot at.
             let mut next = 1;
-            let mut horizon = Horizon(Time::ZERO);
-            let base = drive(
+            let mut horizon = Horizon {
+                latest: Time::ZERO,
+                last_busy: vec![Time::ZERO; cs.num_ranks()],
+            };
+            // The queue high-water marks up to the last snapshot. The
+            // scratch counts only those of the stretch since, so that
+            // each snapshot learns the marks of the rest of the run.
+            let mut marks = (0, 0);
+            let mut base = drive(
                 cs,
                 *params,
                 &FlatCrossbar,
                 scratch,
                 NullRecorder,
                 &mut horizon,
-                |s, h, events| {
+                |s, h, t, events| {
                     if next > k || s.completed * (k + 1) < next * total {
-                        return;
+                        return ControlFlow::Continue(());
                     }
                     while next <= k && s.completed * (k + 1) >= next * total {
                         next += 1;
@@ -133,20 +218,41 @@ impl ForkTable {
                     // The newest snapshot's worth is unknown until the
                     // next one (or the finish) bounds its horizon range.
                     let settled = snapshots.len();
-                    fit_budget(&mut snapshots, settled, h.0, budget);
-                    snapshots.push(s.snapshot(cs, params, h.0, events));
+                    fit_budget(&mut snapshots, settled, h.latest, budget);
+                    close_stretch(&mut snapshots, &mut marks, s.max_unexpected, s.max_posted);
+                    (s.max_unexpected, s.max_posted) = marks;
+                    snapshots.push(s.snapshot(cs, params, h.latest, t, events));
+                    (s.max_unexpected, s.max_posted) = (0, 0);
+                    ControlFlow::Continue(())
                 },
             )?;
+            close_stretch(
+                &mut snapshots,
+                &mut marks,
+                base.max_unexpected,
+                base.max_posted,
+            );
+            (base.max_unexpected, base.max_posted) = marks;
             snapshots.retain(|s| s.horizon < base.finish);
             let all = snapshots.len();
             fit_budget(&mut snapshots, all, base.finish, budget);
-            Ok((
-                ForkTable {
-                    finish: base.finish,
-                    snapshots,
-                },
-                base,
-            ))
+            let ranks = (0..cs.num_ranks())
+                .map(|r| RankEnd {
+                    last_busy: horizon.last_busy[r],
+                    finish: base.per_rank_finish[r],
+                    busy: base.per_rank_busy[r],
+                    work: base.per_rank_work[r],
+                })
+                .collect();
+            let table = ForkTable {
+                finish: base.finish,
+                events: base.events_processed,
+                ranks,
+                msgs_delivered: base.msgs_delivered,
+                control_msgs: base.control_msgs,
+                snapshots,
+            };
+            Ok((table, base))
         })
     }
 
@@ -171,6 +277,206 @@ impl ForkTable {
         }
     }
 
+    /// Run a replica of `cs` with `noise` on this thread's pooled scratch:
+    /// from snapshot `from` of this table (with the precondition of
+    /// [`resume_compiled`]) or, with `None`, from the start. At every
+    /// later snapshot it reaches, the replica rejoins the baseline if the
+    /// rule in the module docs holds, and its result is assembled from
+    /// the table instead of simulated. Either way the result equals a
+    /// full `simulate_compiled` run with the same noise model, apart from
+    /// the event counts (see [`ForkRun`]). `noise` is left as the
+    /// replica leaves it at the point it stopped, so its detour counts are
+    /// the full run's.
+    ///
+    /// # Panics
+    ///
+    /// If `from` was taken from another schedule or parameter set.
+    pub fn run<N: NoiseModel + ?Sized>(
+        &self,
+        cs: &CompiledSchedule,
+        params: &LogGopsParams,
+        from: Option<&Snapshot>,
+        noise: &mut N,
+    ) -> Result<ForkRun, SimError> {
+        let first = from.map_or(0, |f| {
+            self.snapshots
+                .partition_point(|s| s.completed <= f.completed)
+        });
+        let later = &self.snapshots[first..];
+        if later.is_empty() {
+            let result = match from {
+                Some(snap) => resume_compiled(cs, params, snap, noise)?,
+                None => simulate_compiled(cs, params, noise)?,
+            };
+            return Ok(ForkRun { result, suffix: 0 });
+        }
+        with_thread_scratch(|scratch| {
+            match from {
+                Some(snap) => scratch.resume(cs, params, snap),
+                None => start(cs, params, scratch, 0..cs.num_ranks() as u32, 0)?,
+            }
+            let mut next = 0;
+            let mut rejoin = None;
+            let events = Engine {
+                cs,
+                params: *params,
+                topology: &FlatCrossbar,
+                s: &mut *scratch,
+                rec: NullRecorder,
+            }
+            .run_until(noise, Time::MAX, |s, noise, t, _| {
+                while later
+                    .get(next)
+                    .is_some_and(|snap| snap.completed < s.completed)
+                {
+                    next += 1;
+                }
+                let Some(snap) = later.get(next).filter(|snap| snap.completed == s.completed)
+                else {
+                    return ControlFlow::Continue(());
+                };
+                match self.shift(cs, snap, s, noise, t) {
+                    Some(delta) => {
+                        rejoin = Some((snap, delta));
+                        ControlFlow::Break(())
+                    }
+                    None => ControlFlow::Continue(()),
+                }
+            });
+            let noise_events = noise.events_injected();
+            match rejoin {
+                None => {
+                    let result = assemble(cs, &[scratch], noise_events, events)?;
+                    Ok(ForkRun { result, suffix: 0 })
+                }
+                Some((snap, delta)) => Ok(ForkRun {
+                    result: self.rejoined(cs, scratch, snap, delta, noise_events, events),
+                    suffix: self.events - snap.events,
+                }),
+            }
+        })
+    }
+
+    /// Δ if the replica in `s`, cut after a batch at `t`, is `snap`
+    /// shifted by Δ and `noise` fires no detour in the shifted rest of the
+    /// baseline (the rejoin rule of the module docs).
+    fn shift<N: NoiseModel + ?Sized>(
+        &self,
+        cs: &CompiledSchedule,
+        snap: &Snapshot,
+        s: &RunScratch,
+        noise: &N,
+        t: Time,
+    ) -> Option<Span> {
+        if t < snap.time
+            || s.msgs_delivered != snap.msgs_delivered
+            || s.control_msgs != snap.control_msgs
+            || s.queue.len() != snap.queue.len()
+        {
+            return None;
+        }
+        let delta = t.since(snap.time);
+        // What the future can observe of a time: see the module docs.
+        let same = |x: Time, base: Time| x.max(t) == base.max(snap.time) + delta;
+        for (i, (r, end)) in snap.ranks.iter().zip(&self.ranks).enumerate() {
+            let quiet = || {
+                noise
+                    .next_arrival(Rank(i as u32), t)
+                    .is_some_and(|a| a > end.last_busy + delta)
+            };
+            let ok = s.push_seq[i] == r.push_seq
+                && same(s.cpu_free[i], r.cpu_free)
+                && same(s.nic_free[i], r.nic_free)
+                && same(s.finish[i], r.finish)
+                && quiet();
+            if !ok {
+                return None;
+            }
+        }
+        let mut indeg = snap.indeg.iter().peekable();
+        for (f, &done) in s.done.iter().enumerate() {
+            if done != (snap.done[f / 64] >> (f % 64) & 1 == 1) {
+                return None;
+            }
+            if !done {
+                let want = match indeg.next_if(|&&(g, _)| g as usize == f) {
+                    Some(&(_, d)) => d,
+                    None => cs.indeg0[f],
+                };
+                if s.indeg[f] != want {
+                    return None;
+                }
+            }
+        }
+        let queued = s.queue.sorted_entries();
+        let same_queue = queued
+            .iter()
+            .zip(snap.queue.entries())
+            .all(|(q, (bt, bk, bev))| {
+                let (qt, qk, qev) = *q;
+                let same_event = match (qev, *bev) {
+                    (Event::OpReady { rank, op }, Event::OpReady { rank: r, op: o }) => {
+                        (rank, op) == (r, o)
+                    }
+                    (Event::Arrive(m), Event::Arrive(b)) => {
+                        s.slab.get(m).same_but_id(&snap.msgs[b.slot as usize])
+                    }
+                    _ => false,
+                };
+                qk == bk && qt == bt + delta && same_event
+            });
+        let same_posted = same_queues(&s.posted, &snap.posted, |a: &PostedRecv, b| {
+            (a.op, a.src) == (b.op, b.src) && same(a.posted_at, b.posted_at)
+        });
+        let same_unexpected = same_queues(&s.unexpected, &snap.unexpected, |a: &UnexMsg, b| {
+            (a.src, a.src_op, a.bytes, a.kind) == (b.src, b.src_op, b.bytes, b.kind)
+                && same(a.arrived, b.arrived)
+        });
+        (same_queue && same_posted && same_unexpected).then_some(delta)
+    }
+
+    /// The result of a replica that rejoined at `snap` shifted by `delta`,
+    /// with `s` its scratch at the cut (see the module docs).
+    fn rejoined(
+        &self,
+        cs: &CompiledSchedule,
+        s: &RunScratch,
+        snap: &Snapshot,
+        delta: Span,
+        noise_events: u64,
+        events: u64,
+    ) -> SimResult {
+        let per_rank_finish: Vec<Time> = (0..cs.num_ranks())
+            .map(|r| {
+                let lo = cs.rank_off[r] as usize;
+                let ops = lo..lo + cs.ops_on(r as u32);
+                if s.done[ops].iter().all(|&d| d) {
+                    s.finish[r]
+                } else {
+                    self.ranks[r].finish + delta
+                }
+            })
+            .collect();
+        let (end, cut) = (&self.ranks, &snap.ranks);
+        SimResult {
+            finish: per_rank_finish.iter().copied().max().unwrap_or(Time::ZERO),
+            per_rank_finish,
+            per_rank_busy: (0..end.len())
+                .map(|r| s.busy[r] + (end[r].busy - cut[r].busy))
+                .collect(),
+            per_rank_work: (0..end.len())
+                .map(|r| s.work[r] + (end[r].work - cut[r].work))
+                .collect(),
+            ops_executed: cs.total_ops(),
+            msgs_delivered: self.msgs_delivered,
+            control_msgs: self.control_msgs,
+            noise_events,
+            max_unexpected: s.max_unexpected.max(snap.rest_max_unexpected),
+            max_posted: s.max_posted.max(snap.rest_max_posted),
+            events_processed: events,
+        }
+    }
+
     /// The noise-free finish (the terminal entry).
     pub fn finish(&self) -> Time {
         self.finish
@@ -185,6 +491,42 @@ impl ForkTable {
     pub fn bytes(&self) -> usize {
         self.snapshots.iter().map(Snapshot::bytes).sum()
     }
+}
+
+/// Whether per-rank match queues hold exactly the entries [`flatten`]
+/// listed, in the same FIFO order within each tag, comparing entries with
+/// `eq`.
+fn same_queues<E>(
+    queues: &[TagQueue<E>],
+    entries: &[(u32, Tag, E)],
+    eq: impl Fn(&E, &E) -> bool,
+) -> bool {
+    queues.iter().map(TagQueue::len).sum::<usize>() == entries.len()
+        && entries
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .all(|run| {
+                let (rank, tag) = (run[0].0, run[0].1);
+                queues[rank as usize].fifo(tag).is_some_and(|q| {
+                    q.len() == run.len() && q.iter().zip(run).all(|(a, (_, _, b))| eq(a, b))
+                })
+            })
+}
+
+/// Close a stretch of the baseline whose queue high-water marks are
+/// `(unexpected, posted)`: fold them into the rest-of-run marks of every
+/// snapshot taken before it, and into `marks`, the marks of the run so
+/// far.
+fn close_stretch(
+    snaps: &mut [Snapshot],
+    marks: &mut (usize, usize),
+    unexpected: usize,
+    posted: usize,
+) {
+    for s in snaps.iter_mut() {
+        s.rest_max_unexpected = s.rest_max_unexpected.max(unexpected);
+        s.rest_max_posted = s.rest_max_posted.max(posted);
+    }
+    *marks = (marks.0.max(unexpected), marks.1.max(posted));
 }
 
 /// Drop snapshots among the first `settled` of `snaps` until all of them
@@ -215,15 +557,20 @@ fn fit_budget(snaps: &mut Vec<Snapshot>, mut settled: usize, end: Time, budget: 
 }
 
 /// The noise model of the snapshotting baseline: [`crate::NoNoise`] plus
-/// the horizon.
-struct Horizon(Time);
+/// the horizon and each rank's last busy end.
+struct Horizon {
+    latest: Time,
+    last_busy: Vec<Time>,
+}
 
 impl NoiseModel for Horizon {
     #[inline]
-    fn stretch(&mut self, _rank: Rank, start: Time, work: Span) -> Time {
+    fn stretch(&mut self, rank: Rank, start: Time, work: Span) -> Time {
         let end = start + work;
         if !work.is_zero() {
-            self.0 = self.0.max(end);
+            self.latest = self.latest.max(end);
+            let last = &mut self.last_busy[rank.idx()];
+            *last = (*last).max(end);
         }
         end
     }
@@ -245,6 +592,8 @@ struct RankState {
 #[derive(Debug)]
 pub struct Snapshot {
     horizon: Time,
+    /// Timestamp of the batch the baseline had just dispatched.
+    time: Time,
     events: u64,
     /// The schedule (`CompiledSchedule::uid`) and parameters it belongs to.
     uid: u64,
@@ -266,6 +615,9 @@ pub struct Snapshot {
     control_msgs: u64,
     max_unexpected: usize,
     max_posted: usize,
+    /// Queue high-water marks of the rest of the baseline run.
+    rest_max_unexpected: usize,
+    rest_max_posted: usize,
     next_msg_id: u64,
 }
 
@@ -315,12 +667,13 @@ fn unflatten<E: Copy>(queues: &mut [TagQueue<E>], entries: &[(u32, Tag, E)]) {
 }
 
 impl RunScratch {
-    /// Snapshot this serial (full-range) scratch between batches.
+    /// Snapshot this serial (full-range) scratch after a batch at `time`.
     fn snapshot(
         &self,
         cs: &CompiledSchedule,
         params: &LogGopsParams,
         horizon: Time,
+        time: Time,
         events: u64,
     ) -> Snapshot {
         debug_assert_eq!((self.rank_lo, self.op_base), (0, 0), "serial scratch only");
@@ -354,6 +707,7 @@ impl RunScratch {
         });
         Snapshot {
             horizon,
+            time,
             events,
             uid: cs.uid,
             params: *params,
@@ -369,8 +723,25 @@ impl RunScratch {
             control_msgs: self.control_msgs,
             max_unexpected: self.max_unexpected,
             max_posted: self.max_posted,
+            rest_max_unexpected: 0,
+            rest_max_posted: 0,
             next_msg_id: self.next_msg_id,
         }
+    }
+
+    /// Reset for `cs` and apply `snap`.
+    ///
+    /// # Panics
+    ///
+    /// If `snap` was taken from another schedule or parameter set.
+    fn resume(&mut self, cs: &CompiledSchedule, params: &LogGopsParams, snap: &Snapshot) {
+        assert!(
+            snap.uid == cs.uid && snap.params == *params,
+            "snapshot belongs to another schedule or parameter set"
+        );
+        self.reset(cs);
+        self.plan_dispatch(cs, params);
+        self.restore(snap);
     }
 
     /// Apply `snap` to this scratch, freshly reset for its schedule.
@@ -415,6 +786,7 @@ impl RunScratch {
 /// [`ForkTable::lookup`] checks); the result then equals a full
 /// `simulate_compiled` run with the same noise model, except that
 /// `events_processed` omits the [`Snapshot::events`] of the prefix.
+/// It never rejoins the baseline; [`ForkTable::run`] does.
 ///
 /// # Panics
 ///
@@ -425,14 +797,8 @@ pub fn resume_compiled<N: NoiseModel + ?Sized>(
     snap: &Snapshot,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
-    assert!(
-        snap.uid == cs.uid && snap.params == *params,
-        "snapshot belongs to another schedule or parameter set"
-    );
     with_thread_scratch(|scratch| {
-        scratch.reset(cs);
-        scratch.plan_dispatch(cs, params);
-        scratch.restore(snap);
+        scratch.resume(cs, params, snap);
         drive(
             cs,
             *params,
@@ -440,7 +806,7 @@ pub fn resume_compiled<N: NoiseModel + ?Sized>(
             scratch,
             NullRecorder,
             noise,
-            |_, _, _| {},
+            |_, _, _, _| ControlFlow::Continue(()),
         )
     })
 }

@@ -164,6 +164,11 @@ impl<E> TagQueue<E> {
         self.len == 0
     }
 
+    /// The entries under `tag`, FIFO, or `None` if there are none.
+    pub(crate) fn fifo(&self, tag: Tag) -> Option<&VecDeque<E>> {
+        self.buckets.get(&tag)
+    }
+
     /// Iterate over all entries, grouped by tag, FIFO within each tag.
     /// Tag group order is unspecified; use only for diagnostics.
     pub fn iter(&self) -> impl Iterator<Item = (Tag, &E)> {

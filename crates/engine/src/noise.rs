@@ -9,6 +9,11 @@
 //!   engine's per-rank CPU cursor guarantees this), so implementations can
 //!   keep per-rank cursors of their own;
 //! * `stretch` must return `>= start + work` — noise can only delay.
+//!
+//! A model may also say, without consuming anything, when a rank's next
+//! detour can fire ([`NoiseModel::next_arrival`]); the baseline fork
+//! tables (`crate::fork`) use that to stop simulating a replica once the
+//! rest of its run is the noise-free baseline shifted in time.
 
 use cesim_goal::Rank;
 use cesim_model::{Span, Time};
@@ -24,6 +29,20 @@ pub trait NoiseModel {
     fn events_injected(&self) -> u64 {
         0
     }
+
+    /// The first arrival on `rank` at or after `at`, without consuming
+    /// it: `Some(Time::MAX)` if no detour will ever fire on `rank` again,
+    /// `None` (the default) if the model cannot tell.
+    ///
+    /// An answer `a` promises that every later call for `rank` that starts
+    /// at or after `at` returns `start + work`, and leaves the answers of
+    /// all later calls unchanged, when its work is zero or its interval
+    /// ends strictly before `a`. Arrivals before `at` that are still
+    /// pending and would fire on such an interval count as arriving at
+    /// `at`.
+    fn next_arrival(&self, _rank: Rank, _at: Time) -> Option<Time> {
+        None
+    }
 }
 
 /// The identity model: no noise, CPU intervals take exactly their work.
@@ -35,12 +54,16 @@ impl NoiseModel for NoNoise {
     fn stretch(&mut self, _rank: Rank, start: Time, work: Span) -> Time {
         start + work
     }
+
+    fn next_arrival(&self, _rank: Rank, _at: Time) -> Option<Time> {
+        Some(Time::MAX)
+    }
 }
 
 /// A deterministic test model: a fixed list of `(rank, at, detour)`
-/// triples; each detour is inserted into the first CPU interval on that
-/// rank that covers (or follows) `at`. Useful for reproducing the paper's
-/// Fig. 1 hand-example and for unit tests.
+/// triples; each detour is inserted into the first non-zero-work CPU
+/// interval on that rank that covers (or follows) `at`. Useful for
+/// reproducing the paper's Fig. 1 hand-example and for unit tests.
 ///
 /// Detours are grouped per rank at construction and consumed through a
 /// monotone cursor: `stretch` only ever advances past detours it injects,
@@ -86,6 +109,9 @@ impl ScriptedNoise {
 impl NoiseModel for ScriptedNoise {
     fn stretch(&mut self, rank: Rank, start: Time, work: Span) -> Time {
         let mut end = start + work;
+        if work.is_zero() {
+            return end;
+        }
         // Inject every not-yet-applied detour due by `end`; each injection
         // extends the interval, which may pull in further detours
         // (cascading, same as the original scan-until-fixpoint).
@@ -104,6 +130,16 @@ impl NoiseModel for ScriptedNoise {
 
     fn events_injected(&self) -> u64 {
         self.injected
+    }
+
+    /// The rank's next detour not yet injected, or `at` if that one is
+    /// already due: it fires on the next non-zero-work interval.
+    fn next_arrival(&self, rank: Rank, at: Time) -> Option<Time> {
+        let pending = self
+            .scripts
+            .get(&rank)
+            .and_then(|s| s.detours.get(s.cursor));
+        Some(pending.map_or(Time::MAX, |&(t, _)| t.max(at)))
     }
 }
 
@@ -146,5 +182,30 @@ mod tests {
         // A later interval that covers it picks it up.
         let end = n.stretch(Rank(0), Time::from_ps(995), Span::from_ps(10));
         assert_eq!(end, Time::from_ps(1_012));
+    }
+
+    #[test]
+    fn scripted_noise_peeks_without_consuming_and_skips_zero_work() {
+        let mut n = ScriptedNoise::new(vec![(Rank(0), Time::from_ps(100), Span::from_ps(7))]);
+        assert_eq!(
+            n.next_arrival(Rank(0), Time::ZERO),
+            Some(Time::from_ps(100))
+        );
+        assert_eq!(
+            n.next_arrival(Rank(0), Time::from_ps(150)),
+            Some(Time::from_ps(150))
+        );
+        assert_eq!(n.next_arrival(Rank(1), Time::ZERO), Some(Time::MAX));
+        // A zero-work interval past the detour leaves it pending.
+        assert_eq!(
+            n.stretch(Rank(0), Time::from_ps(120), Span::ZERO),
+            Time::from_ps(120)
+        );
+        assert_eq!(
+            n.stretch(Rank(0), Time::from_ps(120), Span::from_ps(1)),
+            Time::from_ps(128)
+        );
+        assert_eq!(n.next_arrival(Rank(0), Time::ZERO), Some(Time::MAX));
+        assert_eq!(NoNoise.next_arrival(Rank(0), Time::ZERO), Some(Time::MAX));
     }
 }

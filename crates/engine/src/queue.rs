@@ -440,18 +440,36 @@ impl<E: Copy> EventQueue<E> {
         self.pushed
     }
 
+    /// Every queued event as `(time, packed key, payload)`, in no
+    /// particular order. Events still queued at the active timestamp are
+    /// reported at `last`.
+    fn entries(&self) -> impl Iterator<Item = (u64, u64, E)> + '_ {
+        let at_last = self.run[self.cursor..].iter().chain(&self.side);
+        at_last
+            .map(|&(k, ev)| (self.last, k, ev))
+            .chain(self.buckets.iter().flatten().map(|e| (e.t, e.k, e.ev)))
+    }
+
+    /// Every queued event, sorted by key (keys are unique, so this is a
+    /// canonical form of the queue's contents).
+    pub(crate) fn sorted_entries(&self) -> Vec<(Time, EvKey, E)> {
+        let mut out = Vec::with_capacity(self.len);
+        out.extend(
+            self.entries()
+                .map(|(t, k, ev)| (Time::from_ps(t), unpack_key(k), ev)),
+        );
+        out.sort_unstable_by_key(|e| e.1);
+        out
+    }
+
     /// Copy every queued event out (payloads mapped through `f`), for a
-    /// later [`EventQueue::restore_with`]. Events still queued at the
-    /// active timestamp are recorded at `last`; the layout itself is not
-    /// kept, because pop order depends only on `(time, key)`.
+    /// later [`EventQueue::restore_with`]. The layout itself is not kept,
+    /// because pop order depends only on `(time, key)`: the entries are
+    /// stored sorted by key instead.
     pub fn snapshot_with<S>(&self, mut f: impl FnMut(E) -> S) -> QueueSnapshot<S> {
         let mut entries = Vec::with_capacity(self.len);
-        for &(k, ev) in self.run[self.cursor..].iter().chain(&self.side) {
-            entries.push((self.last, k, f(ev)));
-        }
-        for e in self.buckets.iter().flatten() {
-            entries.push((e.t, e.k, f(e.ev)));
-        }
+        entries.extend(self.entries().map(|(t, k, ev)| (t, k, f(ev))));
+        entries.sort_unstable_by_key(|e| e.1);
         QueueSnapshot {
             last: self.last,
             pushed: self.pushed,
@@ -507,6 +525,13 @@ impl<S> QueueSnapshot<S> {
     /// Heap bytes held.
     pub fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(u64, u64, S)>()
+    }
+
+    /// The events held as `(time, key, payload)`, sorted by key.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (Time, EvKey, &S)> {
+        self.entries
+            .iter()
+            .map(|(t, k, ev)| (Time::from_ps(*t), unpack_key(*k), ev))
     }
 }
 

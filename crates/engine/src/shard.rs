@@ -70,6 +70,7 @@ use crate::topology::FlatCrossbar;
 use cesim_model::{LogGopsParams, Time};
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -756,7 +757,7 @@ fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
                         s: &mut *scratch,
                         rec: &mut *rec,
                     }
-                    .run_until(noise, wend, |_, _, _| {});
+                    .run_until(noise, wend, |_, _, _, _| ControlFlow::Continue(()));
                     events += popped;
                     G_EVENTS.fetch_add(popped, Ordering::Relaxed);
                     if let Some(s) = stamp.as_mut() {

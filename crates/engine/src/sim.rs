@@ -27,9 +27,10 @@ use crate::topology::{FlatCrossbar, Topology};
 use cesim_goal::{Rank, Schedule, Tag};
 use cesim_model::{LogGopsParams, Span, Time};
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MsgKind {
     /// Eagerly buffered payload.
     Eager,
@@ -42,7 +43,7 @@ pub(crate) enum MsgKind {
     Payload { recv_op: u32 },
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Msg {
     /// Unique id tying a recorder's `MsgSend` to its `MsgDeliver`.
     id: u64,
@@ -58,6 +59,14 @@ pub(crate) struct Msg {
 }
 
 impl Msg {
+    /// Equal in everything but the id, which only a recorder sees.
+    pub(crate) fn same_but_id(&self, other: &Msg) -> bool {
+        Msg {
+            id: other.id,
+            ..*self
+        } == *other
+    }
+
     fn class(&self) -> MsgClass {
         match self.kind {
             MsgKind::Eager => MsgClass::Eager,
@@ -170,13 +179,13 @@ pub(crate) enum Event {
 // queued records.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PostedRecv {
-    op: u32,
-    src: Option<u32>,
-    posted_at: Time,
+    pub(crate) op: u32,
+    pub(crate) src: Option<u32>,
+    pub(crate) posted_at: Time,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum UnexKind {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum UnexKind {
     Eager,
     Rts { send_op: u32 },
 }
@@ -185,12 +194,12 @@ enum UnexKind {
 pub(crate) struct UnexMsg {
     /// Message id (recorder attribution, see [`Msg::id`]).
     id: u64,
-    src: u32,
+    pub(crate) src: u32,
     /// Sender-side op (recorder attribution).
-    src_op: u32,
-    bytes: u64,
-    arrived: Time,
-    kind: UnexKind,
+    pub(crate) src_op: u32,
+    pub(crate) bytes: u64,
+    pub(crate) arrived: Time,
+    pub(crate) kind: UnexKind,
 }
 
 /// All mutable per-run simulation state, reusable across runs.
@@ -568,7 +577,9 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
     start(cs, &params, scratch, 0..cs.num_ranks() as u32, 0)?;
-    drive(cs, params, topology, scratch, rec, noise, |_, _, _| {})
+    drive(cs, params, topology, scratch, rec, noise, |_, _, _, _| {
+        ControlFlow::Continue(())
+    })
 }
 
 /// Prepare `scratch` to run the ranks `ranks` of `cs` from time zero:
@@ -599,10 +610,9 @@ pub(crate) fn start(
 /// Drive a prepared `scratch` (see [`start`], or a restored baseline
 /// snapshot in [`crate::fork`]) to completion with the batch loop
 /// ([`Engine::run_until`] without a bound) and assemble its result.
-/// `between` runs after every batch with the scratch, the noise model
-/// and the events processed so far; those are the only points where
-/// the baseline fork table takes snapshots. `SimResult::events_processed`
-/// counts only the events this call dispatched.
+/// `between` runs after every batch (see [`Engine::run_until`]) and must
+/// not end the loop. `SimResult::events_processed` counts only the
+/// events this call dispatched.
 pub(crate) fn drive<R, N, F>(
     cs: &CompiledSchedule,
     params: LogGopsParams,
@@ -615,7 +625,7 @@ pub(crate) fn drive<R, N, F>(
 where
     R: Recorder,
     N: NoiseModel + ?Sized,
-    F: FnMut(&RunScratch, &N, u64),
+    F: FnMut(&mut RunScratch, &N, Time, u64) -> ControlFlow<()>,
 {
     let events = Engine {
         cs,
@@ -708,16 +718,19 @@ impl<'e, R: Recorder> Engine<'e, R> {
     /// exactly the one repeated `pop` would produce. Pushes are causal,
     /// so later timestamps can never sort first, and interleaved events
     /// share the batch timestamp, so all of them sit below `wend` too.
-    /// `between` runs after every batch with the scratch, the noise model
-    /// and the events dispatched so far.
+    /// `between` runs after every batch with the scratch, the noise model,
+    /// the batch's timestamp and the events dispatched so far; those are
+    /// the only points where the baseline fork table takes snapshots and
+    /// a replica may rejoin the baseline. Returning
+    /// [`ControlFlow::Break`] ends the loop there.
     pub(crate) fn run_until<N, F>(&mut self, noise: &mut N, wend: Time, mut between: F) -> u64
     where
         N: NoiseModel + ?Sized,
-        F: FnMut(&RunScratch, &N, u64),
+        F: FnMut(&mut RunScratch, &N, Time, u64) -> ControlFlow<()>,
     {
         let mut batch = std::mem::take(&mut self.s.batch);
         let mut events = 0u64;
-        while self.s.queue.peek_time().is_some_and(|t| t < wend) {
+        while let Some(t) = self.s.queue.peek_time().filter(|&t| t < wend) {
             self.s.queue.pop_batch(&mut batch);
             for &(bt, bkey, bev) in &batch {
                 while let Some((qt, qkey)) = self.s.queue.peek_active_min() {
@@ -733,7 +746,9 @@ impl<'e, R: Recorder> Engine<'e, R> {
                 events += 1;
                 self.dispatch(noise, bev, bt);
             }
-            between(self.s, noise, events);
+            if between(self.s, noise, t, events).is_break() {
+                break;
+            }
         }
         self.s.batch = batch;
         events

@@ -10,9 +10,12 @@
 //!    hosting node's MTBCE and logging-mode detour (`fleet_run`). Each
 //!    slice is answered from its cached schedule's baseline fork table
 //!    ([`run_forked`]): a slice whose first CE arrival comes after its
-//!    noise-free finish is the baseline run, and one whose first arrival
+//!    noise-free finish is the baseline run, one whose first arrival
 //!    comes after a snapshot's horizon resumes there instead of
-//!    simulating its noise-free prefix;
+//!    simulating its noise-free prefix, and one that reaches a later
+//!    snapshot in the baseline's state shifted in time, with no CE left
+//!    to fire, rejoins the baseline there instead of simulating its
+//!    noise-free suffix;
 //! 3. **observe** — per-rank CE counts are attributed back to the hosting
 //!    nodes;
 //! 4. **react** — the mitigation policy sees the observations and may
@@ -444,7 +447,7 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                     // so its per-rank counts are all zero.
                     let r = run_forked(&entry.schedule, &params, &entry.forks, &mut noise)
                         .map_err(|e| format!("job {}: {e}", inp.job_index))?;
-                    schedules.record_forks([r.skipped]);
+                    schedules.record_forks([&r]);
                     Ok(SliceResult {
                         job_index: inp.job_index,
                         finish: r.finish,

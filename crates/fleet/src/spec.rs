@@ -12,7 +12,7 @@
 //! silently become a default) and every error message names the
 //! offending field.
 
-use cesim_model::{parse_span, LoggingMode, Span};
+use cesim_model::{parse_positive_span, parse_span, LoggingMode, Span};
 use cesim_workloads::AppId;
 use std::collections::BTreeMap;
 
@@ -195,15 +195,15 @@ fn field_f64(obj: &BTreeMap<String, JsonValue>, key: &str, default: f64) -> Resu
     }
 }
 
-/// Parse a duration field: a `parse_span` string (`"10ms"`) or plain
-/// seconds.
-fn parse_dur(v: &JsonValue, what: &str) -> Result<Span, String> {
+/// Parse an MTBCE field: a `parse_span` string (`"10ms"`) or plain
+/// seconds, either way at least 1 ps.
+fn parse_mtbce(v: &JsonValue, what: &str) -> Result<Span, String> {
     if let Some(s) = v.as_str() {
-        return parse_span(s).map_err(|e| format!("{what}: {e}"));
+        return parse_positive_span(s).map_err(|e| format!("{what}: {e}"));
     }
     if let Some(secs) = v.as_f64() {
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err(format!("{what}: seconds must be positive"));
+        if !secs.is_finite() || secs <= 0.0 || Span::from_secs_f64(secs).is_zero() {
+            return Err(format!("{what}: seconds must be positive (at least 1ps)"));
         }
         return Ok(Span::from_secs_f64(secs));
     }
@@ -236,12 +236,12 @@ fn parse_mtbce_dist(v: &JsonValue) -> Result<MtbceDist, String> {
     match dist {
         "uniform" => {
             reject_unknown(o, "cluster.mtbce", &["dist", "min", "max"])?;
-            let min = parse_dur(
+            let min = parse_mtbce(
                 o.get("min")
                     .ok_or_else(|| "cluster.mtbce: uniform needs \"min\"".to_string())?,
                 "cluster.mtbce.min",
             )?;
-            let max = parse_dur(
+            let max = parse_mtbce(
                 o.get("max")
                     .ok_or_else(|| "cluster.mtbce: uniform needs \"max\"".to_string())?,
                 "cluster.mtbce.max",
@@ -253,7 +253,7 @@ fn parse_mtbce_dist(v: &JsonValue) -> Result<MtbceDist, String> {
         }
         "lognormal" => {
             reject_unknown(o, "cluster.mtbce", &["dist", "median", "sigma"])?;
-            let median = parse_dur(
+            let median = parse_mtbce(
                 o.get("median")
                     .ok_or_else(|| "cluster.mtbce: lognormal needs \"median\"".to_string())?,
                 "cluster.mtbce.median",
@@ -282,7 +282,7 @@ fn parse_mtbce_dist(v: &JsonValue) -> Result<MtbceDist, String> {
                     &format!("cluster.mtbce.buckets[{i}]"),
                     &["mtbce", "weight"],
                 )?;
-                let mtbce = parse_dur(
+                let mtbce = parse_mtbce(
                     bo.get("mtbce").ok_or_else(|| {
                         format!("cluster.mtbce.buckets[{i}]: missing field \"mtbce\"")
                     })?,
@@ -573,6 +573,37 @@ mod tests {
             }
         );
         assert_eq!(s.policy.name(), "threshold_offline");
+    }
+
+    #[test]
+    fn zero_mtbce_is_rejected_with_its_field() {
+        for (mtbce, field) in [
+            (
+                r#"{"dist": "uniform", "min": "0s", "max": "20ms"}"#,
+                "cluster.mtbce.min",
+            ),
+            (
+                r#"{"dist": "uniform", "min": 0, "max": "20ms"}"#,
+                "cluster.mtbce.min",
+            ),
+            (
+                r#"{"dist": "lognormal", "median": "0.1ps"}"#,
+                "cluster.mtbce.median",
+            ),
+            (
+                r#"{"dist": "buckets", "buckets": [{"mtbce": "1h"}, {"mtbce": "0"}]}"#,
+                "cluster.mtbce.buckets[1].mtbce",
+            ),
+        ] {
+            let spec = format!(
+                r#"{{"cluster": {{"nodes": 4, "mtbce": {mtbce}}}, "jobs": [{{"app": "LULESH", "nodes": 2}}]}}"#
+            );
+            let err = parse(&spec).unwrap_err();
+            assert!(
+                err.contains(field) && err.contains("positive"),
+                "{mtbce}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub use logging::LoggingMode;
 pub use params::LogGopsParams;
 pub use system::SystemSpec;
 pub use time::{Span, Time};
-pub use units::parse_span;
+pub use units::{parse_positive_span, parse_span};

@@ -45,6 +45,18 @@ pub fn parse_span(input: &str) -> Result<Span, String> {
     Ok(Span::from_secs_f64(seconds))
 }
 
+/// [`parse_span`] for a duration that must be positive, such as an MTBCE:
+/// one that rounds to 0 ps is rejected.
+pub fn parse_positive_span(input: &str) -> Result<Span, String> {
+    let span = parse_span(input)?;
+    if span.is_zero() {
+        return Err(format!(
+            "duration '{input}' must be positive (at least 1ps)"
+        ));
+    }
+    Ok(span)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,6 +70,15 @@ mod tests {
         assert_eq!(parse_span("720").unwrap(), Span::from_secs(720));
         assert_eq!(parse_span("720s").unwrap(), Span::from_secs(720));
         assert_eq!(parse_span("0.2s").unwrap(), Span::from_ms(200));
+    }
+
+    #[test]
+    fn positive_spans_reject_what_rounds_to_zero() {
+        assert_eq!(parse_positive_span("1ps").unwrap(), Span::from_ps(1));
+        for zero in ["0", "0s", "0.0ms", "0.1ps"] {
+            let err = parse_positive_span(zero).unwrap_err();
+            assert!(err.contains("must be positive"), "{zero}: {err}");
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl RankProcess {
     fn advance(&mut self, bursts: Option<&mut Bursts>, i: usize) {
         match bursts {
             None => self.next += self.rng.exp_span(self.mtbce).max(MIN_STEP),
-            Some(b) => self.advance_bursty(b, i),
+            Some(b) => self.advance_bursty(&b.spec, &mut b.phases[i]),
         }
     }
 
@@ -124,8 +124,8 @@ impl RankProcess {
     /// phase's rate (exact: the exponential is memoryless). Kept out of
     /// line so that the plain path's stretch loop stays small.
     #[inline(never)]
-    fn advance_bursty(&mut self, b: &mut Bursts, i: usize) {
-        let (bursting, end) = &mut b.phases[i];
+    fn advance_bursty(&mut self, spec: &BurstSpec, phase: &mut (bool, Time)) {
+        let (bursting, end) = phase;
         let mut t = self.next;
         loop {
             let candidate = t + self.rng.exp_span(self.mtbce).max(MIN_STEP);
@@ -135,7 +135,7 @@ impl RankProcess {
             }
             t = *end;
             *bursting = !*bursting;
-            let (mtbce, duration) = b.spec.phase(*bursting);
+            let (mtbce, duration) = spec.phase(*bursting);
             self.mtbce = mtbce;
             *end = t + self.rng.exp_span(duration).max(MIN_STEP);
         }
@@ -312,6 +312,25 @@ impl NoiseModel for CeNoise {
 
     fn events_injected(&self) -> u64 {
         self.ranks.iter().map(|p| p.events).sum()
+    }
+
+    /// Draws on a copy of the rank's process, so nothing is consumed.
+    /// `stretch` skips arrivals before an interval's start and fires
+    /// none past its end, which is the contract's promise.
+    fn next_arrival(&self, rank: Rank, at: Time) -> Option<Time> {
+        if matches!(self.scope, Scope::SingleRank(r) if r != rank) {
+            return Some(Time::MAX);
+        }
+        let i = rank.idx();
+        let mut p = self.ranks[i].clone();
+        let mut phase = self.bursts.as_ref().map(|b| (&b.spec, b.phases[i]));
+        while p.next < at {
+            match &mut phase {
+                None => p.advance(None, i),
+                Some((spec, phase)) => p.advance_bursty(spec, phase),
+            }
+        }
+        Some(p.next)
     }
 }
 
@@ -638,5 +657,37 @@ mod tests {
         ));
         let ratio = bursty / smooth;
         assert!((0.5..2.0).contains(&ratio), "stolen ratio = {ratio}");
+    }
+
+    /// `next_arrival` consumes nothing, and is exact: an interval from
+    /// the peeked time `at` that ends 1 ps before the answer takes no
+    /// detour, and one that ends at the answer takes at least one.
+    #[test]
+    fn every_kind_peeks_its_next_arrival_exactly() {
+        for (name, mut n, _) in kinds(6) {
+            // Move every process along a little first.
+            n.stretch(Rank(0), Time::ZERO, Span::from_ms(40));
+            for ms in [0, 3, 40, 900] {
+                let at = Time::ZERO + Span::from_ms(ms);
+                for r in [Rank(0), Rank(1)] {
+                    let a = n.next_arrival(r, at).expect("CeNoise always answers");
+                    assert_eq!(n.next_arrival(r, at), Some(a), "{name}: peek consumed");
+                    assert!(a >= at, "{name}");
+                    if a == Time::MAX {
+                        assert_eq!(name, "single-rank");
+                        assert_eq!(r, Rank(1));
+                        continue;
+                    }
+                    let events = n.events_injected();
+                    let short = a.since(at).saturating_sub(Span::from_ps(1));
+                    let mut before = n.clone();
+                    assert_eq!(before.stretch(r, at, short), at + short, "{name} {ms}ms");
+                    assert_eq!(before.events_injected(), events, "{name} {ms}ms");
+                    let mut upto = n.clone();
+                    upto.stretch(r, at, a.since(at));
+                    assert!(upto.events_injected() > events, "{name} {ms}ms {r}");
+                }
+            }
+        }
     }
 }

@@ -254,6 +254,16 @@ impl Metrics {
                 "Engine events those replicas skipped.",
                 state.schedules.forked_events(),
             ),
+            (
+                "cesim_baseline_rejoins_total",
+                "Replicas that rejoined the cached baseline before their end.",
+                state.schedules.rejoins(),
+            ),
+            (
+                "cesim_rejoined_events_total",
+                "Engine events of the baseline suffix those replicas skipped.",
+                state.schedules.rejoined_events(),
+            ),
         ] {
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
@@ -368,6 +378,8 @@ mod tests {
         assert!(text.contains("cesim_response_cache_misses_total 0"));
         assert!(text.contains("cesim_baseline_forks_total 0"));
         assert!(text.contains("cesim_forked_events_total 0"));
+        assert!(text.contains("cesim_baseline_rejoins_total 0"));
+        assert!(text.contains("cesim_rejoined_events_total 0"));
     }
 
     #[test]

@@ -377,6 +377,8 @@ fn scrape_is_valid_prometheus_and_flightrec_dumps() {
         "cesim_phase_seconds_bucket{phase=\"run\"",
         "cesim_baseline_forks_total ",
         "cesim_forked_events_total ",
+        "cesim_baseline_rejoins_total ",
+        "cesim_rejoined_events_total ",
     ] {
         assert!(
             scrape.body.contains(needle),

@@ -7,14 +7,15 @@
 //! The rule rests on one engine invariant — every CPU interval of a
 //! noise-free run ends at or before `SimResult::finish` — pinned here for
 //! every workload and collective, on the serial and the sharded engine.
-//! The equivalence tests then check the fork table's answers against full
-//! simulation, on a grid where each of them occurs.
+//! The equivalence tests then check the fork table's four answers
+//! (baseline, resume, cold run, and rejoining the baseline before the
+//! end) against full simulation, on a grid where each of them occurs.
 
 mod common;
 
 use dram_ce_sim::engine::{
     resume_compiled, simulate_compiled, simulate_compiled_sharded, CompiledSchedule, Fork,
-    ForkTable, NoNoise, NoiseModel,
+    ForkTable, NoNoise, NoiseModel, SimResult,
 };
 use dram_ce_sim::experiment::{
     run_against_baseline_compiled, run_against_baseline_entry, Experiment,
@@ -88,13 +89,14 @@ fn noise_free_intervals_end_by_finish_for_every_collective() {
 /// On the grid app × scope × MTBCE × seed, every answer of the fork
 /// table matches full simulation: a Baseline answer gives the baseline
 /// finish and no CE anywhere, and a Resume answer gives the full run's
-/// result, per-rank CE counts included. The grid holds all three
-/// answers.
+/// result, per-rank CE counts included, whether the resumed replica runs
+/// to the end or (like a cold one) rejoins the baseline. The grid holds
+/// all four answers.
 #[test]
 fn quiet_replica_matches_full_simulation() {
     let p = LogGopsParams::xc40();
     let detour = LoggingMode::Software.per_event_cost();
-    let (mut baseline, mut resumed, mut cold) = (0, 0, 0);
+    let (mut baseline, mut resumed, mut cold, mut rejoined) = (0, 0, 0, 0);
     for (app, sched) in common::app_schedules(8, 2) {
         let ranks = sched.num_ranks();
         let cs = CompiledSchedule::compile(&sched);
@@ -127,30 +129,47 @@ fn quiet_replica_matches_full_simulation() {
                             let f = resume_compiled(&cs, &p, snap, &mut fork).unwrap();
                             let events = r.events_processed - snap.events();
                             assert_eq!(f.events_processed, events, "{at}");
-                            let f = dram_ce_sim::engine::SimResult {
-                                events_processed: r.events_processed,
-                                ..f
-                            };
-                            assert_eq!(f, r, "{at}");
+                            assert_same_but_events(&at, f, &r);
                             assert_eq!(fork.per_rank_events(), full.per_rank_events(), "{at}");
                         }
                         Fork::Cold => cold += 1,
                     }
+                    let from = match forks.lookup(noise.first_arrival()) {
+                        Fork::Baseline => continue,
+                        Fork::Resume(snap) => Some(snap),
+                        Fork::Cold => None,
+                    };
+                    let mut fork = noise.clone();
+                    let f = forks.run(&cs, &p, from, &mut fork).unwrap();
+                    let prefix = from.map_or(0, |s| s.events());
+                    let events = f.result.events_processed + prefix + f.suffix;
+                    assert_eq!(events, r.events_processed, "{at}");
+                    assert_same_but_events(&at, f.result, &r);
+                    assert_eq!(fork.per_rank_events(), full.per_rank_events(), "{at}");
+                    rejoined += usize::from(f.suffix > 0);
                 }
             }
         }
     }
     assert!(
-        baseline > 0 && resumed > 0 && cold > 0,
-        "baseline {baseline}, resumed {resumed}, cold {cold}"
+        baseline > 0 && resumed > 0 && cold > 0 && rejoined > 0,
+        "baseline {baseline}, resumed {resumed}, cold {cold}, rejoined {rejoined}"
     );
+}
+
+fn assert_same_but_events(at: &str, got: SimResult, want: &SimResult) {
+    let got = SimResult {
+        events_processed: want.events_processed,
+        ..got
+    };
+    assert_eq!(&got, want, "{at}");
 }
 
 /// End to end through `run_against_baseline_compiled` (serial and
 /// sharded) and `run_against_baseline_entry`: every replica's finish and
 /// CE count equal a full simulation of that replica. Exactly the replicas
-/// no CE reaches report no engine events, and a resumed replica's events
-/// plus its skipped prefix are the full run's.
+/// no CE reaches report no engine events, and a forked replica's events
+/// plus the prefix and suffix it skipped are the full run's.
 #[test]
 fn experiment_replicas_match_full_simulation() {
     // (app, scope, targeted ranks): MTBCE = 2 x targeted ranks x the
@@ -199,6 +218,7 @@ fn experiment_replicas_match_full_simulation() {
                     }
                 }
                 assert_eq!(run.skipped, 0, "{at}: no snapshots to resume from");
+                assert!(fork.suffix <= fork.skipped, "{at}");
                 skipped += usize::from(quiet);
                 resumed += usize::from(fork.skipped > 0);
             }
@@ -208,7 +228,7 @@ fn experiment_replicas_match_full_simulation() {
                 out.runs.len()
             );
             if shards > 1 {
-                assert_eq!(resumed, 0, "{app}: sharded replicas never resume");
+                assert_eq!(resumed, 0, "{app}: sharded replicas never resume or rejoin");
             }
         }
     }
