@@ -152,7 +152,8 @@ FLEET OPTIONS (cesim fleet SPEC.json)
   --profile         Span-profiler phase breakdown (fleet_place/fleet_run/
                     fleet_policy) on stderr after the run, plus the job
                     slices resumed from baseline snapshots or rejoining
-                    the baseline and the engine events each skipped
+                    the baseline, the engine events each skipped, and the
+                    snapshots the fork tables hold
   --quiet           Suppress the '#' summary trailer on stdout
 
 FIG2 OPTIONS
@@ -423,6 +424,13 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
             "baseline rejoins: {} slices rejoined the baseline, {} events skipped",
             cache.rejoins(),
             cache.rejoined_events()
+        );
+        let f = cache.fork_footprint();
+        eprintln!(
+            "fork tables     : {} snapshots in {} KiB over {} entries",
+            f.snapshots,
+            (f.bytes + 512) / 1024,
+            f.entries
         );
     }
     Ok(())

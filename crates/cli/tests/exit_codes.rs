@@ -300,6 +300,20 @@ fn zero_mtbce_exits_one() {
     }
 }
 
+/// A lognormal sigma large enough to overflow the MTBCE draw still runs
+/// the fleet: the draw saturates (an exit of 101 would be a panic).
+#[test]
+fn fleet_with_huge_lognormal_sigma_exits_zero() {
+    let spec = std::fs::read_to_string(example("fleet_small.json")).unwrap();
+    let huge = r#"{"dist": "lognormal", "median": "600s", "sigma": 1e308}"#;
+    let spec = spec.replace(r#"{"dist": "uniform", "min": "8ms", "max": "15ms"}"#, huge);
+    assert!(spec.contains(huge), "fleet_small.json changed its mtbce");
+    let path = scratch("fleet-huge-sigma.json");
+    std::fs::write(&path, spec).unwrap();
+    let (code, stderr) = run_cli(&["fleet", path.to_str().unwrap(), "--quiet"]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+}
+
 #[test]
 fn successful_commands_exit_zero() {
     for args in [&["help"][..], &["table1"], &["list"], &["skeletons"]] {

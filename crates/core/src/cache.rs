@@ -28,7 +28,7 @@ use cesim_workloads::{natural_ranks, AppId, WorkloadConfig};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 
 /// A small dependency-free LRU map.
 ///
@@ -102,6 +102,11 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     pub fn cap(&self) -> usize {
         self.cap
     }
+
+    /// The values held, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|(v, _)| v)
+    }
 }
 
 /// A compiled schedule plus everything per-request work shares: the
@@ -126,6 +131,18 @@ impl CompiledEntry {
 
 /// One key's entry, filled by the first caller to compile it.
 type Slot = Mutex<Option<Arc<CompiledEntry>>>;
+
+/// What the fork tables of a [`ScheduleCache`]'s entries hold (see
+/// [`ScheduleCache::fork_footprint`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ForkFootprint {
+    /// Compiled entries counted.
+    pub entries: usize,
+    /// Snapshots their fork tables hold.
+    pub snapshots: usize,
+    /// Heap bytes of those snapshots ([`ForkTable::bytes`]).
+    pub bytes: usize,
+}
 
 /// Thread-safe LRU of [`CompiledEntry`]s keyed by
 /// `(app, ranks, workload knobs, network params)`.
@@ -271,6 +288,31 @@ impl ScheduleCache {
     /// Engine events of the baseline suffix those replicas skipped.
     pub fn rejoined_events(&self) -> u64 {
         self.rejoined_events.load(Relaxed)
+    }
+
+    /// The snapshots the fork tables of the entries held now keep: the
+    /// heap this cache spends to let replicas resume and rejoin. An entry
+    /// whose slot is busy (being compiled, or being looked up at that
+    /// instant) is skipped rather than waited for.
+    pub fn fork_footprint(&self) -> ForkFootprint {
+        let slots: Vec<Arc<Slot>> = {
+            let guard = self.inner.lock().expect("schedule cache lock");
+            guard.values().cloned().collect()
+        };
+        let mut out = ForkFootprint::default();
+        for slot in slots {
+            let filled = match slot.try_lock() {
+                Ok(filled) => filled,
+                Err(TryLockError::Poisoned(e)) => e.into_inner(),
+                Err(TryLockError::WouldBlock) => continue,
+            };
+            if let Some(entry) = filled.as_ref() {
+                out.entries += 1;
+                out.snapshots += entry.forks.snapshots().len();
+                out.bytes += entry.forks.bytes();
+            }
+        }
+        out
     }
 
     /// Entries currently held.

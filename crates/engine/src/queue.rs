@@ -490,6 +490,15 @@ impl<E: Copy> EventQueue<E> {
         self.pushed = snap.pushed;
     }
 
+    /// Bytes of one radix-bucket entry, one active-run entry and one
+    /// snapshot entry (pinned for release builds).
+    #[cfg(all(test, not(debug_assertions)))]
+    pub(crate) const ENTRY_BYTES: [usize; 3] = [
+        std::mem::size_of::<Entry<E>>(),
+        std::mem::size_of::<(u64, E)>(),
+        std::mem::size_of::<(u64, u64, E)>(),
+    ];
+
     /// Entries the queue's buffers can hold without reallocating.
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {

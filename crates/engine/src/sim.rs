@@ -77,27 +77,43 @@ impl Msg {
     }
 }
 
-/// Index of an in-flight message in the [`MsgSlab`] arena. The
-/// generation makes stale copies detectable: a ref is valid for exactly
-/// one `alloc`-to-`take` lifetime of its slot.
+/// Index of an in-flight message in the [`MsgSlab`] arena. Debug builds
+/// also carry the slot's generation, which makes stale copies
+/// detectable: a ref is valid for exactly one `alloc`-to-`take` lifetime
+/// of its slot. Release builds drop it, so an arrival's payload is the
+/// 4-byte slot alone and an [`Event`] is 8 bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct MsgRef {
     pub(crate) slot: u32,
-    pub(crate) gen: u32,
+    #[cfg(debug_assertions)]
+    gen: u32,
 }
 
-/// Generational arena for in-flight messages.
+impl MsgRef {
+    /// A ref into a message list outside any slab (a fork snapshot's
+    /// own list of in-flight messages).
+    pub(crate) fn detached(slot: u32) -> Self {
+        MsgRef {
+            slot,
+            #[cfg(debug_assertions)]
+            gen: 0,
+        }
+    }
+}
+
+/// Arena for in-flight messages.
 ///
 /// Between its send-side injection and its arrival dispatch a message
-/// used to ride inside the `Event` enum, making every heap entry
+/// used to ride inside the `Event` enum, making every queue entry
 /// `Msg`-sized. The slab keeps the one live copy here and hands the
-/// queue an 8-byte [`MsgRef`] instead, so heap sift swaps move a
-/// quarter of the bytes. Slots are recycled through a free list;
-/// generations only ever increase (per slot), so a ref leaked across
-/// [`MsgSlab::reset`] can never alias a later message.
+/// queue a 4-byte [`MsgRef`] instead. Slots are recycled through a free
+/// list. Debug builds keep a generation per slot that only ever
+/// increases, so a ref leaked across [`MsgSlab::reset`] or used after its
+/// `take` panics instead of aliasing a later message.
 #[derive(Default)]
 pub(crate) struct MsgSlab {
     msgs: Vec<Msg>,
+    #[cfg(debug_assertions)]
     gens: Vec<u32>,
     free: Vec<u32>,
 }
@@ -106,30 +122,37 @@ impl MsgSlab {
     /// Park `msg` in the arena until its arrival; returns its ref.
     #[inline]
     pub(crate) fn alloc(&mut self, msg: Msg) -> MsgRef {
-        match self.free.pop() {
+        let slot = match self.free.pop() {
             Some(slot) => {
                 self.msgs[slot as usize] = msg;
-                MsgRef {
-                    slot,
-                    gen: self.gens[slot as usize],
-                }
+                slot
             }
             None => {
-                let slot = self.msgs.len() as u32;
                 self.msgs.push(msg);
+                #[cfg(debug_assertions)]
                 self.gens.push(0);
-                MsgRef { slot, gen: 0 }
+                self.msgs.len() as u32 - 1
             }
+        };
+        MsgRef {
+            slot,
+            #[cfg(debug_assertions)]
+            gen: self.gens[slot as usize],
         }
     }
 
-    /// Retire `r` and return its message. The slot's generation is
-    /// bumped, so `r` (and any copy of it) is dead from here on.
+    /// Retire `r` and return its message. In debug builds the slot's
+    /// generation is bumped, so `r` (and any copy of it) is dead from
+    /// here on.
     #[inline]
     fn take(&mut self, r: MsgRef) -> Msg {
+        #[cfg(debug_assertions)]
+        assert!(self.is_current(r), "stale MsgRef dereferenced");
         let i = r.slot as usize;
-        debug_assert_eq!(self.gens[i], r.gen, "stale MsgRef dereferenced");
-        self.gens[i] = self.gens[i].wrapping_add(1);
+        #[cfg(debug_assertions)]
+        {
+            self.gens[i] = self.gens[i].wrapping_add(1);
+        }
         self.free.push(r.slot);
         self.msgs[i]
     }
@@ -137,10 +160,8 @@ impl MsgSlab {
     /// The message `r` refers to, leaving it in flight.
     #[inline]
     pub(crate) fn get(&self, r: MsgRef) -> Msg {
-        debug_assert_eq!(
-            self.gens[r.slot as usize], r.gen,
-            "stale MsgRef dereferenced"
-        );
+        #[cfg(debug_assertions)]
+        assert!(self.is_current(r), "stale MsgRef dereferenced");
         self.msgs[r.slot as usize]
     }
 
@@ -151,16 +172,17 @@ impl MsgSlab {
     }
 
     /// Would `r` still resolve to the message it was issued for?
-    #[cfg(test)]
+    #[cfg(debug_assertions)]
     fn is_current(&self, r: MsgRef) -> bool {
         self.gens[r.slot as usize] == r.gen
     }
 
     /// Reset for a new replica, keeping all allocations: every slot
-    /// becomes free and every generation is bumped, so refs issued
-    /// before the reset can never alias messages allocated after it
-    /// (generations stay monotone across resets).
+    /// becomes free, and in debug builds every generation is bumped, so
+    /// refs issued before the reset can never alias messages allocated
+    /// after it (generations stay monotone across resets).
     fn reset(&mut self) {
+        #[cfg(debug_assertions)]
         for g in &mut self.gens {
             *g = g.wrapping_add(1);
         }
@@ -169,9 +191,14 @@ impl MsgSlab {
     }
 }
 
+/// A queued event. The rank an `OpReady` runs on is not stored: ops are
+/// only ever readied by their own rank (`push_op_ready`, `seed_roots`),
+/// so it is the event key's `crank`. In release builds an event is
+/// 8 bytes, a radix-bucket entry 24 and an active-run entry 16, both in
+/// the live queue and in fork snapshots.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Event {
-    OpReady { rank: u32, op: u32 },
+    OpReady { op: u32 },
     Arrive(MsgRef),
 }
 
@@ -351,7 +378,7 @@ impl RunScratch {
                     (
                         Time::ZERO,
                         EvKey { crank: rank, cseq },
-                        Event::OpReady { rank, op },
+                        Event::OpReady { op },
                     )
                 }),
         );
@@ -740,11 +767,11 @@ impl<'e, R: Recorder> Engine<'e, R> {
                     let (t, key, ev) = self.s.queue.pop().expect("peeked entry exists");
                     self.rec.begin_pop(t, key);
                     events += 1;
-                    self.dispatch(noise, ev, t);
+                    self.dispatch(noise, key, ev, t);
                 }
                 self.rec.begin_pop(bt, bkey);
                 events += 1;
-                self.dispatch(noise, bev, bt);
+                self.dispatch(noise, bkey, bev, bt);
             }
             if between(self.s, noise, t, events).is_break() {
                 break;
@@ -754,11 +781,11 @@ impl<'e, R: Recorder> Engine<'e, R> {
         events
     }
 
-    /// Process one popped event.
+    /// Process one event popped under `key`.
     #[inline]
-    fn dispatch<N: NoiseModel + ?Sized>(&mut self, noise: &mut N, ev: Event, t: Time) {
+    fn dispatch<N: NoiseModel + ?Sized>(&mut self, noise: &mut N, key: EvKey, ev: Event, t: Time) {
         match ev {
-            Event::OpReady { rank, op } => self.exec_op(noise, rank, op, t),
+            Event::OpReady { op } => self.exec_op(noise, key.crank, op, t),
             Event::Arrive(mref) => {
                 let msg = self.s.slab.take(mref);
                 self.arrive(noise, msg, t)
@@ -790,12 +817,13 @@ impl<'e, R: Recorder> Engine<'e, R> {
         EvKey { crank, cseq }
     }
 
-    /// Schedule op readiness at `time`. Dependencies never cross ranks,
-    /// so an `OpReady` is always local to the creating shard.
+    /// Schedule op readiness at `time`, keyed by the op's own rank (which
+    /// is how [`Event::OpReady`] recovers it). Dependencies never cross
+    /// ranks, so an `OpReady` is always local to the creating shard.
     #[inline]
     fn push_op_ready(&mut self, rank: u32, time: Time, op: u32) {
         let key = self.next_key(rank);
-        self.s.queue.push(time, key, Event::OpReady { rank, op });
+        self.s.queue.push(time, key, Event::OpReady { op });
     }
 
     /// Schedule `msg`'s arrival at `time`, keyed by creating rank
@@ -1934,11 +1962,22 @@ mod tests {
         assert!(!rec.events.is_empty());
     }
 
+    /// The hot loop's layout: 8-byte events, so a radix-bucket entry is
+    /// 24 bytes and an active-run entry 16, live and in fork snapshots.
+    /// (Debug builds keep each `MsgRef`'s generation and are larger.)
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn queue_events_are_8_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 8);
+        assert_eq!(EventQueue::<Event>::ENTRY_BYTES, [24, 16, 24]);
+    }
+
     /// Arena-reuse equivalence: slab indices never alias live messages
     /// across replica resets. Refs held from any earlier round — both
     /// consumed and still-nominally-live ones — are stale after a
     /// reset (generations are monotone per slot), while refs issued in
     /// the current round resolve to exactly their own message.
+    #[cfg(debug_assertions)]
     #[test]
     fn msg_slab_never_aliases_across_100_resets() {
         let mk = |id: u64| Msg {
@@ -1973,6 +2012,28 @@ mod tests {
             slab.reset();
             assert_eq!(slab.live(), 0);
         }
+    }
+
+    /// Debug builds catch a ref used after its message was taken, even
+    /// once the slot holds another message.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "stale MsgRef dereferenced")]
+    fn msg_slab_rejects_a_taken_ref() {
+        let msg = Msg {
+            id: 0,
+            src: 0,
+            dst: 1,
+            tag: Tag(0),
+            bytes: 8,
+            src_op: 0,
+            kind: MsgKind::Eager,
+        };
+        let mut slab = MsgSlab::default();
+        let r = slab.alloc(msg);
+        slab.take(r);
+        assert_eq!(slab.alloc(msg).slot, r.slot);
+        slab.get(r);
     }
 
     /// Live messages copied out mid-run (`get`) and parked again in a

@@ -57,7 +57,10 @@ fn draw_mtbce(dist: &MtbceDist, rng: &mut Rng64) -> Span {
             let u1 = rng.next_f64_open();
             let u2 = rng.next_f64_open();
             let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            Span::from_secs_f64(median.as_secs_f64() * (sigma * z).exp())
+            // A large sigma overflows the draw to infinity; it saturates
+            // at the longest span, as any finite draw past it already does.
+            let secs = median.as_secs_f64() * (sigma * z).exp();
+            Span::from_secs_f64(secs.min(f64::MAX))
         }
         MtbceDist::Buckets(buckets) => {
             let total: f64 = buckets.iter().map(|(_, w)| w).sum();
@@ -188,6 +191,23 @@ mod tests {
             (0.008..0.012).contains(&median),
             "sample median {median} should be near 10ms"
         );
+    }
+
+    /// A sigma so large that `exp(sigma * z)` overflows saturates the
+    /// draw instead of panicking; the lower tail still hits the floor.
+    #[test]
+    fn huge_lognormal_sigma_saturates() {
+        let spec = ClusterSpec {
+            mtbce: MtbceDist::LogNormal {
+                median: Span::from_secs(600),
+                sigma: 1e308,
+            },
+            ..uniform_spec(256)
+        };
+        let nodes = build_cluster(&spec, 3);
+        for extreme in [Span::MAX, MTBCE_FLOOR] {
+            assert!(nodes.iter().any(|n| n.mtbce == extreme), "{extreme:?}");
+        }
     }
 
     #[test]

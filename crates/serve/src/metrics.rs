@@ -270,6 +270,29 @@ impl Metrics {
             ));
         }
 
+        let forks = state.schedules.fork_footprint();
+        for (name, help, value) in [
+            (
+                "cesim_fork_tables",
+                "Cached entries whose baseline fork table is built.",
+                forks.entries,
+            ),
+            (
+                "cesim_fork_snapshots",
+                "Baseline snapshots those fork tables hold.",
+                forks.snapshots,
+            ),
+            (
+                "cesim_fork_snapshot_bytes",
+                "Heap bytes those snapshots hold.",
+                forks.bytes,
+            ),
+        ] {
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
+            ));
+        }
+
         out.push_str("# HELP cesim_build_info Build metadata; value is always 1.\n");
         out.push_str("# TYPE cesim_build_info gauge\n");
         out.push_str(&format!(

@@ -379,6 +379,8 @@ fn scrape_is_valid_prometheus_and_flightrec_dumps() {
         "cesim_forked_events_total ",
         "cesim_baseline_rejoins_total ",
         "cesim_rejoined_events_total ",
+        "cesim_fork_snapshots ",
+        "cesim_fork_snapshot_bytes ",
     ] {
         assert!(
             scrape.body.contains(needle),
@@ -386,6 +388,13 @@ fn scrape_is_valid_prometheus_and_flightrec_dumps() {
             scrape.body
         );
     }
+
+    // The request above compiled one entry and built its fork table.
+    assert!(
+        scrape.body.contains("\ncesim_fork_tables 1\n"),
+        "fork table gauge in:\n{}",
+        scrape.body
+    );
 
     let dump = client::get(addr, "/v1/debug/flightrec", TIMEOUT).unwrap();
     assert_eq!(dump.status, 200);
