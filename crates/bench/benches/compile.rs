@@ -24,8 +24,6 @@ use cesim_core::goal::collectives::{allreduce_recursive_doubling, CollectiveCost
 use cesim_core::goal::{Rank, Schedule, ScheduleBuilder};
 use cesim_core::model::{LogGopsParams, Span};
 use cesim_core::noise::{CeNoise, Scope};
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::hint::black_box;
 use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -88,7 +86,7 @@ fn best_interleaved(
     (best_a, best_b)
 }
 
-fn bench_compile(c: &mut Criterion) {
+fn main() {
     let ranks = env_usize("ENGINE_BENCH_RANKS", 256);
     let rounds = env_usize("ENGINE_BENCH_ROUNDS", 24);
     let replicas = env_usize("ENGINE_BENCH_REPLICAS", 24);
@@ -97,29 +95,6 @@ fn bench_compile(c: &mut Criterion) {
     let sched = allreduce_schedule(ranks, rounds);
     let cs = CompiledSchedule::compile(&sched);
     let ops = sched.total_ops() as u64;
-
-    let mut g = c.benchmark_group("compile");
-    g.sample_size(10);
-
-    g.throughput(Throughput::Elements(ops));
-    g.bench_function(format!("compile_only_{ranks}r"), |b| {
-        b.iter(|| CompiledSchedule::compile(black_box(&sched)))
-    });
-    g.bench_function(format!("rebuild_per_replica_{ranks}r"), |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            simulate(black_box(&sched), &params, &mut noise(ranks, seed)).unwrap()
-        })
-    });
-    g.bench_function(format!("compile_once_{ranks}r"), |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            simulate_compiled(black_box(&cs), &params, &mut noise(ranks, seed)).unwrap()
-        })
-    });
-    g.finish();
 
     // Headline comparison: a whole replica sweep each way, best of
     // several interleaved trials.
@@ -153,6 +128,3 @@ fn bench_compile(c: &mut Criterion) {
         println!("wrote {path}");
     }
 }
-
-criterion_group!(benches, bench_compile);
-criterion_main!(benches);

@@ -27,8 +27,6 @@ use cesim_core::goal::builder::TagPool;
 use cesim_core::goal::collectives::{allreduce_recursive_doubling, CollectiveCosts};
 use cesim_core::goal::{Rank, Schedule, ScheduleBuilder};
 use cesim_core::model::LogGopsParams;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::hint::black_box;
 use std::time::Instant;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -69,7 +67,7 @@ fn best_secs(trials: usize, run: &mut impl FnMut() -> SimResult) -> (f64, SimRes
     (best, result)
 }
 
-fn bench_shard(c: &mut Criterion) {
+fn main() {
     let ranks = env_usize("SHARD_BENCH_RANKS", 65536);
     let rounds = env_usize("SHARD_BENCH_ROUNDS", 2);
     let trials = env_usize("SHARD_BENCH_TRIALS", 3);
@@ -79,19 +77,6 @@ fn bench_shard(c: &mut Criterion) {
     let sched = allreduce_schedule(ranks, rounds);
     let cs = CompiledSchedule::compile(&sched);
     let ops = sched.total_ops() as u64;
-
-    // Criterion pass at whatever scale the env selected (CI smoke runs
-    // shrink it); the committed numbers come from the headline below.
-    // `SHARD_BENCH_QUICK=1` skips straight to the headline.
-    if env_usize("SHARD_BENCH_QUICK", 0) == 0 {
-        let mut g = c.benchmark_group("shard");
-        g.sample_size(10);
-        g.throughput(Throughput::Elements(ops));
-        g.bench_function(format!("serial_{ranks}r"), |b| {
-            b.iter(|| simulate_compiled(black_box(&cs), &params, &mut cesim_core::engine::NoNoise))
-        });
-        g.finish();
-    }
 
     // Headline: best-of-trials single-run latency, serial vs each shard
     // count, with a full-result equality check on every configuration.
@@ -132,6 +117,3 @@ fn bench_shard(c: &mut Criterion) {
         println!("wrote {path}");
     }
 }
-
-criterion_group!(benches, bench_shard);
-criterion_main!(benches);

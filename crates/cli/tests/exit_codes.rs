@@ -278,6 +278,22 @@ fn fleet_runtime_failures_exit_one_with_pointful_stderr() {
     assert!(stderr.contains("threshold_offline"), "stderr: {stderr}");
 }
 
+/// A 20,000-deep nested document is a parse error (exit 1 naming the
+/// depth cap), not a stack overflow that aborts the process.
+#[test]
+fn deeply_nested_json_exits_one() {
+    let path = scratch("deeply-nested.json");
+    std::fs::write(&path, "[".repeat(20_000)).unwrap();
+    for cmd in ["fleet", "trace-check"] {
+        let (code, stderr) = run_cli(&[cmd, path.to_str().unwrap()]);
+        assert_eq!(code, 1, "{cmd}: stderr: {stderr}");
+        assert!(
+            stderr.contains("deeper than 128"),
+            "{cmd}: stderr: {stderr}"
+        );
+    }
+}
+
 /// A zero MTBCE is an invalid option value on every command that takes
 /// one, not a panic (101) or a silent "no forward progress" (0).
 #[test]

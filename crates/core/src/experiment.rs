@@ -19,7 +19,6 @@ use cesim_engine::{
     simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, Fork, ForkTable, NoNoise,
     NullRecorder, ShardTelemetry, SimError, SimResult, Simulator, WindowObserver,
 };
-use cesim_goal::Schedule;
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
 use cesim_noise::{CeNoise, Scope};
 use cesim_obs::critical::Attribution;
@@ -301,7 +300,7 @@ pub struct Outcome {
     pub diverged: bool,
     /// Observability summaries of the recorded replicas; `None` unless
     /// the experiment ran with a non-zero `observe_replicas` count (see
-    /// [`run_against_baseline_observed`]).
+    /// [`run_against_baseline_compiled`]).
     pub obs: Option<CellObs>,
 }
 
@@ -365,52 +364,15 @@ impl Outcome {
     }
 }
 
-/// Run an experiment: build the schedule, simulate the baseline, then the
-/// perturbed replicas (unless the divergence guard fires).
+/// Run an experiment: build and compile the schedule, simulate the
+/// baseline, then the perturbed replicas (unless the divergence guard
+/// fires).
 pub fn run(exp: &Experiment) -> Result<Outcome, SimError> {
     let ranks = natural_ranks(exp.app, exp.nodes);
     let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-    run_on_schedule(exp, ranks, &sched)
-}
-
-/// Like [`run`], but against a pre-built schedule (lets figure sweeps
-/// share one schedule and baseline across many cells). Compiles the
-/// schedule once; the baseline and every replica run the compiled form.
-pub fn run_on_schedule(
-    exp: &Experiment,
-    ranks: usize,
-    sched: &Schedule,
-) -> Result<Outcome, SimError> {
-    let cs = Arc::new(CompiledSchedule::compile(sched));
+    let cs = Arc::new(CompiledSchedule::compile(&sched));
     let base = simulate_compiled(&cs, &exp.params, &mut NoNoise)?;
     run_against_baseline_compiled(exp, ranks, &cs, base.finish, 0)
-}
-
-/// Innermost schedule-based variant: baseline already known, no
-/// observability. Thin wrapper over the compiled path.
-pub fn run_against_baseline(
-    exp: &Experiment,
-    ranks: usize,
-    sched: &Schedule,
-    baseline: Time,
-) -> Result<Outcome, SimError> {
-    run_against_baseline_observed(exp, ranks, sched, baseline, 0)
-}
-
-/// Like [`run_against_baseline`], recording the first `observe_replicas`
-/// replicas with bounded [`TimelineRecorder`]s and attaching per-replica
-/// critical-path and provenance summaries ([`CellObs`]) to the outcome.
-/// Thin wrapper: compiles the schedule, then delegates to
-/// [`run_against_baseline_compiled`].
-pub fn run_against_baseline_observed(
-    exp: &Experiment,
-    ranks: usize,
-    sched: &Schedule,
-    baseline: Time,
-    observe_replicas: usize,
-) -> Result<Outcome, SimError> {
-    let cs = Arc::new(CompiledSchedule::compile(sched));
-    run_against_baseline_compiled(exp, ranks, &cs, baseline, observe_replicas)
 }
 
 /// Innermost variant: replicas of an already-compiled schedule against a
@@ -613,7 +575,6 @@ fn run_replicas(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cesim_engine::simulate;
     use cesim_goal::Rank;
 
     #[test]
@@ -716,9 +677,10 @@ mod tests {
             .steps(4);
         let ranks = natural_ranks(exp.app, exp.nodes);
         let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-        let base = simulate(&sched, &exp.params, &mut NoNoise).unwrap();
-        let plain = run_against_baseline(&exp, ranks, &sched, base.finish).unwrap();
-        let observed = run_against_baseline_observed(&exp, ranks, &sched, base.finish, 1).unwrap();
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let base = simulate_compiled(&cs, &exp.params, &mut NoNoise).unwrap();
+        let plain = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
+        let observed = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 1).unwrap();
         // Observation is a pure add-on: replica results are identical.
         assert_eq!(plain.runs, observed.runs);
         assert!(plain.obs.is_none());
@@ -749,9 +711,10 @@ mod tests {
             .steps(4);
         let ranks = natural_ranks(exp.app, exp.nodes);
         let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-        let base = simulate(&sched, &exp.params, &mut NoNoise).unwrap();
-        let plain = run_against_baseline(&exp, ranks, &sched, base.finish).unwrap();
-        let out = run_against_baseline_observed(&exp, ranks, &sched, base.finish, 2).unwrap();
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let base = simulate_compiled(&cs, &exp.params, &mut NoNoise).unwrap();
+        let plain = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
+        let out = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 2).unwrap();
         assert_eq!(plain.runs, out.runs, "observation never alters results");
         let obs = out.obs.unwrap();
         assert_eq!(obs.replicas.len(), 2);
@@ -766,7 +729,7 @@ mod tests {
         assert!(sd >= 0.0);
         assert!(obs.max_amplification() >= 0.0);
         // Asking for more observed replicas than reps records them all.
-        let capped = run_against_baseline_observed(&exp, ranks, &sched, base.finish, 99).unwrap();
+        let capped = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 99).unwrap();
         assert_eq!(capped.obs.unwrap().replicas.len(), exp.reps as usize);
     }
 

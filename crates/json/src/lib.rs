@@ -43,7 +43,11 @@ impl JsonValue {
     /// Parse a complete JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { b: bytes, i: 0 };
+        let mut p = Parser {
+            b: bytes,
+            i: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -271,9 +275,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a small document
+/// (20,000 `[`s is 20 KB) overflow a thread's stack, which aborts the
+/// process. Request bodies, fleet specs and Chrome traces nest only a
+/// few levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open around `i`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -309,8 +322,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -318,6 +331,21 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object one level deeper, failing past
+    /// [`MAX_DEPTH`] instead of recursing further.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
@@ -532,6 +560,26 @@ mod tests {
         assert!(JsonValue::parse("{\"a\" 1}").is_err());
         assert!(JsonValue::parse("123 junk").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_before_it_can_overflow_the_stack() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.reason.contains("deeper than 128"), "{err}");
+        // Objects count toward the same limit as arrays.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2 + 1);
+        let err = JsonValue::parse(&mixed).unwrap_err();
+        assert!(err.reason.contains("deeper than 128"), "{err}");
+        // An attack-sized document fails the same way, on a thread with
+        // the default 2 MiB stack that serve workers run on.
+        let flood = "[".repeat(20_000);
+        let err = std::thread::spawn(move || JsonValue::parse(&flood).unwrap_err())
+            .join()
+            .expect("parser must not overflow the stack");
+        assert!(err.reason.contains("deeper than 128"), "{err}");
     }
 
     #[test]

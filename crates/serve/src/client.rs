@@ -1,9 +1,9 @@
 //! A tiny blocking HTTP/1.1 client for the same subset the daemon
 //! speaks: one request per connection, `Content-Length` bodies.
 //!
-//! Exists so the integration tests and the `serve_loadtest` example can
-//! drive the daemon without external tooling; it is not a general HTTP
-//! client.
+//! Exists so the integration tests and the `serve` workload of
+//! `examples/benchmark` can drive the daemon without external tooling;
+//! it is not a general HTTP client.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

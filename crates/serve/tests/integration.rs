@@ -204,6 +204,21 @@ fn malformed_inputs_get_4xx_without_killing_workers() {
     assert_eq!(ok.status, 200);
     assert_eq!(scrape_counter(addr, "cesim_worker_panics_total"), 1);
     server.shutdown();
+
+    // 20,000 nested arrays (20 KB, within the default body limit) → 400
+    // from the parser's depth cap, not a stack overflow on the worker
+    // thread that aborts the whole process.
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        ..test_config()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let r = client::post(addr, "/v1/simulate", &"[".repeat(20_000), TIMEOUT).unwrap();
+    assert_eq!(r.status, 400);
+    assert!(r.body.contains("deeper than 128"), "{}", r.body);
+    assert_eq!(client::get(addr, "/healthz", TIMEOUT).unwrap().status, 200);
+    server.shutdown();
 }
 
 #[test]
