@@ -9,11 +9,12 @@
 //! noise. The active `TimelineRecorder` cost is printed alongside for
 //! the logs (it is allowed to cost — it records everything).
 //!
-//! The runtime-telemetry layer (span profiler + flight recorder) has
-//! the same contract at runtime instead of compile time: disabled via
-//! its process-wide atomic, the sharded engine path (4 threaded shards)
-//! with the window hook installed must stay within 2% of the pre-hook
-//! path.
+//! The runtime-telemetry layer (span profiler, flight recorder, request
+//! traces) has the same contract at runtime instead of compile time:
+//! switched off via its process-wide atomic after it has been on (ring
+//! allocated, labels interned), the sharded engine path (4 threaded
+//! shards) must stay within 2% of the same path timed before telemetry
+//! was ever enabled.
 
 use cesim_core::engine::{
     simulate, simulate_compiled_sharded, CompiledSchedule, NoNoise, NullRecorder, Simulator,
@@ -81,12 +82,12 @@ fn main() {
         null_overhead * 100.0
     );
 
-    // Runtime telemetry (span profiler + flight recorder) is gated on a
-    // single process-wide atomic; the sharded engine additionally fires
-    // a window hook once per lookahead window. Contract: with the hook
-    // installed and telemetry *disabled*, the engine path stays within
-    // 2% of the same run measured before any hook existed. The enabled
-    // cost is printed alongside for the logs.
+    // Runtime telemetry (span profiler, flight recorder, request traces)
+    // is gated on a single process-wide atomic. Contract: once telemetry
+    // has been on — its ring allocated and its labels interned — and is
+    // switched off again, the engine path stays within 2% of the same
+    // run measured before telemetry was ever enabled. The enabled cost
+    // is printed alongside for the logs.
     let cs = CompiledSchedule::compile(&sched);
     let run_sharded = |cs: &CompiledSchedule| {
         let _s = Span::enter("bench_cell");
@@ -98,7 +99,6 @@ fn main() {
         run_sharded(&cs);
         t_before = t_before.min(t0.elapsed().as_secs_f64());
     }
-    telemetry::install_engine_hook();
     let mut t_disabled = f64::INFINITY;
     let mut t_enabled = f64::INFINITY;
     for _ in 0..rounds {
@@ -115,7 +115,7 @@ fn main() {
     telemetry::set_enabled(false);
     let disabled_overhead = t_disabled / t_before - 1.0;
     println!(
-        "=== telemetry overhead (sharded x4, min of {rounds}): no-hook {:.3}ms, \
+        "=== telemetry overhead (sharded x4, min of {rounds}): never-enabled {:.3}ms, \
          disabled {:.3}ms ({:+.2}%), enabled {:.3}ms ({:+.2}%) ===",
         t_before * 1e3,
         t_disabled * 1e3,
@@ -125,7 +125,7 @@ fn main() {
     );
     assert!(
         disabled_overhead < 0.02,
-        "disabled telemetry must be free: measured {:+.2}% vs the pre-hook engine path",
+        "disabled telemetry must be free: measured {:+.2}% vs the never-enabled engine path",
         disabled_overhead * 100.0
     );
 }

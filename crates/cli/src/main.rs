@@ -1015,11 +1015,10 @@ fn parse_mode(s: &str) -> Result<LoggingMode, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    use cesim_core::engine::{shard_globals, CompiledSchedule, ShardTelemetry};
+    use cesim_core::engine::{CompiledSchedule, ShardTelemetry};
     use cesim_core::experiment::run_against_baseline_compiled_telem;
     use cesim_core::obs::telemetry::{self, Span as ProfSpan};
     use cesim_core::workloads::natural_ranks;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1087,48 +1086,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         None
     };
 
-    // Sharded runs finish replicas slowly; report window-based progress
-    // from the engine's global counters instead of staying silent.
-    let ticker_stop = Arc::new(AtomicBool::new(false));
-    let ticker = if shards > 1 && args.has_flag("progress") {
-        let stop = Arc::clone(&ticker_stop);
+    let progress = (shards > 1 && args.has_flag("progress")).then(|| {
         let expected_ps = base
             .finish
             .since(cesim_core::model::Time::ZERO)
             .as_ps()
             .saturating_mul(reps as u64);
-        let start = shard_globals();
-        Some(std::thread::spawn(move || loop {
-            for _ in 0..20 {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-            let g = shard_globals();
-            let sim_ps = g.sim_ps_advanced.saturating_sub(start.sim_ps_advanced);
-            let windows = g.windows.saturating_sub(start.windows);
-            let elapsed = run_start.elapsed().as_secs_f64();
-            let sim_s = sim_ps as f64 / 1e12;
-            let expected_s = expected_ps as f64 / 1e12;
-            let pct = if expected_ps > 0 {
-                (sim_s / expected_s * 100.0).min(100.0)
-            } else {
-                0.0
-            };
-            let eta = if sim_ps > 0 && expected_ps > sim_ps {
-                elapsed * (expected_ps - sim_ps) as f64 / sim_ps as f64
-            } else {
-                0.0
-            };
-            eprintln!(
-                "[run] shard progress: {windows} windows, {sim_s:.1}/{expected_s:.1} sim-s \
-                 ({pct:.0}%, ETA {eta:.0}s)"
-            );
-        }))
-    } else {
-        None
-    };
+        figures::ShardProgress::start("run".into(), expected_ps, run_start)
+    });
 
     let out = {
         let _s = ProfSpan::enter("run");
@@ -1137,13 +1102,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         })
         .map_err(|e| e.to_string())?
     };
-    // Wall time for the profile table stops here: the ticker join below
-    // can lag up to one poll interval and is not simulation work.
+    // Wall time for the profile table stops here: the progress join
+    // below can lag up to one poll interval and is not simulation work.
     let run_wall = run_start.elapsed();
-    ticker_stop.store(true, Ordering::Relaxed);
-    if let Some(t) = ticker {
-        let _ = t.join();
-    }
+    drop(progress);
     println!("ranks simulated : {}", out.ranks);
     println!("baseline        : {}", out.baseline);
     match (out.mean_finish(), out.mean_slowdown_pct()) {

@@ -17,7 +17,7 @@ use crate::cache::CompiledEntry;
 use crate::seed::rep_seed;
 use cesim_engine::{
     simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, Fork, ForkTable, NoNoise,
-    NullRecorder, ShardTelemetry, SimError, SimResult, Simulator, WindowObserver,
+    NullRecorder, ShardTelemetry, SimError, SimResult, Simulator,
 };
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
 use cesim_noise::{CeNoise, Scope};
@@ -478,8 +478,7 @@ fn run_replicas(
     let detour = exp.mode.per_event_cost();
     // When the calling thread carries a request-trace context (serve),
     // propagate it into the replica jobs: each replica runs under its
-    // own span, with shard window batches recorded as child spans.
-    // Purely observational — replicas are seeded from stable
+    // own span. Purely observational — replicas are seeded from stable
     // coordinates either way, so results are byte-identical.
     let trace = cesim_obs::tracectx::current();
     let trace = trace.as_ref();
@@ -492,12 +491,6 @@ fn run_replicas(
             let _trace_guard = trace.map(|t| t.install());
             let _rep_span =
                 trace.and_then(|_| cesim_obs::tracectx::begin_dyn(format!("replica {rep}")));
-            let window_spans = (exp.shards > 1)
-                .then(cesim_obs::tracectx::current)
-                .flatten()
-                .map(cesim_obs::tracectx::WindowSpans::new);
-            let window_obs: Option<&dyn WindowObserver> =
-                window_spans.as_ref().map(|w| w as &dyn WindowObserver);
             let mut noise =
                 CeNoise::new(ranks, exp.mtbce, detour, exp.scope, rep_seed(exp.seed, rep));
             if (rep as usize) < observe_replicas {
@@ -514,7 +507,6 @@ fn run_replicas(
                         &noise,
                         &mut rec,
                         telem,
-                        window_obs,
                     )?
                 } else {
                     Simulator::from_compiled(Arc::clone(cs), exp.params)
@@ -545,7 +537,6 @@ fn run_replicas(
                         &noise,
                         &mut NullRecorder,
                         telem,
-                        window_obs,
                     )
                     .map(|r| RunStats::of(&r, 0, 0)),
                 }

@@ -27,7 +27,10 @@ use cesim_obs::telemetry::Span as ProfSpan;
 use cesim_workloads::{natural_ranks, AppId, WorkloadConfig};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Cost/scale knobs shared by all figure sweeps.
 #[derive(Clone, Debug)]
@@ -176,6 +179,63 @@ pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R 
             .build()
             .expect("thread pool construction cannot fail")
             .install(f)
+    }
+}
+
+/// Window-based progress for sharded runs, which finish cells and
+/// replicas slowly and would otherwise go quiet for minutes: a thread
+/// polls the engine's global shard counters every 2 s and prints a
+/// `shard progress:` line with a percentage and an ETA. Stops and
+/// joins on drop.
+pub struct ShardProgress {
+    stop: mpsc::Sender<()>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl ShardProgress {
+    /// Start reporting under `[tag]`, against `expected_ps` of simulated
+    /// time in total, with elapsed time counted from `started`.
+    pub fn start(tag: String, expected_ps: u64, started: Instant) -> ShardProgress {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let start = cesim_engine::shard_globals();
+        let thread = std::thread::spawn(move || {
+            while stopped.recv_timeout(Duration::from_secs(2)) == Err(RecvTimeoutError::Timeout) {
+                let g = cesim_engine::shard_globals();
+                let sim_ps = g.sim_ps_advanced.saturating_sub(start.sim_ps_advanced);
+                let windows = g.windows.saturating_sub(start.windows);
+                let events = g.events.saturating_sub(start.events);
+                let elapsed = started.elapsed().as_secs_f64();
+                let sim_s = sim_ps as f64 / 1e12;
+                let expected_s = expected_ps as f64 / 1e12;
+                let pct = if expected_ps > 0 {
+                    (sim_s / expected_s * 100.0).min(100.0)
+                } else {
+                    0.0
+                };
+                let eta = if sim_ps > 0 && expected_ps > sim_ps {
+                    elapsed * (expected_ps - sim_ps) as f64 / sim_ps as f64
+                } else {
+                    0.0
+                };
+                eprintln!(
+                    "[{tag}] shard progress: {windows} windows, {events} events, \
+                     {sim_s:.1}/{expected_s:.1} sim-s ({pct:.0}%, ETA {eta:.0}s)"
+                );
+            }
+        });
+        ShardProgress {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for ShardProgress {
+    fn drop(&mut self) {
+        let _ = self.stop.send(());
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
@@ -336,16 +396,13 @@ fn run_figure(
         // (stderr reporting only — never part of the figure data).
         let events_done = std::sync::atomic::AtomicU64::new(0);
         let sim_ps_done = std::sync::atomic::AtomicU64::new(0);
-        let sweep_start = std::time::Instant::now();
+        let sweep_start = Instant::now();
 
-        // Sharded sweeps complete cells slowly (few big runs instead of
-        // many small ones), so per-cell progress lines can go quiet for
-        // minutes. Report window-based progress from the engine's global
-        // shard counters instead: expected total simulated time is known
-        // after stage 1 (Σ baseline × reps per job), so an ETA can be
-        // derived from simulated-time throughput mid-run.
-        let ticker_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let ticker = if cfg.shards > 1 && (cfg.progress || cfg.progress_eta) {
+        // Sharded sweeps complete cells slowly, so report window-based
+        // progress instead: expected total simulated time is known after
+        // stage 1 (Σ baseline × reps per job), so an ETA can be derived
+        // from simulated-time throughput mid-run.
+        let _ticker = (cfg.shards > 1 && (cfg.progress || cfg.progress_eta)).then(|| {
             let expected_ps: u64 = jobs
                 .iter()
                 .map(|&(ai, si)| {
@@ -353,41 +410,8 @@ fn run_figure(
                     base.as_ps().saturating_mul(cfg.reps as u64)
                 })
                 .sum();
-            let stop = Arc::clone(&ticker_stop);
-            let id = id.to_string();
-            let start = cesim_engine::shard_globals();
-            Some(std::thread::spawn(move || loop {
-                for _ in 0..20 {
-                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(100));
-                }
-                let g = cesim_engine::shard_globals();
-                let sim_ps = g.sim_ps_advanced.saturating_sub(start.sim_ps_advanced);
-                let windows = g.windows.saturating_sub(start.windows);
-                let events = g.events.saturating_sub(start.events);
-                let elapsed = sweep_start.elapsed().as_secs_f64();
-                let sim_s = sim_ps as f64 / 1e12;
-                let expected_s = expected_ps as f64 / 1e12;
-                let pct = if expected_ps > 0 {
-                    (sim_s / expected_s * 100.0).min(100.0)
-                } else {
-                    0.0
-                };
-                let eta = if sim_ps > 0 && expected_ps > sim_ps {
-                    elapsed * (expected_ps - sim_ps) as f64 / sim_ps as f64
-                } else {
-                    0.0
-                };
-                eprintln!(
-                    "[{id}] shard progress: {windows} windows, {events} events, \
-                     {sim_s:.1}/{expected_s:.1} sim-s ({pct:.0}%, ETA {eta:.0}s)"
-                );
-            }))
-        } else {
-            None
-        };
+            ShardProgress::start(id.to_string(), expected_ps, sweep_start)
+        });
 
         let telem = cfg.shard_telemetry.as_deref();
         let cells: Vec<Cell> = jobs
@@ -456,7 +480,7 @@ fn run_figure(
                         );
                     }
                     if cfg.progress_eta {
-                        let d = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
                         let eta = elapsed / d as f64 * (total_jobs - d) as f64;
                         eprintln!(
                             "[{id}] {d}/{total_jobs} cells ({elapsed:.1}s elapsed, ETA {eta:.1}s, \
@@ -478,10 +502,6 @@ fn run_figure(
                 }
             })
             .collect();
-        ticker_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = ticker {
-            let _ = t.join();
-        }
         cells
     });
     FigureData {
@@ -702,14 +722,18 @@ mod tests {
         // The serve daemon runs sweeps with a request trace installed;
         // tracing must be purely observational — same cells, same CSV
         // bytes — while still recording per-cell spans into the trace.
+        // Spans record only with telemetry on, as they do in the daemon.
+        // No other test in this crate touches the process-wide switch.
         let cfg = tiny();
         let plain = crate::report::figure_csv(&fig4(&cfg));
         let ctx = cesim_obs::tracectx::TraceCtx::new_root("POST /v1/sweep", None);
+        cesim_obs::telemetry::set_enabled(true);
         let traced = {
             let _g = ctx.install();
             let _dispatch = cesim_obs::tracectx::begin("dispatch");
             crate::report::figure_csv(&fig4(&cfg))
         };
+        cesim_obs::telemetry::set_enabled(false);
         assert_eq!(plain, traced, "tracing must not perturb figure CSVs");
         let fin = ctx.finish(200, false);
         assert!(

@@ -47,9 +47,8 @@ pub use noise::{NoNoise, NoiseModel};
 pub use record::{MsgClass, NullRecorder, Recorder, SegKind, SimEvent, VecRecorder};
 pub use result::{SimError, SimResult};
 pub use shard::{
-    auto_shards, set_window_hook, shard_globals, simulate_compiled_sharded,
-    simulate_sharded_instrumented, ShardGlobals, ShardHealth, ShardHealthReport, ShardTelemetry,
-    WindowHook, WindowObserver, WINDOW_BATCH,
+    auto_shards, shard_globals, simulate_compiled_sharded, simulate_sharded_instrumented,
+    ShardGlobals, ShardHealth, ShardHealthReport, ShardTelemetry,
 };
 pub use sim::{simulate, simulate_compiled, simulate_compiled_with, RunScratch, Simulator};
 pub use topology::{Dragonfly, FatTree, FlatCrossbar, Topology, Torus3D};

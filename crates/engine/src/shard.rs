@@ -72,7 +72,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, OnceLock};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// Provisional-id stride per shard: shard `i` hands
@@ -101,37 +101,6 @@ static G_EVENTS: AtomicU64 = AtomicU64::new(0);
 static G_SIM_PS: AtomicU64 = AtomicU64::new(0);
 static G_RUNS_ACTIVE: AtomicU64 = AtomicU64::new(0);
 static G_RUNS_TOTAL: AtomicU64 = AtomicU64::new(0);
-static WINDOW_HOOK: OnceLock<WindowHook> = OnceLock::new();
-
-/// Callback invoked once per advanced lookahead window (by whichever
-/// thread computed the bound) with the window end in picoseconds.
-/// Installed process-wide by observability layers (e.g. the flight
-/// recorder); must be cheap and must not call back into the engine.
-pub type WindowHook = fn(wend_ps: u64);
-
-/// Install the process-wide [`WindowHook`]. First caller wins; later
-/// calls are ignored (the hook is expected to fan out on its own).
-pub fn set_window_hook(hook: WindowHook) {
-    let _ = WINDOW_HOOK.set(hook);
-}
-
-/// Lookahead windows per [`WindowObserver::on_window_batch`] callback
-/// (plus one final call for the partial batch at drive end).
-pub const WINDOW_BATCH: u64 = 256;
-
-/// Per-run observer of lookahead-window progress. Unlike the
-/// process-wide [`WindowHook`], an observer is scoped to a single
-/// sharded drive and may carry request context (a trace-span
-/// collector, say). It is invoked by whichever thread advanced the
-/// window bound, at most once per [`WINDOW_BATCH`] windows plus once
-/// at drive end for the remainder, so implementations may take a lock
-/// or read the clock without showing up in the per-window hot path.
-/// Passing an observer never changes simulation results.
-pub trait WindowObserver: Sync {
-    /// `windows` lookahead windows completed since the previous call;
-    /// `wend_ps` is the most recent window-end bound in picoseconds.
-    fn on_window_batch(&self, windows: u64, wend_ps: u64);
-}
 
 /// Snapshot of process-wide sharded-engine activity since start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -161,14 +130,11 @@ pub fn shard_globals() -> ShardGlobals {
 
 /// Per-window global bookkeeping: count the window, accumulate the
 /// sim-time delta between consecutive window starts (`prev_m_ps` is
-/// `u64::MAX` before the first window), and fire the window hook.
-fn note_window(m_ps: u64, prev_m_ps: u64, wend_ps: u64) {
+/// `u64::MAX` before the first window).
+fn note_window(m_ps: u64, prev_m_ps: u64) {
     G_WINDOWS.fetch_add(1, Ordering::Relaxed);
     if prev_m_ps != u64::MAX {
         G_SIM_PS.fetch_add(m_ps.saturating_sub(prev_m_ps), Ordering::Relaxed);
-    }
-    if let Some(h) = WINDOW_HOOK.get() {
-        h(wend_ps);
     }
 }
 
@@ -591,7 +557,7 @@ pub fn simulate_compiled_sharded<N: NoiseModel + Clone + Send>(
     shards: usize,
     noise: &N,
 ) -> Result<SimResult, SimError> {
-    simulate_sharded_instrumented(cs, params, shards, noise, &mut NullRecorder, None, None)
+    simulate_sharded_instrumented(cs, params, shards, noise, &mut NullRecorder, None)
 }
 
 /// [`simulate_compiled_sharded`] with instruments attached; results are
@@ -603,8 +569,6 @@ pub fn simulate_compiled_sharded<N: NoiseModel + Clone + Send>(
 /// * `telem`: per-shard busy/stall/barrier time, window and event counts
 ///   accumulate into it (relaxed atomics — safe to share across
 ///   concurrent replicas).
-/// * `observer`: told about window progress every [`WINDOW_BATCH`]
-///   windows.
 pub fn simulate_sharded_instrumented<N: NoiseModel + Clone + Send, R: Recorder>(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
@@ -612,7 +576,6 @@ pub fn simulate_sharded_instrumented<N: NoiseModel + Clone + Send, R: Recorder>(
     noise: &N,
     rec: &mut R,
     telem: Option<&ShardTelemetry>,
-    observer: Option<&dyn WindowObserver>,
 ) -> Result<SimResult, SimError> {
     if cs.num_ranks() == 0 {
         return Err(SimError::EmptySchedule);
@@ -649,7 +612,7 @@ pub fn simulate_sharded_instrumented<N: NoiseModel + Clone + Send, R: Recorder>(
             rec: KeyedRecorder::new(),
         });
     }
-    let events = drive_threaded(cs, *params, &cuts, &mut shards, telem, observer);
+    let events = drive_threaded(cs, *params, &cuts, &mut shards, telem);
     let base = noise.events_injected();
     let noise_events = base
         + shards
@@ -677,7 +640,6 @@ fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
     cuts: &[u32],
     shards: &mut [Shard<N, R>],
     telem: Option<&ShardTelemetry>,
-    observer: Option<&dyn WindowObserver>,
 ) -> u64 {
     G_RUNS_ACTIVE.fetch_add(1, Ordering::Relaxed);
     G_RUNS_TOTAL.fetch_add(1, Ordering::Relaxed);
@@ -692,13 +654,10 @@ fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
     let mailboxes: Vec<Mutex<Vec<(Time, EvKey, Msg)>>> =
         (0..s_eff).map(|_| Mutex::new(Vec::new())).collect();
     let events_total = AtomicU64::new(0);
-    // Window count for the per-run observer; only the per-round leader
-    // touches it, so relaxed ordering suffices.
-    let windows_seen = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for (i, shard) in shards.iter_mut().enumerate() {
-            let (barrier, mins, wend_ps, prev_m_ps, done, mailboxes, events_total, windows_seen) = (
+            let (barrier, mins, wend_ps, prev_m_ps, done, mailboxes, events_total) = (
                 &barrier,
                 &mins,
                 &wend_ps,
@@ -706,7 +665,6 @@ fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
                 &done,
                 &mailboxes,
                 &events_total,
-                &windows_seen,
             );
             scope.spawn(move || {
                 let Shard {
@@ -733,13 +691,7 @@ fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
                         } else {
                             let wend = (Time::from_ps(m) + lookahead).as_ps();
                             wend_ps.store(wend, Ordering::SeqCst);
-                            note_window(m, prev_m_ps.swap(m, Ordering::Relaxed), wend);
-                            if let Some(o) = observer {
-                                let w = windows_seen.fetch_add(1, Ordering::Relaxed) + 1;
-                                if w.is_multiple_of(WINDOW_BATCH) {
-                                    o.on_window_batch(WINDOW_BATCH, wend);
-                                }
-                            }
+                            note_window(m, prev_m_ps.swap(m, Ordering::Relaxed));
                         }
                     }
                     barrier.wait();
@@ -792,12 +744,6 @@ fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
             });
         }
     });
-    if let Some(o) = observer {
-        let rem = windows_seen.load(Ordering::Relaxed) % WINDOW_BATCH;
-        if rem > 0 {
-            o.on_window_batch(rem, wend_ps.load(Ordering::SeqCst));
-        }
-    }
     if let Some(t) = telem {
         t.drive_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -898,7 +844,7 @@ mod tests {
     use super::*;
     use crate::noise::NoNoise;
     use crate::record::VecRecorder;
-    use crate::sim::{simulate, simulate_compiled, Simulator};
+    use crate::sim::{simulate, simulate_compiled};
     use cesim_goal::{builder::TagPool, collectives as coll, Rank, Schedule, ScheduleBuilder, Tag};
     use cesim_model::Span;
 
@@ -929,7 +875,6 @@ mod tests {
             &NoNoise,
             &mut NullRecorder,
             Some(telem),
-            None,
         )
     }
 
@@ -1068,8 +1013,7 @@ mod tests {
         .unwrap();
         for shards in [2usize, 3, 5] {
             let mut rec = VecRecorder::default();
-            simulate_sharded_instrumented(&cs, &xc40(), shards, &NoNoise, &mut rec, None, None)
-                .unwrap();
+            simulate_sharded_instrumented(&cs, &xc40(), shards, &NoNoise, &mut rec, None).unwrap();
             assert_eq!(rec.events, serial_rec.events, "shards={shards}");
         }
     }
@@ -1174,63 +1118,6 @@ mod tests {
         assert_eq!(after.events - before.events, serial.events_processed);
         assert!(after.runs_total == before.runs_total + 1);
         assert!(after.sim_ps_advanced >= before.sim_ps_advanced);
-    }
-
-    /// The [`WindowObserver`] contract: attached together with a recorder
-    /// and telemetry, the observer changes neither the result nor the
-    /// recorded stream; every call but the last carries exactly
-    /// [`WINDOW_BATCH`] windows with non-decreasing window ends; and the
-    /// calls add up to the windows the telemetry counted.
-    #[test]
-    fn window_observer_sees_every_window_in_batches() {
-        let _globals = lock_globals();
-        struct Calls(std::sync::Mutex<Vec<(u64, u64)>>);
-        impl WindowObserver for Calls {
-            fn on_window_batch(&self, windows: u64, wend_ps: u64) {
-                self.0.lock().unwrap().push((windows, wend_ps));
-            }
-        }
-        // Back-to-back allreduces: every exchange step needs its own
-        // windows, so the run spans several observer batches.
-        let n = 4;
-        let mut b = ScheduleBuilder::new(n);
-        let mut tags = TagPool::new();
-        let mut cur: Vec<_> = (0..n).map(|r| b.join(Rank::from(r), &[])).collect();
-        for _ in 0..400 {
-            let costs = coll::CollectiveCosts::default();
-            cur = coll::allreduce_recursive_doubling(&mut b, &mut tags, 8, &costs, &cur);
-        }
-        let cs = std::sync::Arc::new(CompiledSchedule::compile(&b.build()));
-        let mut serial_rec = VecRecorder::default();
-        let serial = Simulator::from_compiled(std::sync::Arc::clone(&cs), xc40())
-            .with_recorder(&mut serial_rec)
-            .run(&mut NoNoise)
-            .unwrap();
-
-        let calls = Calls(std::sync::Mutex::new(Vec::new()));
-        let telem = ShardTelemetry::new(2);
-        let mut rec = VecRecorder::default();
-        let got = simulate_sharded_instrumented(
-            &cs,
-            &xc40(),
-            2,
-            &NoNoise,
-            &mut rec,
-            Some(&telem),
-            Some(&calls),
-        )
-        .unwrap();
-        assert_eq!(got, serial);
-        assert_eq!(rec.events, serial_rec.events);
-
-        let calls = calls.0.into_inner().unwrap();
-        assert!(calls.len() >= 2, "only {} observer calls", calls.len());
-        let (last, full) = calls.split_last().unwrap();
-        assert!(full.iter().all(|&(w, _)| w == WINDOW_BATCH), "{calls:?}");
-        assert!((1..=WINDOW_BATCH).contains(&last.0), "{calls:?}");
-        assert!(calls.windows(2).all(|p| p[0].1 <= p[1].1), "{calls:?}");
-        let total: u64 = calls.iter().map(|&(w, _)| w).sum();
-        assert_eq!(total, telem.report().windows());
     }
 
     /// A same-tick wildcard race across shards: two eager sends injected

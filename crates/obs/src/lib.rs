@@ -18,10 +18,11 @@
 //!   propagated, with amplification factors and makespan attribution,
 //! * [`json`] — re-export of the shared `cesim-json` parser/serializer
 //!   used to validate exported traces and emit provenance JSONL,
-//! * [`telemetry`] — runtime telemetry for the tool itself: a scoped
-//!   span profiler (phase tables, Prometheus histograms) and a
-//!   lock-free flight recorder of recent runtime events, both gated
-//!   on one process-wide atomic so the disabled path is free,
+//! * [`telemetry`] — runtime telemetry for the tool itself: [`Span`],
+//!   the one wall-time guard, whose drop feeds a phase profiler (phase
+//!   tables, Prometheus histograms), a lock-free flight recorder of
+//!   recent runtime events, and the installed request trace — all
+//!   gated on one process-wide atomic so the disabled path is free,
 //! * [`tracectx`] — request-scoped distributed tracing: W3C
 //!   `traceparent` propagation, per-request span trees collected
 //!   across worker threads, and a tail-sampling [`TraceStore`] that

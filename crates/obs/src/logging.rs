@@ -164,15 +164,13 @@ pub fn render_line(
         Format::Json => {
             out.push_str("{\"level\":\"");
             out.push_str(level.name());
-            out.push_str("\",\"event\":\"");
-            out.push_str(&json_escape(event));
-            out.push('"');
+            out.push_str("\",\"event\":");
+            cesim_json::write_escaped(event, &mut out);
             for (k, v) in fields {
-                out.push_str(",\"");
-                out.push_str(&json_escape(k));
-                out.push_str("\":\"");
-                out.push_str(&json_escape(v));
-                out.push('"');
+                out.push(',');
+                cesim_json::write_escaped(k, &mut out);
+                out.push(':');
+                cesim_json::write_escaped(v, &mut out);
             }
             if let Some(t) = trace_id {
                 out.push_str(",\"trace_id\":\"");
@@ -203,20 +201,6 @@ fn push_logfmt_value(out: &mut String, v: &str) {
         }
     }
     out.push('"');
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -11,18 +11,20 @@
 //!
 //! [`Span::enter("compile")`](Span::enter) returns a guard; dropping it
 //! attributes the elapsed wall time to the `"compile"` phase in a
-//! global registry. Mirroring the engine's `Recorder` contract
-//! (`const ENABLED` — PR 2), spans are designed to be left in
-//! release-build hot paths permanently: when the sink is disabled
-//! (the default) `enter` is a single relaxed atomic load and no clock
-//! is read. Phases are surfaced as a [`profile_table`] (the CLI
-//! `--profile` flag) and as `cesim_phase_seconds` histograms on the
-//! daemon's `GET /metrics`.
+//! global registry. [`Span`] is the only wall-time guard: the same drop
+//! also writes flight records and, under an installed request context,
+//! a span of that request's trace ([`crate::tracectx`]). Mirroring the
+//! engine's `Recorder` contract (`const ENABLED`), spans are designed
+//! to be left in release-build hot paths permanently: when the sink is
+//! disabled (the default) opening a span is a single relaxed atomic
+//! load, no clock is read and nothing is recorded. Phases are surfaced
+//! as a [`profile_table`] (the CLI `--profile` flag) and as
+//! `cesim_phase_seconds` histograms on the daemon's `GET /metrics`.
 //!
 //! # The flight recorder
 //!
 //! A fixed-size lock-free ring of the most recent structured telemetry
-//! events (span begin/end, window advance, shed, panic, cache evict).
+//! events (span begin/end, shed, panic, cache evict, signal).
 //! Writers claim a slot with one `fetch_add` and stamp it with a
 //! unique sequence number *last* (release ordering); readers validate
 //! the stamp before and after reading a slot and drop torn records, so
@@ -77,40 +79,68 @@ struct PhaseAgg {
     buckets: [u64; PHASE_BUCKETS.len()],
 }
 
-/// A scoped profiling span: wall time between [`Span::enter`] and drop
-/// is attributed to `label`. Zero-cost when the sink is disabled.
+/// A scoped wall-time span: the one guard behind the profiler, the
+/// flight ring and request traces.
 ///
-/// When the calling thread has a [`crate::tracectx`] context installed
-/// (requests inside the serve daemon), the span additionally records
-/// itself into that request's trace tree, so one `Span::enter` in the
-/// pipeline feeds the aggregate profile *and* per-request tracing.
+/// [`Span::enter`] opens a phase span. On drop it folds its elapsed
+/// time into the phase registry under its static label and writes
+/// `span_begin`/`span_end` flight records. [`tracectx::begin`] and
+/// [`tracectx::begin_dyn`] open the same guard with no phase label.
+/// Either kind, when the calling thread has a [`crate::tracectx`]
+/// context installed (requests inside the serve daemon), also records
+/// itself into that request's trace tree. Every span is gated on
+/// [`enabled`]: when the sink is off, opening one reads no clock and
+/// its drop records nothing.
+///
+/// [`tracectx::begin`]: crate::tracectx::begin
+/// [`tracectx::begin_dyn`]: crate::tracectx::begin_dyn
 #[must_use = "a span measures the time until it is dropped"]
 pub struct Span {
-    label: &'static str,
+    /// Profiler and flight-ring label; `None` for trace-only spans.
+    phase: Option<&'static str>,
+    /// When the span opened; `None` when telemetry was off.
     start: Option<Instant>,
-    /// Held only for its drop effect: closes the piggybacked request-
-    /// trace span when the profiler span closes.
-    _trace: Option<crate::tracectx::ActiveSpan>,
+    /// This span's node in the installed trace, if any.
+    trace: Option<crate::tracectx::Child>,
 }
 
 impl Span {
-    /// Open a span for `label`. Labels are static so the registry and
-    /// the flight recorder never allocate per event.
+    /// Open a phase span for `label`. Labels are static so the registry
+    /// and the flight recorder never allocate per event.
     #[inline]
     pub fn enter(label: &'static str) -> Span {
         if !enabled() {
             return Span {
-                label,
+                phase: None,
                 start: None,
-                _trace: None,
+                trace: None,
             };
         }
         flight_record(FlightKind::SpanBegin, label, 0, 0);
         Span {
-            label,
+            phase: Some(label),
+            trace: crate::tracectx::open(|| label.to_string()),
             start: Some(Instant::now()),
-            _trace: crate::tracectx::begin(label),
         }
+    }
+
+    /// Open a trace-only span under the thread's installed context;
+    /// `None` when telemetry is off or no context is installed.
+    pub(crate) fn traced(name: impl FnOnce() -> String) -> Option<Span> {
+        if !enabled() {
+            return None;
+        }
+        let trace = crate::tracectx::open(name)?;
+        Some(Span {
+            phase: None,
+            trace: Some(trace),
+            start: Some(Instant::now()),
+        })
+    }
+
+    /// This span's id in the installed trace, if it records into one.
+    pub fn id(&self) -> Option<crate::tracectx::SpanId> {
+        self.trace.as_ref().map(|t| t.id)
     }
 }
 
@@ -118,20 +148,25 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed();
-        let ns = elapsed.as_nanos() as u64;
-        let secs = elapsed.as_secs_f64();
-        {
-            let mut phases = PHASES.lock().expect("phase registry lock");
-            let agg = phases.entry(self.label).or_default();
-            agg.count += 1;
-            agg.total_ns += ns;
-            for (slot, bound) in agg.buckets.iter_mut().zip(PHASE_BUCKETS.iter()) {
-                if secs <= *bound {
-                    *slot += 1;
+        if let Some(label) = self.phase {
+            let ns = elapsed.as_nanos() as u64;
+            let secs = elapsed.as_secs_f64();
+            {
+                let mut phases = PHASES.lock().expect("phase registry lock");
+                let agg = phases.entry(label).or_default();
+                agg.count += 1;
+                agg.total_ns += ns;
+                for (slot, bound) in agg.buckets.iter_mut().zip(PHASE_BUCKETS.iter()) {
+                    if secs <= *bound {
+                        *slot += 1;
+                    }
                 }
             }
+            flight_record(FlightKind::SpanEnd, label, ns, 0);
         }
-        flight_record(FlightKind::SpanEnd, self.label, ns, 0);
+        if let Some(trace) = self.trace.take() {
+            trace.close(start, elapsed);
+        }
     }
 }
 
@@ -260,17 +295,14 @@ pub enum FlightKind {
     SpanBegin = 1,
     /// A profiling span closed (`a` = duration in ns).
     SpanEnd = 2,
-    /// The sharded engine advanced a lookahead window (`a` = window
-    /// end in ps; sampled, not every window).
-    WindowAdvance = 3,
     /// The daemon shed a connection with 429 (`a` = queue depth).
-    Shed = 4,
+    Shed = 3,
     /// A panic was observed (`a`/`b` unused).
-    Panic = 5,
+    Panic = 4,
     /// A cache evicted an entry (`a` = entries after eviction).
-    CacheEvict = 6,
+    CacheEvict = 5,
     /// A diagnostic signal (SIGUSR1) arrived.
-    Signal = 7,
+    Signal = 6,
 }
 
 impl FlightKind {
@@ -278,7 +310,6 @@ impl FlightKind {
         match self {
             FlightKind::SpanBegin => "span_begin",
             FlightKind::SpanEnd => "span_end",
-            FlightKind::WindowAdvance => "window_advance",
             FlightKind::Shed => "shed",
             FlightKind::Panic => "panic",
             FlightKind::CacheEvict => "cache_evict",
@@ -290,11 +321,10 @@ impl FlightKind {
         match v {
             1 => Some(FlightKind::SpanBegin),
             2 => Some(FlightKind::SpanEnd),
-            3 => Some(FlightKind::WindowAdvance),
-            4 => Some(FlightKind::Shed),
-            5 => Some(FlightKind::Panic),
-            6 => Some(FlightKind::CacheEvict),
-            7 => Some(FlightKind::Signal),
+            3 => Some(FlightKind::Shed),
+            4 => Some(FlightKind::Panic),
+            5 => Some(FlightKind::CacheEvict),
+            6 => Some(FlightKind::Signal),
             _ => None,
         }
     }
@@ -446,14 +476,13 @@ pub fn flight_dump_json() -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"seq\":{},\"t_us\":{},\"kind\":\"{}\",\"label\":\"{}\",\"a\":{},\"b\":{}",
+            "{{\"seq\":{},\"t_us\":{},\"kind\":\"{}\",\"label\":",
             e.seq,
             e.t_ns / 1_000,
             e.kind.name(),
-            escape(e.label),
-            e.a,
-            e.b
         ));
+        cesim_json::write_escaped(e.label, &mut out);
+        out.push_str(&format!(",\"a\":{},\"b\":{}", e.a, e.b));
         if e.trace != 0 {
             out.push_str(&format!(",\"trace_id\":\"{:032x}\"", e.trace));
         }
@@ -461,17 +490,6 @@ pub fn flight_dump_json() -> String {
     }
     out.push_str("]}");
     out
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Install a panic hook that records a [`FlightKind::Panic`] event and
@@ -492,23 +510,8 @@ pub fn install_panic_hook() {
     });
 }
 
-/// Register the flight recorder with the sharded engine: window
-/// advances are sampled into the ring (every 256th window, plus the
-/// first) so the recent history shows engine progress without
-/// flooding out request-level events. Idempotent.
-pub fn install_engine_hook() {
-    static WINDOWS_SEEN: AtomicU64 = AtomicU64::new(0);
-    fn on_window(wend_ps: u64) {
-        let n = WINDOWS_SEEN.fetch_add(1, Ordering::Relaxed);
-        if n.is_multiple_of(256) {
-            flight_record(FlightKind::WindowAdvance, "window", wend_ps, n + 1);
-        }
-    }
-    cesim_engine::set_window_hook(on_window);
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The registry, ring and enabled flag are process-global; every
@@ -518,7 +521,8 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn with_sink<T>(f: impl FnOnce() -> T) -> T {
+    /// Run `f` under [`sink_lock`] with a clean, enabled sink.
+    pub(crate) fn with_sink<T>(f: impl FnOnce() -> T) -> T {
         let _g = sink_lock();
         reset();
         set_enabled(true);
@@ -600,6 +604,7 @@ mod tests {
     fn flight_dump_is_valid_json() {
         with_sink(|| {
             flight_record(FlightKind::CacheEvict, "schedule", 3, 0);
+            flight_record(FlightKind::Signal, "tab\tlabel", 0, 0);
             {
                 let _s = Span::enter("dumped");
             }
@@ -615,6 +620,11 @@ mod tests {
             assert!(kinds.contains(&"cache_evict"), "{kinds:?}");
             assert!(kinds.contains(&"span_begin"), "{kinds:?}");
             assert!(kinds.contains(&"span_end"), "{kinds:?}");
+            let labels: Vec<_> = events
+                .iter()
+                .filter_map(|e| e.get("label").and_then(|l| l.as_str()))
+                .collect();
+            assert!(labels.contains(&"tab\tlabel"), "{labels:?}");
         });
     }
 
@@ -634,22 +644,51 @@ mod tests {
 
     #[test]
     fn spans_and_flight_events_carry_the_installed_trace() {
-        with_sink(|| {
-            let ctx = crate::tracectx::TraceCtx::new_root("GET /t", None);
-            {
-                let _g = ctx.install();
-                let _s = Span::enter("traced_phase");
-            }
-            let fin = ctx.finish(200, false);
-            assert!(
-                fin.spans.iter().any(|s| s.name == "traced_phase"),
-                "profiler span must piggyback into the trace tree"
-            );
-            let stamped = flight_snapshot().iter().any(|e| e.trace == fin.trace_id.0);
-            assert!(stamped, "flight events under the context carry its id");
-            let dump = flight_dump_json();
-            assert!(dump.contains(&fin.trace_id.to_string()), "{dump}");
-        });
+        // One guard, three sinks: a phase span feeds the profiler, the
+        // flight ring and the installed trace; a trace-only span feeds
+        // the trace alone; with telemetry off neither records anything.
+        use crate::tracectx::{begin_dyn, TraceCtx};
+        let _g = sink_lock();
+        reset();
+        set_enabled(false);
+        let ctx = TraceCtx::new_root("GET /t", None);
+        let before = flight_total();
+        {
+            let _c = ctx.install();
+            let _s = Span::enter("off_phase");
+            assert!(begin_dyn("off dyn".into()).is_none());
+        }
+        assert_eq!(flight_total(), before, "no flight records while off");
+        assert!(phase_snapshot().is_empty(), "no phases while off");
+
+        set_enabled(true);
+        let mark = {
+            let _c = ctx.install();
+            drop(Span::enter("traced_phase"));
+            let mark = flight_total();
+            drop(begin_dyn("traced dyn".into()).expect("context installed"));
+            mark
+        };
+        set_enabled(false);
+        assert_eq!(flight_total(), mark, "begin_dyn writes no flight records");
+        let fin = ctx.finish(200, false);
+        let names: Vec<_> = fin.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["traced_phase", "traced dyn"], "trace sink");
+        let labels: Vec<_> = phase_snapshot().iter().map(|r| r.label).collect();
+        assert_eq!(labels, ["traced_phase"], "profiler sink");
+        let flights: Vec<_> = flight_snapshot()
+            .iter()
+            .filter(|e| e.trace == fin.trace_id.0)
+            .map(|e| (e.kind, e.label))
+            .collect();
+        let want = [FlightKind::SpanBegin, FlightKind::SpanEnd].map(|k| (k, "traced_phase"));
+        assert_eq!(
+            flights, want,
+            "flight events under the context carry its id"
+        );
+        let dump = flight_dump_json();
+        assert!(dump.contains(&fin.trace_id.to_string()), "{dump}");
+        reset();
     }
 
     #[test]
@@ -659,7 +698,7 @@ mod tests {
                 .map(|t| {
                     std::thread::spawn(move || {
                         for i in 0..2000u64 {
-                            flight_record(FlightKind::WindowAdvance, "stress", t * 10_000 + i, i);
+                            flight_record(FlightKind::Shed, "stress", t * 10_000 + i, i);
                         }
                     })
                 })

@@ -7,12 +7,14 @@
 //! either freshly generated or adopted from an incoming W3C
 //! `traceparent` header ([`parse_traceparent`]). The context is
 //! installed thread-locally ([`TraceCtx::install`]) and cloned across
-//! worker threads (rayon sweep cells, replica runs, shard drives), so
+//! worker threads (rayon sweep cells, replica runs, fleet jobs), so
 //! every [`telemetry::Span`](crate::telemetry::Span) opened anywhere
-//! under the request piggybacks a [`SpanRec`] into the request's
-//! bounded span buffer — parse → cache_lookup → compile → run →
-//! serialize, with child spans per sweep cell and per shard
-//! window batch ([`WindowSpans`]).
+//! under the request records a [`SpanRec`] into the request's bounded
+//! span buffer — parse → cache_lookup → compile → run → serialize,
+//! with child spans per sweep cell and per replica. Phase spans
+//! ([`Span::enter`]) also feed the profiler and the flight ring;
+//! [`begin`] / [`begin_dyn`] open the same guard with no phase label,
+//! so they feed the trace alone.
 //!
 //! Completed traces are offered to a [`TraceStore`]: a tail-sampling
 //! ring that keeps the last [`RECENT_CAP`] traces and *always* retains
@@ -26,12 +28,12 @@
 //!
 //! Tracing rides the same master switch as the rest of the telemetry
 //! sink: when [`telemetry::enabled()`](crate::telemetry::enabled) is
-//! false nothing here runs at all, and when it is enabled but no
-//! context is installed (CLI figure runs), [`begin`] is one
-//! thread-local read returning `None`. Id generation never reads the
-//! wall clock: ids are a process-global counter mixed with a
-//! [`RandomState`]-keyed hash, unique in-process by construction and
-//! distinct across processes with overwhelming probability.
+//! false no span records anything, installed context or not, and when
+//! it is enabled but no context is installed (CLI figure runs),
+//! [`begin`] is one thread-local read returning `None`. Id generation
+//! never reads the wall clock: ids are a process-global counter mixed
+//! with a [`RandomState`]-keyed hash, unique in-process by construction
+//! and distinct across processes with overwhelming probability.
 
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
@@ -42,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use cesim_engine::WindowObserver;
+use crate::telemetry::Span;
 
 /// Maximum spans buffered per trace; later spans are counted in
 /// [`FinishedTrace::dropped`] instead of buffered.
@@ -179,7 +181,7 @@ pub struct SpanRec {
     pub id: SpanId,
     /// Parent span id (the root span for top-level phases).
     pub parent: SpanId,
-    /// Span name ("parse", "cell n512 fw", "windows x256", ...).
+    /// Span name ("parse", "cell n512 fw", "replica 3", ...).
     pub name: String,
     /// Start offset from the trace root, nanoseconds.
     pub start_ns: u64,
@@ -260,22 +262,6 @@ impl TraceCtx {
         CtxGuard { prev }
     }
 
-    /// Record a completed span directly (no thread-local involvement),
-    /// parented at this handle's current parent. Used by observers that
-    /// measure off-thread work, e.g. [`WindowSpans`].
-    pub fn record_span(&self, name: impl Into<String>, start: Instant, dur: Duration) {
-        let start_ns = start
-            .saturating_duration_since(self.inner.started)
-            .as_nanos() as u64;
-        self.push(SpanRec {
-            id: next_span_id(),
-            parent: self.parent,
-            name: name.into(),
-            start_ns,
-            dur_ns: dur.as_nanos() as u64,
-        });
-    }
-
     fn push(&self, rec: SpanRec) {
         let mut spans = self.inner.spans.lock().expect("trace span buffer lock");
         if spans.len() >= MAX_SPANS {
@@ -334,125 +320,71 @@ pub fn current_trace_id() -> Option<TraceId> {
     CURRENT.with(|c| c.borrow().as_ref().map(|t| t.inner.trace_id))
 }
 
-/// Open a span under the thread's current trace, or `None` when no
-/// context is installed. The span records itself on drop and nests:
-/// spans begun while it is live become its children.
-pub fn begin(name: &'static str) -> Option<ActiveSpan> {
-    begin_dyn_impl(|| name.to_string())
+/// Open a trace-only [`Span`] under the thread's current trace: `None`
+/// when telemetry is off or no context is installed. The span records
+/// itself on drop and nests: spans begun while it is live become its
+/// children.
+pub fn begin(name: &'static str) -> Option<Span> {
+    Span::traced(|| name.to_string())
 }
 
-/// [`begin`] with a computed name (sweep cells, replicas). The closure
-/// form of the internal helper avoids allocating when no trace is
-/// installed; this public wrapper takes the already-built `String`
-/// because its callers only run on traced paths.
-pub fn begin_dyn(name: String) -> Option<ActiveSpan> {
-    begin_dyn_impl(|| name)
+/// [`begin`] with a computed name (sweep cells, replicas). Callers on
+/// untraced paths skip building the name by checking [`current`] first.
+pub fn begin_dyn(name: String) -> Option<Span> {
+    Span::traced(|| name)
 }
 
-fn begin_dyn_impl(name: impl FnOnce() -> String) -> Option<ActiveSpan> {
+/// A live span's node in the thread's trace, held by its [`Span`] from
+/// [`open`] until [`Child::close`].
+pub(crate) struct Child {
+    /// The trace, parented at the span that encloses this one.
+    ctx: TraceCtx,
+    pub(crate) id: SpanId,
+    name: String,
+}
+
+/// Open a child of the thread's current span, making it the parent of
+/// spans opened after it; `None` when no context is installed.
+pub(crate) fn open(name: impl FnOnce() -> String) -> Option<Child> {
     CURRENT.with(|c| {
         let mut cur = c.borrow_mut();
         let ctx = cur.as_mut()?;
         let id = next_span_id();
-        let prev_parent = ctx.parent;
-        ctx.parent = id;
-        Some(ActiveSpan {
-            inner: ctx.inner.clone(),
+        let parent = std::mem::replace(&mut ctx.parent, id);
+        Some(Child {
+            ctx: TraceCtx {
+                inner: ctx.inner.clone(),
+                parent,
+            },
             id,
-            prev_parent,
             name: name(),
-            start: Instant::now(),
         })
     })
 }
 
-/// A live span opened by [`begin`]; records a [`SpanRec`] and restores
-/// the thread's parent span on drop.
-#[must_use = "a span measures the time until it is dropped"]
-pub struct ActiveSpan {
-    inner: Arc<TraceInner>,
-    id: SpanId,
-    prev_parent: SpanId,
-    name: String,
-    start: Instant,
-}
-
-impl ActiveSpan {
-    /// This span's id.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-}
-
-impl Drop for ActiveSpan {
-    fn drop(&mut self) {
-        let dur = self.start.elapsed();
+impl Child {
+    /// Record the span as a [`SpanRec`] and restore the thread's parent.
+    pub(crate) fn close(self, start: Instant, dur: Duration) {
         // Restore the parent chain only if this trace is still the
         // thread's current one and we are the innermost span (guards
         // against out-of-order drops across install scopes).
         CURRENT.with(|c| {
-            if let Some(ctx) = c.borrow_mut().as_mut() {
-                if Arc::ptr_eq(&ctx.inner, &self.inner) && ctx.parent == self.id {
-                    ctx.parent = self.prev_parent;
+            if let Some(cur) = c.borrow_mut().as_mut() {
+                if Arc::ptr_eq(&cur.inner, &self.ctx.inner) && cur.parent == self.id {
+                    cur.parent = self.ctx.parent;
                 }
             }
         });
-        let start_ns = self
-            .start
-            .saturating_duration_since(self.inner.started)
+        let start_ns = start
+            .saturating_duration_since(self.ctx.inner.started)
             .as_nanos() as u64;
-        let rec = SpanRec {
+        self.ctx.push(SpanRec {
             id: self.id,
-            parent: self.prev_parent,
-            name: std::mem::take(&mut self.name),
+            parent: self.ctx.parent,
+            name: self.name,
             start_ns,
             dur_ns: dur.as_nanos() as u64,
-        };
-        let handle = TraceCtx {
-            inner: self.inner.clone(),
-            parent: self.prev_parent,
-        };
-        handle.push(rec);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Engine window observer
-// ---------------------------------------------------------------------
-
-/// Bridges the sharded engine's per-run window-batch callbacks into a
-/// trace: each batch of lookahead windows becomes one span (named
-/// `windows x{count}`) covering the wall time since the previous batch,
-/// parented at the context's current parent (conventionally the replica
-/// span). The engine never reads the clock for this — timing happens
-/// here, on the observer side, only when tracing is live.
-pub struct WindowSpans {
-    ctx: TraceCtx,
-    last: Mutex<Instant>,
-}
-
-impl WindowSpans {
-    /// Observer recording window batches into `ctx`.
-    pub fn new(ctx: TraceCtx) -> WindowSpans {
-        WindowSpans {
-            ctx,
-            last: Mutex::new(Instant::now()),
-        }
-    }
-}
-
-impl WindowObserver for WindowSpans {
-    fn on_window_batch(&self, windows: u64, _wend_ps: u64) {
-        let now = Instant::now();
-        let start = {
-            let mut last = self.last.lock().expect("window span clock lock");
-            std::mem::replace(&mut *last, now)
-        };
-        self.ctx.record_span(
-            format!("windows x{windows}"),
-            start,
-            now.saturating_duration_since(start),
-        );
+        });
     }
 }
 
@@ -664,20 +596,6 @@ impl TraceStore {
 // JSON rendering
 // ---------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render store summaries as the `/v1/debug/traces` JSON document.
 pub fn summary_json(summaries: &[TraceSummary]) -> String {
     let mut out = String::with_capacity(64 + summaries.len() * 128);
@@ -686,14 +604,11 @@ pub fn summary_json(summaries: &[TraceSummary]) -> String {
         if i > 0 {
             out.push(',');
         }
+        out.push_str(&format!("{{\"trace_id\":\"{}\",\"name\":", s.trace_id));
+        cesim_json::write_escaped(&s.name, &mut out);
         out.push_str(&format!(
-            "{{\"trace_id\":\"{}\",\"name\":\"{}\",\"status\":{},\"shed\":{},\"dur_ns\":{},\"spans\":{}}}",
-            s.trace_id,
-            json_escape(&s.name),
-            s.status,
-            s.shed,
-            s.dur_ns,
-            s.spans
+            ",\"status\":{},\"shed\":{},\"dur_ns\":{},\"spans\":{}}}",
+            s.status, s.shed, s.dur_ns, s.spans
         ));
     }
     out.push_str("]}");
@@ -729,12 +644,10 @@ pub fn trace_json(t: &FinishedTrace) -> String {
         start_ns: u64,
         dur_ns: u64,
     ) {
+        out.push_str(&format!("{{\"span_id\":\"{id}\",\"name\":"));
+        cesim_json::write_escaped(name, out);
         out.push_str(&format!(
-            "{{\"span_id\":\"{}\",\"name\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\"children\":[",
-            id,
-            json_escape(name),
-            start_ns,
-            dur_ns
+            ",\"start_ns\":{start_ns},\"dur_ns\":{dur_ns},\"children\":["
         ));
         if let Some(kids) = children.get(&id.0) {
             for (i, &k) in kids.iter().enumerate() {
@@ -750,10 +663,13 @@ pub fn trace_json(t: &FinishedTrace) -> String {
 
     let mut out = String::with_capacity(256 + t.spans.len() * 128);
     out.push_str(&format!(
-        "{{\"trace_id\":\"{}\",\"traceparent\":\"{}\",\"name\":\"{}\",\"status\":{},\"shed\":{},\"dur_ns\":{},\"span_count\":{},\"dropped\":{},",
+        "{{\"trace_id\":\"{}\",\"traceparent\":\"{}\",\"name\":",
         t.trace_id,
         format_traceparent(t.trace_id, t.root),
-        json_escape(&t.name),
+    ));
+    cesim_json::write_escaped(&t.name, &mut out);
+    out.push_str(&format!(
+        ",\"status\":{},\"shed\":{},\"dur_ns\":{},\"span_count\":{},\"dropped\":{},",
         t.status,
         t.shed,
         t.dur_ns,
@@ -772,6 +688,7 @@ pub fn trace_json(t: &FinishedTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::tests::with_sink;
     use std::collections::HashSet;
 
     #[test]
@@ -830,54 +747,58 @@ mod tests {
 
     #[test]
     fn spans_nest_under_the_installed_context() {
-        let ctx = TraceCtx::new_root("GET /x", None);
-        {
-            let _g = ctx.install();
-            let outer = begin("outer").expect("context installed");
-            let outer_id = outer.id();
+        with_sink(|| {
+            let ctx = TraceCtx::new_root("GET /x", None);
             {
-                let inner = begin("inner").expect("context installed");
-                assert_ne!(inner.id(), outer_id);
+                let _g = ctx.install();
+                let outer = begin("outer").expect("context installed");
+                let outer_id = outer.id();
+                {
+                    let inner = begin("inner").expect("context installed");
+                    assert_ne!(inner.id(), outer_id);
+                }
+                drop(outer);
+                // After the guard chain unwinds, new spans parent at root.
+                let top = begin("top").expect("context installed");
+                drop(top);
             }
-            drop(outer);
-            // After the guard chain unwinds, new spans parent at root.
-            let top = begin("top").expect("context installed");
-            drop(top);
-        }
-        assert!(begin("after").is_none(), "uninstalled thread has no trace");
-        let fin = ctx.finish(200, false);
-        assert_eq!(fin.spans.len(), 3);
-        let by_name = |n: &str| fin.spans.iter().find(|s| s.name == n).unwrap();
-        assert_eq!(by_name("outer").parent, fin.root);
-        assert_eq!(by_name("inner").parent, by_name("outer").id);
-        assert_eq!(by_name("top").parent, fin.root);
-        let doc = trace_json(&fin);
-        let v = crate::json::JsonValue::parse(&doc).expect("trace json parses");
-        let root = v.get("root").unwrap();
-        assert_eq!(
-            root.get("children").unwrap().as_array().unwrap().len(),
-            2,
-            "{doc}"
-        );
+            assert!(begin("after").is_none(), "uninstalled thread has no trace");
+            let fin = ctx.finish(200, false);
+            assert_eq!(fin.spans.len(), 3);
+            let by_name = |n: &str| fin.spans.iter().find(|s| s.name == n).unwrap();
+            assert_eq!(by_name("outer").parent, fin.root);
+            assert_eq!(by_name("inner").parent, by_name("outer").id);
+            assert_eq!(by_name("top").parent, fin.root);
+            let doc = trace_json(&fin);
+            let v = crate::json::JsonValue::parse(&doc).expect("trace json parses");
+            let root = v.get("root").unwrap();
+            assert_eq!(
+                root.get("children").unwrap().as_array().unwrap().len(),
+                2,
+                "{doc}"
+            );
+        });
     }
 
     #[test]
     fn cross_thread_clone_records_into_the_same_trace() {
-        let ctx = TraceCtx::new_root("POST /v1/sweep", None);
-        let _g = ctx.install();
-        let outer = begin("dispatch").expect("context installed");
-        let cloned = current().expect("current clones the installed context");
-        std::thread::spawn(move || {
-            let _g = cloned.install();
-            let _s = begin("cell").expect("clone installed");
-        })
-        .join()
-        .unwrap();
-        drop(outer);
-        let fin = ctx.finish(200, false);
-        let cell = fin.spans.iter().find(|s| s.name == "cell").unwrap();
-        let dispatch = fin.spans.iter().find(|s| s.name == "dispatch").unwrap();
-        assert_eq!(cell.parent, dispatch.id, "cell parents under dispatch");
+        with_sink(|| {
+            let ctx = TraceCtx::new_root("POST /v1/sweep", None);
+            let _g = ctx.install();
+            let outer = begin("dispatch").expect("context installed");
+            let cloned = current().expect("current clones the installed context");
+            std::thread::spawn(move || {
+                let _g = cloned.install();
+                let _s = begin("cell").expect("clone installed");
+            })
+            .join()
+            .unwrap();
+            drop(outer);
+            let fin = ctx.finish(200, false);
+            let cell = fin.spans.iter().find(|s| s.name == "cell").unwrap();
+            let dispatch = fin.spans.iter().find(|s| s.name == "dispatch").unwrap();
+            assert_eq!(cell.parent, dispatch.id, "cell parents under dispatch");
+        });
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!   gauges, live shard-engine counters, and span-profiler phase
 //!   histograms (validated in-repo by [`promcheck`]).
 //! * `GET /v1/debug/flightrec` — JSON dump of the in-memory flight
-//!   recorder (recent spans, window advances, sheds, panics, cache
-//!   evictions). The same dump goes to stderr on `SIGUSR1` and on a
-//!   worker panic.
+//!   recorder (recent spans, sheds, panics, cache evictions, signals).
+//!   The same dump goes to stderr on `SIGUSR1` and on a worker panic.
 //! * `GET /v1/debug/traces` — summaries of the tail-sampled request
 //!   traces, and `GET /v1/debug/traces/:id` the full span tree of one
 //!   trace (`/:id/chrome` renders it as a Chrome `trace_event` file).
@@ -150,7 +149,6 @@ impl Server {
         // The daemon is long-lived and observability is its contract:
         // spans, phase histograms, and the flight recorder are always on.
         telemetry::set_enabled(true);
-        telemetry::install_engine_hook();
         telemetry::install_panic_hook();
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -238,7 +236,7 @@ pub fn run(cfg: ServeConfig) -> std::io::Result<()> {
 
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
-        let stream = match listener.accept() {
+        let mut stream = match listener.accept() {
             Ok((s, _)) => s,
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -277,7 +275,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             shared.traces.offer(tracectx::shed_trace());
             let mut resp = Response::error(429, "queue full; retry later");
             resp.extra_headers.push(("retry-after", "1".into()));
-            shed_connection(stream, &resp);
+            reject_connection(&mut stream, &resp);
         } else {
             q.push_back(stream);
             shared.metrics.set_queue_depth(q.len());
@@ -287,22 +285,22 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-/// The longest the accept thread spends draining a shed connection.
-const SHED_DRAIN: Duration = Duration::from_millis(50);
+/// The longest a rejected connection's unread input is drained.
+const REJECT_DRAIN: Duration = Duration::from_millis(50);
 
-/// Answer a connection no worker will serve, then close it cleanly.
+/// Answer a request that will not be read in full (a 429 shed at the
+/// accept queue, or a 400/408/413 from the worker), then close cleanly.
 ///
-/// The request is still unread, and closing a socket with unread input
-/// makes the kernel send a reset, which can destroy the response before
-/// the client reads it. So half-close the write side (the client sees the
-/// response, then EOF) and discard the client's input until it closes or
-/// [`SHED_DRAIN`] runs out, whichever comes first.
-fn shed_connection(mut stream: TcpStream, resp: &Response) {
-    if http::write_response(&mut stream, resp).is_err() || stream.shutdown(Shutdown::Write).is_err()
-    {
+/// Some of the request is still unread, and closing a socket with unread
+/// input makes the kernel send a reset, which can destroy the response
+/// before the client reads it. So half-close the write side (the client
+/// sees the response, then EOF) and discard the client's input until it
+/// closes or [`REJECT_DRAIN`] runs out, whichever comes first.
+fn reject_connection(stream: &mut TcpStream, resp: &Response) {
+    if http::write_response(stream, resp).is_err() || stream.shutdown(Shutdown::Write).is_err() {
         return;
     }
-    let deadline = Instant::now() + SHED_DRAIN;
+    let deadline = Instant::now() + REJECT_DRAIN;
     let mut sink = [0u8; 4096];
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -412,10 +410,10 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
                 // Nothing readable arrived; no response is possible.
                 HttpError::Io(_) => return,
             };
-            let _ = http::write_response(stream, &resp);
             shared
                 .metrics
                 .observe("other", resp.status, start.elapsed());
+            reject_connection(stream, &resp);
             return;
         }
     };
@@ -604,7 +602,7 @@ fn test_sleep(body: &[u8]) -> Response {
 
 #[cfg(test)]
 mod tests {
-    use super::{access_log_line, shed_connection, Response, SHED_DRAIN};
+    use super::{access_log_line, reject_connection, Response, REJECT_DRAIN};
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::time::{Duration, Instant};
@@ -614,16 +612,16 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         client.write_all(b"POST /v1/simulate HTTP/1.1\r\n").unwrap();
-        let (server_side, _) = listener.accept().unwrap();
+        let (mut server_side, _) = listener.accept().unwrap();
         let start = Instant::now();
-        shed_connection(server_side, &Response::error(429, "queue full"));
+        reject_connection(&mut server_side, &Response::error(429, "queue full"));
         let took = start.elapsed();
         assert!(
-            took >= SHED_DRAIN,
+            took >= REJECT_DRAIN,
             "returned before the drain bound: {took:?}"
         );
         assert!(
-            took < SHED_DRAIN + Duration::from_secs(1),
+            took < REJECT_DRAIN + Duration::from_secs(1),
             "drain overran: {took:?}"
         );
         // The client, still open, reads the whole response, then EOF.

@@ -246,6 +246,39 @@ fn truncated_request_times_out_as_408() {
 }
 
 #[test]
+fn oversized_body_written_in_full_still_reads_413() {
+    // The daemon answers 413 from the headers alone, with most of the
+    // body still unread in its socket. Closing such a socket sends a
+    // reset, which must not destroy the answer before the client reads
+    // it: the whole 64 KiB body goes out first, then the client reads.
+    let server = Server::bind(ServeConfig {
+        max_body_bytes: 32 << 10,
+        ..test_config()
+    })
+    .unwrap();
+    let addr = server.addr();
+    use std::io::{Read, Write};
+    let body = vec![b'x'; 64 << 10];
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    write!(
+        s,
+        "POST /v1/simulate HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    s.write_all(&body).unwrap();
+    let mut text = Vec::new();
+    let read = s.read_to_end(&mut text);
+    let text = String::from_utf8_lossy(&text);
+    assert!(text.starts_with("HTTP/1.1 413 "), "got {read:?}: {text}");
+    // The answer must end in EOF: a reader that stops at the first error
+    // (as `client::post` does) never sees a 413 followed by a reset.
+    assert!(read.is_ok(), "connection reset after the answer: {read:?}");
+    server.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_requests() {
     let server = Server::bind(ServeConfig {
         workers: 2,

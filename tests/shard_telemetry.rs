@@ -91,15 +91,7 @@ fn with_telemetry(
     shards: usize,
     telem: &ShardTelemetry,
 ) -> Result<SimResult, dram_ce_sim::engine::SimError> {
-    simulate_sharded_instrumented(
-        cs,
-        params,
-        shards,
-        &NoNoise,
-        &mut NullRecorder,
-        Some(telem),
-        None,
-    )
+    simulate_sharded_instrumented(cs, params, shards, &NoNoise, &mut NullRecorder, Some(telem))
 }
 
 proptest! {
