@@ -442,6 +442,15 @@ fn mtbce_arg(args: &Args, default: &str) -> Result<Span, String> {
     cesim_core::model::parse_positive_span(v).map_err(|e| format!("--mtbce: {e}"))
 }
 
+/// `--steps-scale`: a finite factor above zero.
+fn steps_scale_arg(args: &Args, default: f64) -> Result<f64, String> {
+    let scale = args.get_parsed("steps-scale", default)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("--steps-scale must be positive, got {scale}"));
+    }
+    Ok(scale)
+}
+
 /// `cesim metrics-check FILE` — validate a saved Prometheus scrape body
 /// with the in-repo exposition validator (CI gates on this).
 fn cmd_metrics_check(args: &Args) -> Result<(), String> {
@@ -501,7 +510,7 @@ fn scale_config(args: &Args) -> Result<ScaleConfig, String> {
     };
     cfg.nodes = args.get_parsed("nodes", cfg.nodes)?;
     cfg.reps = args.get_parsed("reps", cfg.reps)?;
-    cfg.steps_scale = args.get_parsed("steps-scale", cfg.steps_scale)?;
+    cfg.steps_scale = steps_scale_arg(args, cfg.steps_scale)?;
     cfg.seed = args.get_parsed("seed", cfg.seed)?;
     cfg.threads = args.get_parsed("threads", cfg.threads)?;
     cfg.shards = parse_shards(args, cfg.shards, cfg.nodes)?;
@@ -510,10 +519,11 @@ fn scale_config(args: &Args) -> Result<ScaleConfig, String> {
     }
     cfg.progress = !args.has_flag("quiet");
     cfg.progress_eta = args.has_flag("progress");
-    cfg.observe = args.has_flag("observe") || args.get("observe-replicas").is_some();
-    cfg.observe_replicas = args.get_parsed("observe-replicas", cfg.observe_replicas)?;
-    if cfg.observe && cfg.observe_replicas == 0 {
-        return Err("--observe-replicas must be at least 1 when observing".into());
+    if args.has_flag("observe") || args.get("observe-replicas").is_some() {
+        cfg.observe_replicas = args.get_parsed("observe-replicas", 1)?;
+        if cfg.observe_replicas == 0 {
+            return Err("--observe-replicas must be at least 1 when observing".into());
+        }
     }
     if let Some(list) = args.get("apps") {
         let mut apps = Vec::new();
@@ -740,6 +750,8 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         (None, Some(p)) => p,
         (None, None) => return Err("trace needs --generate FILE or an input FILE".into()),
     };
+    let mode = parse_mode(args.get("mode").unwrap_or("fw"))?;
+    let mtbce = mtbce_arg(args, "10")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut set = tr::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let k = args.get_parsed("extrapolate", 1usize)?;
@@ -757,8 +769,6 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         sched.stats(),
         base.finish
     );
-    let mode = parse_mode(args.get("mode").unwrap_or("fw"))?;
-    let mtbce = mtbce_arg(args, "10")?;
     let mut noise = CeNoise::new(
         sched.num_ranks(),
         mtbce,
@@ -859,13 +869,13 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
     let Some(path) = args.positionals.first() else {
         return Err("attribute needs a trace file argument".into());
     };
+    let mode = parse_mode(args.get("mode").unwrap_or("sw"))?;
+    let mtbce = mtbce_arg(args, "10")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let set = tr::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let sched = tr::convert(&set, &CollectiveCosts::default()).map_err(|e| e.to_string())?;
     let params = LogGopsParams::xc40();
     let base = simulate(&sched, &params, &mut NoNoise).map_err(|e| e.to_string())?;
-    let mode = parse_mode(args.get("mode").unwrap_or("sw"))?;
-    let mtbce = mtbce_arg(args, "10")?;
     let mut noise = CeNoise::new(
         sched.num_ranks(),
         mtbce,
@@ -1005,20 +1015,21 @@ fn parse_mode(s: &str) -> Result<LoggingMode, String> {
         "hw" => Ok(LoggingMode::HardwareOnly),
         "sw" => Ok(LoggingMode::Software),
         "fw" => Ok(LoggingMode::Firmware),
-        other => {
-            let us: f64 = other
-                .parse()
-                .map_err(|_| format!("mode must be hw|sw|fw or microseconds, got '{other}'"))?;
-            Ok(LoggingMode::Custom(Span::from_us_f64(us)))
-        }
+        other => match other.parse::<f64>() {
+            Ok(us) if us.is_finite() && us >= 0.0 => Ok(LoggingMode::Custom(Span::from_us_f64(us))),
+            _ => Err(format!(
+                "--mode must be hw|sw|fw or non-negative microseconds, got '{other}'"
+            )),
+        },
     }
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     use cesim_core::engine::{CompiledSchedule, ShardTelemetry};
-    use cesim_core::experiment::run_against_baseline_compiled_telem;
+    use cesim_core::experiment::run_against_baseline_entry;
     use cesim_core::obs::telemetry::{self, Span as ProfSpan};
     use cesim_core::workloads::natural_ranks;
+    use cesim_core::CompiledEntry;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1055,7 +1066,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("invalid --steps '{steps}'"))?;
         exp = exp.steps(s);
     } else {
-        exp.workload.steps_scale = args.get_parsed("steps-scale", 0.25)?;
+        exp.workload.steps_scale = steps_scale_arg(args, 0.25)?;
     }
     println!(
         "running {app} on {nodes} nodes, {mode}, MTBCE_node = {mtbce}, scope = {:?}, {reps} reps",
@@ -1076,9 +1087,12 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let _s = ProfSpan::enter("compile");
         Arc::new(CompiledSchedule::compile(&sched))
     };
-    let base = {
+    // Only the compiled form is needed from here on: free the schedule
+    // before the baseline run builds the fork table.
+    drop(sched);
+    let entry = {
         let _s = ProfSpan::enter("baseline");
-        simulate(&sched, &exp.params, &mut NoNoise).map_err(|e| e.to_string())?
+        CompiledEntry::new(ranks, cs, &exp.params).map_err(|e| e.to_string())?
     };
     let telem = if shards > 1 && (shard_health || profile) {
         Some(ShardTelemetry::new(shards))
@@ -1087,18 +1101,14 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     };
 
     let progress = (shards > 1 && args.has_flag("progress")).then(|| {
-        let expected_ps = base
-            .finish
-            .since(cesim_core::model::Time::ZERO)
-            .as_ps()
-            .saturating_mul(reps as u64);
+        let expected_ps = entry.baseline().as_ps().saturating_mul(reps as u64);
         figures::ShardProgress::start("run".into(), expected_ps, run_start)
     });
 
     let out = {
         let _s = ProfSpan::enter("run");
         figures::with_threads(threads, || {
-            run_against_baseline_compiled_telem(&exp, ranks, &cs, base.finish, 0, telem.as_ref())
+            run_against_baseline_entry(&exp, &entry, 0, telem.as_ref())
         })
         .map_err(|e| e.to_string())?
     };

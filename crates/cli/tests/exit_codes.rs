@@ -207,6 +207,27 @@ fn runtime_errors_exit_one() {
     // Semantically invalid option values are runtime errors too.
     let (code, _) = run_cli(&["serve", "--workers", "0"]);
     assert_eq!(code, 1);
+
+    // Numbers that parse but are out of range are rejected before any
+    // simulation runs, with a message naming the flag.
+    let ring = example("ring8.trc");
+    let ring = ring.to_str().unwrap();
+    for (cmd, flag, value) in [
+        (&["run"][..], "--mode", "-5"),
+        (&["run"], "--mode", "nan"),
+        (&["run"], "--mode", "inf"),
+        (&["trace", ring], "--mode", "-5"),
+        (&["attribute", ring], "--mode", "nan"),
+        (&["run"], "--steps-scale", "-1"),
+        (&["run"], "--steps-scale", "nan"),
+        (&["fig3"], "--steps-scale", "-1"),
+        (&["fig3"], "--steps-scale", "nan"),
+    ] {
+        let args: Vec<&str> = cmd.iter().copied().chain([flag, value]).collect();
+        let (code, stderr) = run_cli(&args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    }
 }
 
 #[test]

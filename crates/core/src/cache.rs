@@ -6,12 +6,13 @@
 //! process, so this module turns compile-once-per-process into
 //! compile-once-per-(app, ranks, workload, params) across requests:
 //!
-//! * [`ScheduleCache`] — a bounded LRU of compiled schedules **plus
-//!   their noise-free baselines and baseline fork tables** (the baseline
-//!   is a deterministic function of the schedule and network parameters,
-//!   so it is cached alongside and never re-simulated on a hit; its
-//!   snapshots let noisy replicas skip their noise-free prefix, see
-//!   [`cesim_engine::fork`]);
+//! * [`ScheduleCache`] — a bounded LRU of [`CompiledEntry`]s: compiled
+//!   schedules **plus their noise-free baselines and baseline fork
+//!   tables** (the baseline is a deterministic function of the schedule
+//!   and network parameters, so it is cached alongside and never
+//!   re-simulated on a hit; its snapshots let noisy replicas skip their
+//!   noise-free prefix, see [`cesim_engine::fork`]). Figure sweeps and
+//!   `cesim run` make the same entries without the cache;
 //! * [`ResponseCache`] — a bounded LRU of full response bodies keyed by
 //!   the canonicalized request. Sound because every run is seeded and
 //!   deterministic: the same request always produces the same bytes
@@ -111,18 +112,50 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
 
 /// A compiled schedule plus everything per-request work shares: the
 /// snapped rank count and the baseline fork table, which holds the
-/// noise-free finish time.
+/// noise-free finish time. Made by [`CompiledEntry::new`], so the table
+/// always belongs to the schedule.
 pub struct CompiledEntry {
     /// Ranks actually simulated (after [`natural_ranks`] snapping).
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// The immutable compiled schedule (shared, never copied).
-    pub schedule: Arc<CompiledSchedule>,
+    pub(crate) schedule: Arc<CompiledSchedule>,
     /// Snapshots of the noise-free run under `params`, built with it
     /// (see [`cesim_engine::fork`]).
-    pub forks: ForkTable,
+    pub(crate) forks: ForkTable,
 }
 
 impl CompiledEntry {
+    /// The entry for `schedule` (compiled for `ranks` ranks) under
+    /// `params`: runs the noise-free baseline once, snapshotting it into
+    /// the fork table every replica of the entry is answered from.
+    pub fn new(
+        ranks: usize,
+        schedule: Arc<CompiledSchedule>,
+        params: &LogGopsParams,
+    ) -> Result<Self, SimError> {
+        let (forks, _) = ForkTable::build(&schedule, params)?;
+        Ok(CompiledEntry {
+            ranks,
+            schedule,
+            forks,
+        })
+    }
+
+    /// Ranks actually simulated (after [`natural_ranks`] snapping).
+    pub fn ranks(&self) -> usize {
+        self.ranks
+    }
+
+    /// The immutable compiled schedule (shared, never copied).
+    pub fn schedule(&self) -> &Arc<CompiledSchedule> {
+        &self.schedule
+    }
+
+    /// Snapshots of the noise-free run (see [`cesim_engine::fork`]).
+    pub fn forks(&self) -> &ForkTable {
+        &self.forks
+    }
+
     /// Noise-free baseline finish time for `params`.
     pub fn baseline(&self) -> Time {
         self.forks.finish()
@@ -231,12 +264,7 @@ impl ScheduleCache {
         let _s = Span::enter("compile");
         let sched = cesim_workloads::build(app, ranks, workload);
         let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let (forks, _) = ForkTable::build(&cs, params)?;
-        let entry = Arc::new(CompiledEntry {
-            ranks,
-            schedule: cs,
-            forks,
-        });
+        let entry = Arc::new(CompiledEntry::new(ranks, cs, params)?);
         *filled = Some(Arc::clone(&entry));
         Ok(entry)
     }

@@ -12,12 +12,21 @@
 //! logging at `MTBCE = 0.2 s` in Fig. 7). Experiments whose `ρ` exceeds
 //! [`DIVERGENCE_LIMIT`] are not simulated; their outcome reports
 //! `slowdown = None`.
+//!
+//! **One replica path.** Every caller — figure cells, [`run`], `cesim
+//! run`, `/v1/simulate` and fleet slices — prepares a [`CompiledEntry`]
+//! ([`CompiledEntry::new`]: the compiled schedule plus the fork table of
+//! its noise-free run) and answers replicas through
+//! [`run_against_baseline_entry`], so every unobserved serial replica may
+//! skip the noise-free prefix and rejoin the baseline before its end.
+//! [`run_against_baseline_compiled`] is the one wrapper for callers that
+//! hold only a finish time.
 
 use crate::cache::CompiledEntry;
 use crate::seed::rep_seed;
 use cesim_engine::{
-    simulate_compiled, simulate_sharded_instrumented, CompiledSchedule, Fork, ForkTable, NoNoise,
-    NullRecorder, ShardTelemetry, SimError, SimResult, Simulator,
+    simulate_sharded_instrumented, CompiledSchedule, Fork, ForkTable, NullRecorder, ShardTelemetry,
+    SimError, SimResult, Simulator,
 };
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
 use cesim_noise::{CeNoise, Scope};
@@ -150,9 +159,9 @@ pub struct ReplicaObs {
 }
 
 /// Per-cell observability: the first `observe_replicas` replicas of the
-/// cell, recorded and summarized (see
-/// [`run_against_baseline_compiled`]), plus aggregation helpers that the
-/// CSV reporting layer uses for mean/stddev columns.
+/// cell, recorded and summarized (see [`run_against_baseline_entry`]),
+/// plus aggregation helpers that the CSV reporting layer uses for
+/// mean/stddev columns.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellObs {
     /// One entry per observed replica, ascending replica index. Never
@@ -300,7 +309,7 @@ pub struct Outcome {
     pub diverged: bool,
     /// Observability summaries of the recorded replicas; `None` unless
     /// the experiment ran with a non-zero `observe_replicas` count (see
-    /// [`run_against_baseline_compiled`]).
+    /// [`run_against_baseline_entry`]).
     pub obs: Option<CellObs>,
 }
 
@@ -365,42 +374,22 @@ impl Outcome {
 }
 
 /// Run an experiment: build and compile the schedule, simulate the
-/// baseline, then the perturbed replicas (unless the divergence guard
-/// fires).
+/// baseline into its fork table ([`CompiledEntry::new`]), then the
+/// perturbed replicas (unless the divergence guard fires).
 pub fn run(exp: &Experiment) -> Result<Outcome, SimError> {
     let ranks = natural_ranks(exp.app, exp.nodes);
     let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
     let cs = Arc::new(CompiledSchedule::compile(&sched));
-    let base = simulate_compiled(&cs, &exp.params, &mut NoNoise)?;
-    run_against_baseline_compiled(exp, ranks, &cs, base.finish, 0)
+    let entry = CompiledEntry::new(ranks, cs, &exp.params)?;
+    run_against_baseline_entry(exp, &entry, 0, None)
 }
 
-/// Innermost variant: replicas of an already-compiled schedule against a
-/// known baseline. This is the sweep fast path — callers compile once
-/// per (app, ranks, workload), wrap in an [`Arc`], and every cell and
-/// replica shares the same immutable table while reusing per-thread
-/// [`cesim_engine::RunScratch`] state across runs.
-///
-/// **Determinism contract.** The recorder never alters simulation state
-/// (the engine's instrumentation only observes), each replica still
-/// derives its RNG stream from stable coordinates, and each recorder is
-/// private to its replica's job — so outcomes (and any CSV rendered from
-/// them) are byte-identical for every thread count, with or without
-/// observation. Compilation itself is result-invariant: the compiled
-/// engine path is property-tested bit-identical to the legacy
-/// rebuild-per-run path (`tests/compiled_equivalence.rs`).
-///
-/// `observe_replicas` is the number of leading replicas (`rep <
-/// observe_replicas`) to record and summarize; `0` disables observation
-/// entirely.
-///
-/// **Quiet replicas.** `baseline` must be the noise-free finish of `cs`
-/// under `exp.params`. It is the terminal entry of a fork table with no
-/// snapshots: an unobserved replica whose first CE arrival comes after it
-/// is the baseline run, answered without simulating (exact, see
-/// [`cesim_engine::fork`]). Observed replicas always simulate, since they
-/// need the timeline. [`run_against_baseline_entry`] also resumes
-/// replicas from the snapshots of a cached entry.
+/// [`run_against_baseline_entry`] for callers that hold only the
+/// noise-free finish `baseline` of `cs` under `exp.params`, not its fork
+/// table: the entry's table holds only that terminal entry, so a replica
+/// is answered by the baseline or simulated from the start, never
+/// resumed or rejoined. Outcomes equal those against a full table except
+/// for the event counts.
 pub fn run_against_baseline_compiled(
     exp: &Experiment,
     ranks: usize,
@@ -408,62 +397,45 @@ pub fn run_against_baseline_compiled(
     baseline: Time,
     observe_replicas: usize,
 ) -> Result<Outcome, SimError> {
-    run_against_baseline_compiled_telem(exp, ranks, cs, baseline, observe_replicas, None)
+    let entry = CompiledEntry {
+        ranks,
+        schedule: Arc::clone(cs),
+        forks: ForkTable::terminal(baseline),
+    };
+    run_against_baseline_entry(exp, &entry, observe_replicas, None)
 }
 
-/// [`run_against_baseline_compiled`] with optional shard-health
-/// telemetry: when `telem` is set and the experiment is sharded, every
-/// replica accumulates per-shard busy/stall/barrier counters into it
-/// (see `cesim_engine::ShardTelemetry`). Results are byte-identical
-/// with or without the handle.
+/// The replicas of `exp` against a prepared entry: its compiled schedule,
+/// shared by every replica and cell (workers clone the [`Arc`], never the
+/// schedule, and reuse per-thread [`cesim_engine::RunScratch`] state
+/// across runs), and its baseline fork table.
 ///
-/// Replicas answered by the baseline never reach the engine: they add
-/// nothing to the shard telemetry, and their [`RunStats::events`] is `0`,
-/// so `events` counts only events the engine actually processed.
-pub fn run_against_baseline_compiled_telem(
-    exp: &Experiment,
-    ranks: usize,
-    cs: &Arc<CompiledSchedule>,
-    baseline: Time,
-    observe_replicas: usize,
-    telem: Option<&ShardTelemetry>,
-) -> Result<Outcome, SimError> {
-    let forks = ForkTable::terminal(baseline);
-    run_replicas(exp, ranks, cs, &forks, observe_replicas, telem)
-}
-
-/// [`run_against_baseline_compiled`] against a cached entry: unobserved
-/// serial replicas use every entry of its fork table ([`run_forked`]),
-/// so a replica whose first CE arrival comes after a snapshot's horizon
-/// resumes there instead of simulating its noise-free prefix, and one
-/// whose rest of the run is the baseline's shifted in time rejoins it.
-/// Sharded replicas use only the terminal entry. Outcomes are identical
-/// to [`run_against_baseline_compiled`] with the entry's baseline, except
-/// for the event counts of resumed and rejoined replicas.
+/// **Replica paths.** Unobserved serial replicas use every entry of the
+/// fork table ([`run_forked`]). Sharded replicas use only the terminal
+/// entry. Observed replicas always simulate in full, since they need the
+/// timeline.
+///
+/// **Determinism contract.** The recorder never alters simulation state
+/// (the engine's instrumentation only observes), each replica still
+/// derives its RNG stream from stable coordinates, and each recorder is
+/// private to its replica's job — so outcomes (and any CSV rendered from
+/// them) are byte-identical for every thread count and shard count, with
+/// or without observation or a fork table, apart from the event counts
+/// ([`RunStats::events`], [`RunStats::skipped`]).
+///
+/// `observe_replicas` is the number of leading replicas (`rep <
+/// observe_replicas`) to record and summarize; `0` disables observation
+/// entirely. When `telem` is set and the experiment is sharded, every
+/// sharded replica accumulates per-shard busy/stall/barrier counters into
+/// it (see `cesim_engine::ShardTelemetry`); replicas answered by the
+/// baseline never reach the engine and add nothing to it.
 pub fn run_against_baseline_entry(
     exp: &Experiment,
     entry: &CompiledEntry,
     observe_replicas: usize,
-) -> Result<Outcome, SimError> {
-    run_replicas(
-        exp,
-        entry.ranks,
-        &entry.schedule,
-        &entry.forks,
-        observe_replicas,
-        None,
-    )
-}
-
-/// The replica fan-out behind the `run_against_baseline_*` family.
-fn run_replicas(
-    exp: &Experiment,
-    ranks: usize,
-    cs: &Arc<CompiledSchedule>,
-    forks: &ForkTable,
-    observe_replicas: usize,
     telem: Option<&ShardTelemetry>,
 ) -> Result<Outcome, SimError> {
+    let (ranks, cs, forks) = (entry.ranks, &entry.schedule, &entry.forks);
     let baseline_span = forks.finish().since(Time::ZERO);
     if exp.diverges() {
         return Ok(Outcome {
@@ -568,6 +540,24 @@ mod tests {
     use super::*;
     use cesim_goal::Rank;
 
+    /// The compiled entry of `exp`'s workload, as [`run`] prepares it.
+    fn entry(exp: &Experiment) -> CompiledEntry {
+        let ranks = natural_ranks(exp.app, exp.nodes);
+        let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        CompiledEntry::new(ranks, cs, &exp.params).unwrap()
+    }
+
+    /// Each replica's results and the events a full run of it processes:
+    /// everything but which of those events the engine skipped, which
+    /// differs between forked and observed (always full) replicas.
+    fn results(o: &Outcome) -> Vec<(Span, u64, u64)> {
+        o.runs
+            .iter()
+            .map(|r| (r.finish, r.ce_events, r.events + r.skipped))
+            .collect()
+    }
+
     #[test]
     fn baseline_and_noise_free_mode_agree() {
         // Hardware-only logging at a huge MTBCE ≈ no noise at all.
@@ -666,14 +656,11 @@ mod tests {
             .mtbce(Span::from_secs(1))
             .reps(2)
             .steps(4);
-        let ranks = natural_ranks(exp.app, exp.nodes);
-        let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-        let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let base = simulate_compiled(&cs, &exp.params, &mut NoNoise).unwrap();
-        let plain = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
-        let observed = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 1).unwrap();
+        let entry = entry(&exp);
+        let plain = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
+        let observed = run_against_baseline_entry(&exp, &entry, 1, None).unwrap();
         // Observation is a pure add-on: replica results are identical.
-        assert_eq!(plain.runs, observed.runs);
+        assert_eq!(results(&plain), results(&observed));
         assert!(plain.obs.is_none());
         let obs = observed.obs.expect("replica 0 was recorded");
         assert_eq!(obs.replicas.len(), 1);
@@ -700,13 +687,14 @@ mod tests {
             .mtbce(Span::from_secs(1))
             .reps(3)
             .steps(4);
-        let ranks = natural_ranks(exp.app, exp.nodes);
-        let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-        let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let base = simulate_compiled(&cs, &exp.params, &mut NoNoise).unwrap();
-        let plain = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
-        let out = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 2).unwrap();
-        assert_eq!(plain.runs, out.runs, "observation never alters results");
+        let entry = entry(&exp);
+        let plain = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
+        let out = run_against_baseline_entry(&exp, &entry, 2, None).unwrap();
+        assert_eq!(
+            results(&plain),
+            results(&out),
+            "observation never alters results"
+        );
         let obs = out.obs.unwrap();
         assert_eq!(obs.replicas.len(), 2);
         assert_eq!(obs.replicas[0].rep, 0);
@@ -720,7 +708,7 @@ mod tests {
         assert!(sd >= 0.0);
         assert!(obs.max_amplification() >= 0.0);
         // Asking for more observed replicas than reps records them all.
-        let capped = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 99).unwrap();
+        let capped = run_against_baseline_entry(&exp, &entry, 99, None).unwrap();
         assert_eq!(capped.obs.unwrap().replicas.len(), exp.reps as usize);
     }
 
@@ -732,15 +720,10 @@ mod tests {
             .reps(2)
             .steps(4)
             .shards(3);
-        let ranks = natural_ranks(exp.app, exp.nodes);
-        let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-        let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let base = simulate_compiled(&cs, &exp.params, &mut NoNoise).unwrap();
-        let plain = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
+        let entry = entry(&exp);
+        let plain = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
         let telem = ShardTelemetry::new(exp.shards);
-        let watched =
-            run_against_baseline_compiled_telem(&exp, ranks, &cs, base.finish, 1, Some(&telem))
-                .unwrap();
+        let watched = run_against_baseline_entry(&exp, &entry, 1, Some(&telem)).unwrap();
         assert_eq!(plain.runs, watched.runs, "telemetry is a pure observer");
         let report = telem.report();
         assert_eq!(report.runs, u64::from(exp.reps));

@@ -16,12 +16,19 @@
 //!   validation of this claim). Applies only to the all-node figures;
 //!   Fig. 3's single-process study needs no scaling.
 //! * `steps_scale`, `reps`, `seed` — statistical effort.
+//!
+//! A sweep compiles each `(app, node count)` scale once into a
+//! [`CompiledEntry`] whose fork table holds snapshots of the noise-free
+//! run, and answers every cell's replicas from it through
+//! [`run_against_baseline_entry`] — the replica path `/v1/simulate` and
+//! fleet slices take too (see `crate::experiment`, "One replica path").
 
-use crate::experiment::{run_against_baseline_compiled_telem, CellObs, Experiment};
+use crate::cache::CompiledEntry;
+use crate::experiment::{run_against_baseline_entry, CellObs, Experiment};
 use crate::seed::point_seed;
-use cesim_engine::{simulate_compiled, CompiledSchedule, NoNoise, ShardTelemetry};
+use cesim_engine::{CompiledSchedule, ShardTelemetry};
 use cesim_goal::Rank;
-use cesim_model::{LoggingMode, Span, SystemSpec};
+use cesim_model::{LogGopsParams, LoggingMode, Span, SystemSpec};
 use cesim_noise::Scope;
 use cesim_obs::telemetry::Span as ProfSpan;
 use cesim_workloads::{natural_ranks, AppId, WorkloadConfig};
@@ -53,14 +60,10 @@ pub struct ScaleConfig {
     /// Print sweep-level progress (cells completed / total, plus an ETA
     /// extrapolated from completed-cell wall time) to stderr.
     pub progress_eta: bool,
-    /// Record the first [`ScaleConfig::observe_replicas`] replicas of
-    /// every cell and attach critical-path and detour-provenance
-    /// summaries ([`CellObs`]) to the cell. Never alters results or
-    /// determinism.
-    pub observe: bool,
-    /// How many leading replicas to record per cell when
-    /// [`ScaleConfig::observe`] is set (the CSV layer reports mean and
-    /// stddev across them).
+    /// Record this many leading replicas of every cell (`0` = none) and
+    /// attach critical-path and detour-provenance summaries
+    /// ([`CellObs`]) to the cell; the CSV layer reports mean and stddev
+    /// across them. Never alters results or determinism.
     pub observe_replicas: usize,
     /// Worker threads for the sweep: `0` uses every core (or
     /// `RAYON_NUM_THREADS`), `1` runs serially. Results are identical for
@@ -90,8 +93,7 @@ impl Default for ScaleConfig {
             apps: AppId::all().to_vec(),
             progress: false,
             progress_eta: false,
-            observe: false,
-            observe_replicas: 1,
+            observe_replicas: 0,
             threads: 0,
             shards: 1,
             shard_telemetry: None,
@@ -261,8 +263,8 @@ pub struct Cell {
     /// Ranks simulated.
     pub ranks: usize,
     /// Critical-path and detour-provenance summaries of the observed
-    /// replicas, when the sweep ran with [`ScaleConfig::observe`]
-    /// enabled.
+    /// replicas, when the sweep ran with a non-zero
+    /// [`ScaleConfig::observe_replicas`].
     pub obs: Option<CellObs>,
 }
 
@@ -323,11 +325,13 @@ struct CellSpec {
 ///
 /// 1. every distinct `(app, node count)` scale builds its schedule,
 ///    **compiles it once** into an [`Arc`]-shared
-///    [`CompiledSchedule`], and simulates the noise-free baseline;
-/// 2. every `(app, spec)` cell runs its perturbed replicas against the
-///    shared compiled schedule and baseline — workers clone the `Arc`,
-///    not the schedule, and reuse per-thread run scratch across
-///    replicas.
+///    [`CompiledSchedule`], and simulates the noise-free baseline into
+///    the fork table of its [`CompiledEntry`];
+/// 2. every `(app, spec)` cell runs its perturbed replicas against its
+///    scale's entry ([`run_against_baseline_entry`]), so they skip the
+///    noise-free prefix and rejoin the baseline where they can — workers
+///    clone the `Arc`, not the schedule, and reuse per-thread run
+///    scratch across replicas.
 ///
 /// Cells are collected **in job-index order** (app-major, then spec
 /// order), and each cell's RNG stream is derived from its stable
@@ -358,26 +362,25 @@ fn run_figure(
                 }
             }
         }
-        let built: Vec<(usize, Arc<CompiledSchedule>, cesim_model::Time)> = scales
+        let built: Vec<CompiledEntry> = scales
             .par_iter()
             .map(|&(ai, nodes)| {
                 let _trace_guard = trace.map(|t| t.install());
                 let app = cfg.apps[ai];
                 let ranks = natural_ranks(app, nodes);
-                let sched = {
-                    let _s = ProfSpan::enter("build");
-                    cesim_workloads::build(app, ranks, &cfg.workload_cfg(ai as u64))
-                };
+                // Free the schedule before the baseline run builds the
+                // fork table: only its compiled form is needed after.
                 let cs = {
+                    let sched = {
+                        let _s = ProfSpan::enter("build");
+                        cesim_workloads::build(app, ranks, &cfg.workload_cfg(ai as u64))
+                    };
                     let _s = ProfSpan::enter("compile");
                     Arc::new(CompiledSchedule::compile(&sched))
                 };
-                let base = {
-                    let _s = ProfSpan::enter("baseline");
-                    simulate_compiled(&cs, &cesim_model::LogGopsParams::xc40(), &mut NoNoise)
-                        .expect("workload schedules are deadlock-free")
-                };
-                (ranks, cs, base.finish)
+                let _s = ProfSpan::enter("baseline");
+                CompiledEntry::new(ranks, cs, &LogGopsParams::xc40())
+                    .expect("workload schedules are deadlock-free")
             })
             .collect();
         let scale_index: HashMap<(usize, usize), usize> = scales
@@ -406,7 +409,7 @@ fn run_figure(
             let expected_ps: u64 = jobs
                 .iter()
                 .map(|&(ai, si)| {
-                    let base = built[scale_index[&(ai, specs[si].nodes)]].2;
+                    let base = built[scale_index[&(ai, specs[si].nodes)]].baseline();
                     base.as_ps().saturating_mul(cfg.reps as u64)
                 })
                 .sum();
@@ -427,35 +430,23 @@ fn run_figure(
                         spec.mode.short_label()
                     ))
                 });
-                let (ranks, cs, baseline) = &built[scale_index[&(ai, spec.nodes)]];
+                let entry = &built[scale_index[&(ai, spec.nodes)]];
                 let exp = Experiment {
                     app,
                     nodes: spec.nodes,
                     mode: spec.mode,
                     mtbce: spec.mtbce,
-                    scope: scope_for(*ranks),
+                    scope: scope_for(entry.ranks),
                     reps: cfg.reps,
                     seed: point_seed(cfg.seed, id, ai, si),
-                    params: cesim_model::LogGopsParams::xc40(),
+                    params: LogGopsParams::xc40(),
                     workload: cfg.workload_cfg(ai as u64),
                     shards: cfg.shards,
                 };
-                let observe_replicas = if cfg.observe {
-                    cfg.observe_replicas.max(1)
-                } else {
-                    0
-                };
                 let out = {
                     let _s = ProfSpan::enter("cell_run");
-                    run_against_baseline_compiled_telem(
-                        &exp,
-                        *ranks,
-                        cs,
-                        *baseline,
-                        observe_replicas,
-                        telem,
-                    )
-                    .expect("workload schedules are deadlock-free")
+                    run_against_baseline_entry(&exp, entry, cfg.observe_replicas, telem)
+                        .expect("workload schedules are deadlock-free")
                 };
                 let _agg = ProfSpan::enter("cell_aggregate");
                 if cfg.progress || cfg.progress_eta {
@@ -497,7 +488,7 @@ fn run_figure(
                     stddev_pct: out.slowdown_stddev_pct(),
                     baseline_secs: out.baseline.as_secs_f64(),
                     ce_events: out.mean_ce_events(),
-                    ranks: *ranks,
+                    ranks: entry.ranks,
                     obs: out.obs,
                 }
             })

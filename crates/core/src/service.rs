@@ -103,62 +103,67 @@ pub struct SimulateRequest {
     pub shards: usize,
 }
 
-fn expect_object<'v>(
+// JSON request-field helpers, shared with the fleet spec parser
+// (`cesim_fleet::spec`). Each error message names the offending field;
+// the `/v1/simulate` and `/v1/sweep` paths wrap them with `bad`.
+
+/// `v` as an object, or an error naming it `what`.
+pub fn expect_object<'v>(
     v: &'v JsonValue,
     what: &str,
-) -> Result<&'v BTreeMap<String, JsonValue>, ServiceError> {
+) -> Result<&'v BTreeMap<String, JsonValue>, String> {
     v.as_object()
-        .ok_or_else(|| bad(format!("{what} must be a JSON object")))
+        .ok_or_else(|| format!("{what} must be a JSON object"))
 }
 
-fn reject_unknown(obj: &BTreeMap<String, JsonValue>, known: &[&str]) -> Result<(), ServiceError> {
-    for key in obj.keys() {
-        if !known.contains(&key.as_str()) {
-            return Err(bad(format!(
-                "unknown field {key:?} (expected one of: {})",
-                known.join(", ")
-            )));
-        }
+/// Reject any key of `obj` (named `what`) outside `known`: a typo must
+/// not silently fall back to a default.
+pub fn reject_unknown(
+    obj: &BTreeMap<String, JsonValue>,
+    what: &str,
+    known: &[&str],
+) -> Result<(), String> {
+    match obj.keys().find(|key| !known.contains(&key.as_str())) {
+        Some(key) => Err(format!(
+            "{what}: unknown field {key:?} (expected one of: {})",
+            known.join(", ")
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-fn field_u64(
+/// Field `key` as a non-negative integer, `default` when absent.
+pub fn field_u64(
     obj: &BTreeMap<String, JsonValue>,
     key: &str,
     default: u64,
-) -> Result<u64, ServiceError> {
+) -> Result<u64, String> {
     match obj.get(key) {
         None => Ok(default),
         Some(v) => v
             .as_u64()
-            .ok_or_else(|| bad(format!("{key} must be a non-negative integer"))),
+            .ok_or_else(|| format!("{key} must be a non-negative integer")),
     }
 }
 
-fn field_f64(
+/// Field `key` as a number, `default` when absent.
+pub fn field_f64(
     obj: &BTreeMap<String, JsonValue>,
     key: &str,
     default: f64,
-) -> Result<f64, ServiceError> {
+) -> Result<f64, String> {
     match obj.get(key) {
         None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| bad(format!("{key} must be a number"))),
+        Some(v) => v.as_f64().ok_or_else(|| format!("{key} must be a number")),
     }
 }
 
-fn field_bool(
-    obj: &BTreeMap<String, JsonValue>,
-    key: &str,
-    default: bool,
-) -> Result<bool, ServiceError> {
+fn field_bool(obj: &BTreeMap<String, JsonValue>, key: &str, default: bool) -> Result<bool, String> {
     match obj.get(key) {
         None => Ok(default),
         Some(v) => v
             .as_bool()
-            .ok_or_else(|| bad(format!("{key} must be a boolean"))),
+            .ok_or_else(|| format!("{key} must be a boolean")),
     }
 }
 
@@ -173,36 +178,38 @@ fn parse_app(v: &JsonValue) -> Result<AppId, ServiceError> {
     })
 }
 
-/// Parse a logging mode: `"hw"` / `"sw"` / `"fw"` (or the long names),
-/// or any duration accepted by [`parse_span`] as a custom per-event
-/// cost (`"7ms"`, `"500us"`, …).
-fn parse_mode(v: &JsonValue) -> Result<LoggingMode, ServiceError> {
-    let s = v.as_str().ok_or_else(|| bad("mode must be a string"))?;
+/// Parse logging-mode field `what`: `"hw"` / `"sw"` / `"fw"` (or the
+/// long names), or any duration accepted by [`parse_span`] as a custom
+/// per-event cost (`"7ms"`, `"500us"`, …).
+pub fn parse_mode(v: &JsonValue, what: &str) -> Result<LoggingMode, String> {
+    let s = v
+        .as_str()
+        .ok_or_else(|| format!("{what} must be a string"))?;
     match s.to_ascii_lowercase().as_str() {
         "hw" | "hardware" | "hardware-only" => Ok(LoggingMode::HardwareOnly),
         "sw" | "software" | "os" => Ok(LoggingMode::Software),
         "fw" | "firmware" => Ok(LoggingMode::Firmware),
         other => parse_span(other).map(LoggingMode::Custom).map_err(|_| {
-            bad(format!(
-                "mode must be \"hw\", \"sw\", \"fw\", or a per-event duration like \"7ms\" (got {s:?})"
-            ))
+            format!(
+                "{what} must be \"hw\", \"sw\", \"fw\", or a per-event duration like \"7ms\" (got {s:?})"
+            )
         }),
     }
 }
 
-/// Parse an MTBCE: a duration string (`"1h"`, `"200ms"`) or a plain
-/// number of seconds, either way at least 1 ps.
-fn parse_mtbce(v: &JsonValue) -> Result<Span, ServiceError> {
+/// Parse MTBCE field `what`: a duration string (`"1h"`, `"200ms"`) or a
+/// plain number of seconds, either way at least 1 ps.
+pub fn parse_mtbce(v: &JsonValue, what: &str) -> Result<Span, String> {
     if let Some(s) = v.as_str() {
-        return parse_positive_span(s).map_err(|e| bad(format!("mtbce: {e}")));
+        return parse_positive_span(s).map_err(|e| format!("{what}: {e}"));
     }
     if let Some(secs) = v.as_f64() {
         if !secs.is_finite() || secs <= 0.0 || Span::from_secs_f64(secs).is_zero() {
-            return Err(bad("mtbce seconds must be positive (at least 1ps)"));
+            return Err(format!("{what}: seconds must be positive (at least 1ps)"));
         }
         return Ok(Span::from_secs_f64(secs));
     }
-    Err(bad("mtbce must be a duration string or seconds"))
+    Err(format!("{what} must be a duration string or seconds"))
 }
 
 impl SimulateRequest {
@@ -222,31 +229,31 @@ impl SimulateRequest {
     /// Validate a parsed `POST /v1/simulate` body. Unknown fields are
     /// rejected (a typo must not silently fall back to a default).
     pub fn from_json(v: &JsonValue) -> Result<Self, ServiceError> {
-        let obj = expect_object(v, "request body")?;
-        reject_unknown(obj, Self::KNOWN)?;
+        let obj = expect_object(v, "request body").map_err(bad)?;
+        reject_unknown(obj, "request body", Self::KNOWN).map_err(bad)?;
         let app = parse_app(obj.get("app").ok_or_else(|| bad("missing field \"app\""))?)?;
-        let nodes = field_u64(obj, "nodes", 64)? as usize;
+        let nodes = field_u64(obj, "nodes", 64).map_err(bad)? as usize;
         if nodes == 0 || nodes > MAX_NODES {
             return Err(bad(format!("nodes must be in 1..={MAX_NODES}")));
         }
         let mode = match obj.get("mode") {
-            Some(v) => parse_mode(v)?,
+            Some(v) => parse_mode(v, "mode").map_err(bad)?,
             None => LoggingMode::Firmware,
         };
         let mtbce = match obj.get("mtbce") {
-            Some(v) => parse_mtbce(v)?,
+            Some(v) => parse_mtbce(v, "mtbce").map_err(bad)?,
             None => Span::from_secs(3600),
         };
-        let reps = field_u64(obj, "reps", 3)?;
+        let reps = field_u64(obj, "reps", 3).map_err(bad)?;
         if reps == 0 || reps > MAX_REPS {
             return Err(bad(format!("reps must be in 1..={MAX_REPS}")));
         }
-        let seed = field_u64(obj, "seed", 0xCE11)?;
-        let shards = field_u64(obj, "shards", 1)?;
+        let seed = field_u64(obj, "seed", 0xCE11).map_err(bad)?;
+        let shards = field_u64(obj, "shards", 1).map_err(bad)?;
         if shards == 0 || shards > MAX_SHARDS {
             return Err(bad(format!("shards must be in 1..={MAX_SHARDS}")));
         }
-        let single_rank = field_bool(obj, "single_rank", false)?;
+        let single_rank = field_bool(obj, "single_rank", false).map_err(bad)?;
         // Serving default: a quarter of the app's step count. Full-length
         // runs are for the CLI; the daemon favors latency, and slowdown
         // ratios converge with few steps (see figures module docs).
@@ -262,7 +269,7 @@ impl SimulateRequest {
             workload.steps_override = Some(steps as usize);
         }
         if obj.contains_key("steps_scale") {
-            let scale = field_f64(obj, "steps_scale", 0.25)?;
+            let scale = field_f64(obj, "steps_scale", 0.25).map_err(bad)?;
             if !scale.is_finite() || scale <= 0.0 {
                 return Err(bad("steps_scale must be positive"));
             }
@@ -311,7 +318,7 @@ pub fn handle_simulate(
         .map_err(|e| ServiceError::Internal(e.to_string()))?;
     let out = {
         let _s = cesim_obs::telemetry::Span::enter("run");
-        run_against_baseline_entry(&exp, &entry, 0)
+        run_against_baseline_entry(&exp, &entry, 0, None)
             .map_err(|e| ServiceError::Internal(e.to_string()))?
     };
     state.schedules.record_forks(&out.runs);
@@ -368,8 +375,8 @@ impl SweepRequest {
 
     /// Validate a parsed `POST /v1/sweep` body.
     pub fn from_json(v: &JsonValue) -> Result<Self, ServiceError> {
-        let obj = expect_object(v, "request body")?;
-        reject_unknown(obj, Self::KNOWN)?;
+        let obj = expect_object(v, "request body").map_err(bad)?;
+        reject_unknown(obj, "request body", Self::KNOWN).map_err(bad)?;
         let figure = obj
             .get("figure")
             .ok_or_else(|| bad("missing field \"figure\""))?
@@ -381,19 +388,19 @@ impl SweepRequest {
                 "unknown figure {figure:?} (expected fig3..fig7)"
             )));
         }
-        let nodes = field_u64(obj, "nodes", 32)? as usize;
+        let nodes = field_u64(obj, "nodes", 32).map_err(bad)? as usize;
         if nodes == 0 || nodes > MAX_NODES {
             return Err(bad(format!("nodes must be in 1..={MAX_NODES}")));
         }
-        let reps = field_u64(obj, "reps", 1)?;
+        let reps = field_u64(obj, "reps", 1).map_err(bad)?;
         if reps == 0 || reps > MAX_REPS {
             return Err(bad(format!("reps must be in 1..={MAX_REPS}")));
         }
-        let steps_scale = field_f64(obj, "steps_scale", 0.05)?;
+        let steps_scale = field_f64(obj, "steps_scale", 0.05).map_err(bad)?;
         if !steps_scale.is_finite() || steps_scale <= 0.0 {
             return Err(bad("steps_scale must be positive"));
         }
-        let seed = field_u64(obj, "seed", 0xF16)?;
+        let seed = field_u64(obj, "seed", 0xF16).map_err(bad)?;
         let apps = match obj.get("apps") {
             None => AppId::all().to_vec(),
             Some(v) => {

@@ -425,7 +425,7 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                     let entry = schedules
                         .get_or_compile(inp.app, inp.nodes_required, &inp.workload, &params)
                         .map_err(|e| format!("job {}: {e}", inp.job_index))?;
-                    let rank_params: Vec<RankCeParams> = (0..entry.ranks)
+                    let rank_params: Vec<RankCeParams> = (0..entry.ranks())
                         .map(|r| inp.rank_params_of[r % inp.rank_params_of.len()])
                         .collect();
                     let baseline = entry.baseline().since(Time::ZERO);
@@ -439,13 +439,13 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                             finish: baseline,
                             baseline,
                             ce_events: 0,
-                            per_rank: vec![0; entry.ranks],
+                            per_rank: vec![0; entry.ranks()],
                             diverged: true,
                         });
                     }
                     // A slice no CE reaches leaves the process untouched,
                     // so its per-rank counts are all zero.
-                    let r = run_forked(&entry.schedule, &params, &entry.forks, &mut noise)
+                    let r = run_forked(entry.schedule(), &params, entry.forks(), &mut noise)
                         .map_err(|e| format!("job {}: {e}", inp.job_index))?;
                     schedules.record_forks([&r]);
                     Ok(SliceResult {

@@ -7,16 +7,16 @@
 //! engine does is a pure function of the spec — see the determinism
 //! argument in DESIGN.md ("Fleet engine").
 //!
-//! Parsing follows the service-layer conventions of
-//! `cesim_core::service`: unknown fields are rejected (a typo must not
-//! silently become a default) and every error message names the
-//! offending field.
+//! Parsing uses the JSON request-field helpers of `cesim_core::service`:
+//! unknown fields are rejected (a typo must not silently become a
+//! default) and every error message names the offending field.
 
-use cesim_model::{parse_positive_span, parse_span, LoggingMode, Span};
-use cesim_workloads::AppId;
-use std::collections::BTreeMap;
-
+use cesim_core::service::{
+    expect_object, field_f64, field_u64, parse_mode, parse_mtbce, reject_unknown,
+};
 use cesim_json::JsonValue;
+use cesim_model::{LoggingMode, Span};
+use cesim_workloads::AppId;
 
 /// Default cap on fleet epochs when the spec does not set one.
 pub const DEFAULT_MAX_EPOCHS: u32 = 64;
@@ -158,76 +158,8 @@ impl FleetSpec {
     }
 }
 
-fn obj<'v>(v: &'v JsonValue, what: &str) -> Result<&'v BTreeMap<String, JsonValue>, String> {
-    v.as_object()
-        .ok_or_else(|| format!("{what} must be a JSON object"))
-}
-
-fn reject_unknown(
-    obj: &BTreeMap<String, JsonValue>,
-    what: &str,
-    known: &[&str],
-) -> Result<(), String> {
-    for key in obj.keys() {
-        if !known.contains(&key.as_str()) {
-            return Err(format!(
-                "{what}: unknown field {key:?} (expected one of: {})",
-                known.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn field_u64(obj: &BTreeMap<String, JsonValue>, key: &str, default: u64) -> Result<u64, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("{key} must be a non-negative integer")),
-    }
-}
-
-fn field_f64(obj: &BTreeMap<String, JsonValue>, key: &str, default: f64) -> Result<f64, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v.as_f64().ok_or_else(|| format!("{key} must be a number")),
-    }
-}
-
-/// Parse an MTBCE field: a `parse_span` string (`"10ms"`) or plain
-/// seconds, either way at least 1 ps.
-fn parse_mtbce(v: &JsonValue, what: &str) -> Result<Span, String> {
-    if let Some(s) = v.as_str() {
-        return parse_positive_span(s).map_err(|e| format!("{what}: {e}"));
-    }
-    if let Some(secs) = v.as_f64() {
-        if !secs.is_finite() || secs <= 0.0 || Span::from_secs_f64(secs).is_zero() {
-            return Err(format!("{what}: seconds must be positive (at least 1ps)"));
-        }
-        return Ok(Span::from_secs_f64(secs));
-    }
-    Err(format!("{what} must be a duration string or seconds"))
-}
-
-fn parse_mode(v: &JsonValue, what: &str) -> Result<LoggingMode, String> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| format!("{what} must be a string"))?;
-    match s.to_ascii_lowercase().as_str() {
-        "hw" | "hardware" | "hardware-only" => Ok(LoggingMode::HardwareOnly),
-        "sw" | "software" | "os" => Ok(LoggingMode::Software),
-        "fw" | "firmware" => Ok(LoggingMode::Firmware),
-        other => parse_span(other).map(LoggingMode::Custom).map_err(|_| {
-            format!(
-                "{what} must be \"hw\", \"sw\", \"fw\", or a per-event duration like \"7ms\" (got {s:?})"
-            )
-        }),
-    }
-}
-
 fn parse_mtbce_dist(v: &JsonValue) -> Result<MtbceDist, String> {
-    let o = obj(v, "cluster.mtbce")?;
+    let o = expect_object(v, "cluster.mtbce")?;
     let dist = o
         .get("dist")
         .ok_or_else(|| "cluster.mtbce: missing field \"dist\"".to_string())?
@@ -276,7 +208,7 @@ fn parse_mtbce_dist(v: &JsonValue) -> Result<MtbceDist, String> {
             }
             let mut buckets = Vec::with_capacity(arr.len());
             for (i, b) in arr.iter().enumerate() {
-                let bo = obj(b, &format!("cluster.mtbce.buckets[{i}]"))?;
+                let bo = expect_object(b, &format!("cluster.mtbce.buckets[{i}]"))?;
                 reject_unknown(
                     bo,
                     &format!("cluster.mtbce.buckets[{i}]"),
@@ -305,7 +237,7 @@ fn parse_mtbce_dist(v: &JsonValue) -> Result<MtbceDist, String> {
 }
 
 fn parse_cluster(v: &JsonValue) -> Result<ClusterSpec, String> {
-    let o = obj(v, "cluster")?;
+    let o = expect_object(v, "cluster")?;
     reject_unknown(
         o,
         "cluster",
@@ -342,7 +274,7 @@ fn parse_cluster(v: &JsonValue) -> Result<ClusterSpec, String> {
 
 fn parse_job(v: &JsonValue, i: usize) -> Result<JobSpec, String> {
     let what = format!("jobs[{i}]");
-    let o = obj(v, &what)?;
+    let o = expect_object(v, &what)?;
     reject_unknown(o, &what, &["app", "nodes", "count", "steps", "epochs"])?;
     let app_v = o
         .get("app")
@@ -402,7 +334,7 @@ fn parse_placement(v: &JsonValue) -> Result<Placement, String> {
 }
 
 fn parse_policy(v: &JsonValue) -> Result<PolicySpec, String> {
-    let o = obj(v, "policy")?;
+    let o = expect_object(v, "policy")?;
     let kind = o
         .get("kind")
         .ok_or_else(|| "policy: missing field \"kind\"".to_string())?
@@ -452,7 +384,7 @@ impl FleetSpec {
 
     /// Parse and validate a fleet spec from its JSON form.
     pub fn from_json(v: &JsonValue) -> Result<FleetSpec, String> {
-        let o = obj(v, "fleet spec")?;
+        let o = expect_object(v, "fleet spec")?;
         reject_unknown(o, "fleet spec", Self::KNOWN)?;
         let seed = field_u64(o, "seed", 0xF1EE7)?;
         let max_epochs = field_u64(o, "epochs", u64::from(DEFAULT_MAX_EPOCHS))? as u32;

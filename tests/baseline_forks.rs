@@ -212,10 +212,10 @@ fn snapshot_bytes_stay_within_budget() {
         .chain(AppId::all().into_iter().map(|app| (app, 128, serve)));
     for (app, nodes, wl) in shapes {
         let entry = cache.get_or_compile(app, nodes, &wl, &p).unwrap();
-        let budget = ForkTable::budget(&entry.schedule);
-        let bytes = entry.forks.bytes();
+        let budget = ForkTable::budget(entry.schedule());
+        let bytes = entry.forks().bytes();
         assert!(bytes <= budget, "{app} x{nodes}: {bytes} > {budget}");
-        assert!(!entry.forks.snapshots().is_empty(), "{app} x{nodes}");
-        assert!(entry.forks.snapshots().len() <= 16, "{app} x{nodes}");
+        assert!(!entry.forks().snapshots().is_empty(), "{app} x{nodes}");
+        assert!(entry.forks().snapshots().len() <= 16, "{app} x{nodes}");
     }
 }

@@ -20,12 +20,14 @@ use dram_ce_sim::engine::{
 use dram_ce_sim::experiment::{
     run_against_baseline_compiled, run_against_baseline_entry, Experiment,
 };
+use dram_ce_sim::figures::{self, FigureData, ScaleConfig};
 use dram_ce_sim::goal::{Rank, Schedule};
 use dram_ce_sim::model::{LogGopsParams, LoggingMode, Span, Time};
 use dram_ce_sim::noise::{CeNoise, Scope};
-use dram_ce_sim::seed::rep_seed;
-use dram_ce_sim::workloads::{self, natural_ranks, AppId};
-use dram_ce_sim::ScheduleCache;
+use dram_ce_sim::report::figure_csv;
+use dram_ce_sim::seed::{point_seed, rep_seed};
+use dram_ce_sim::workloads::{self, natural_ranks, AppId, WorkloadConfig};
+use dram_ce_sim::{CompiledEntry, ScheduleCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -199,7 +201,7 @@ fn experiment_replicas_match_full_simulation() {
                 .unwrap();
             assert_eq!(entry.baseline(), base.finish);
             let out = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
-            let forked = run_against_baseline_entry(&exp, &entry, 0).unwrap();
+            let forked = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
             assert_eq!(forked.baseline, out.baseline);
             let detour = exp.mode.per_event_cost();
             let (mut skipped, mut resumed) = (0, 0);
@@ -229,6 +231,86 @@ fn experiment_replicas_match_full_simulation() {
             );
             if shards > 1 {
                 assert_eq!(resumed, 0, "{app}: sharded replicas never resume or rejoin");
+            }
+        }
+    }
+}
+
+/// Figure cells run their replicas against real fork tables, and match
+/// full simulation: a small Fig. 3 and Fig. 6 sweep, once plain and once
+/// with every replica observed (observed replicas always simulate in
+/// full), agree on every base CSV column. Every cell, rerun here against
+/// an entry prepared from its own app and scale, reproduces the sweep's
+/// cell; and one cell of each sweep has replicas that resumed from a
+/// snapshot and replicas that rejoined the baseline, so the comparison
+/// covers both.
+#[test]
+fn figure_cells_match_full_simulation() {
+    // Exact per-node rates (Fig. 3 is never rescaled): at the
+    // rate-preserving default, Fig. 6's all-rank CEs arrive before the
+    // first snapshot's horizon, so its replicas rejoin but never resume.
+    let cfg = ScaleConfig {
+        nodes: 16,
+        reps: 3,
+        steps_scale: 0.05,
+        apps: vec![AppId::Lulesh, AppId::Hpcg],
+        preserve_machine_rate: false,
+        ..ScaleConfig::default()
+    };
+    let observed = ScaleConfig {
+        observe_replicas: cfg.reps as usize,
+        ..cfg.clone()
+    };
+    let base_cols = |fig: &FigureData| -> Vec<String> {
+        let csv = figure_csv(fig);
+        csv.lines()
+            .map(|l| l.split(',').take(10).collect::<Vec<_>>().join(","))
+            .collect()
+    };
+    // (figure, sweep, scope, index of the cell that resumes and rejoins:
+    // LULESH under software logging, at MTBCE 100 ms and 1 s).
+    type Sweep = fn(&ScaleConfig) -> FigureData;
+    let sweeps: [(&str, Sweep, Scope, usize); 2] = [
+        ("fig3", figures::fig3, Scope::SingleRank(Rank(0)), 7),
+        ("fig6", figures::fig6, Scope::AllRanks, 7),
+    ];
+    for (id, fig, scope, forked) in sweeps {
+        let plain = fig(&cfg);
+        assert_eq!(base_cols(&plain), base_cols(&fig(&observed)), "{id}");
+        let specs = plain.cells.len() / cfg.apps.len();
+        for (k, cell) in plain.cells.iter().enumerate() {
+            let (ai, si) = (k / specs, k % specs);
+            let workload = WorkloadConfig {
+                steps_scale: cfg.steps_scale,
+                seed: cfg.seed ^ ai as u64,
+                ..WorkloadConfig::default()
+            };
+            let exp = Experiment {
+                app: cell.app,
+                nodes: cfg.nodes,
+                mode: cell.mode,
+                mtbce: cell.mtbce,
+                scope,
+                reps: cfg.reps,
+                seed: point_seed(cfg.seed, id, ai, si),
+                params: LogGopsParams::xc40(),
+                workload,
+                shards: 1,
+            };
+            let ranks = natural_ranks(cell.app, cfg.nodes);
+            let sched = workloads::build(cell.app, ranks, &workload);
+            let cs = Arc::new(CompiledSchedule::compile(&sched));
+            let entry = CompiledEntry::new(ranks, cs, &exp.params).unwrap();
+            let out = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
+            let at = format!("{id} {} {} {}", cell.app, cell.group, cell.mode);
+            assert_eq!(out.baseline.as_secs_f64(), cell.baseline_secs, "{at}");
+            assert_eq!(out.mean_slowdown_pct(), cell.slowdown_pct, "{at}");
+            if k == forked {
+                assert!(
+                    out.runs.iter().any(|r| r.prefix() > 0),
+                    "{at}: none resumed"
+                );
+                assert!(out.runs.iter().any(|r| r.suffix > 0), "{at}: none rejoined");
             }
         }
     }
