@@ -69,7 +69,6 @@ const FLAGS: &[&str] = &[
     "chart",
     "single-node",
     "profile",
-    "shard-health",
     "log-requests",
     "help",
 ];

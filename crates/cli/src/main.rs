@@ -90,9 +90,9 @@ SCALE OPTIONS (fig3..fig7)
                     Number of replicas per cell to record and aggregate
                     [default 1; implies --observe]
   --profile         Span-profiler phase breakdown (build/compile/baseline/
-                    cell_run) on stderr after the sweep; results unchanged
-  --shard-health    With --shards > 1: per-shard busy/stall/barrier table
-                    and imbalance report on stderr after the sweep
+                    cell_run) on stderr after the sweep, then, if a run was
+                    sharded, the per-shard busy/stall/barrier table and
+                    imbalance report; results unchanged
 
 TRACE OPTIONS (cesim trace [FILE])
   --generate FILE   Write a synthetic PMPI-style trace and exit
@@ -130,9 +130,9 @@ RUN OPTIONS (cesim run)
                     results are byte-identical for every value
   --progress        With --shards > 1: window-based progress and ETA on
                     stderr while the sharded replicas run
-  --profile         Span-profiler phase breakdown on stderr after the run
-  --shard-health    With --shards > 1: per-shard busy/stall/barrier table
-                    and imbalance report on stderr after the run
+  --profile         Span-profiler phase breakdown on stderr after the run,
+                    then, if a run was sharded, the per-shard busy/stall/
+                    barrier table and imbalance report
 
 FLEET OPTIONS (cesim fleet SPEC.json)
   --policy P        Override the spec's mitigation policy: static,
@@ -451,6 +451,19 @@ fn steps_scale_arg(args: &Args, default: f64) -> Result<f64, String> {
     Ok(scale)
 }
 
+/// A count option (`--nodes`, `--reps`) that must be at least 1.
+fn count_arg<T: std::str::FromStr + Default + PartialEq>(
+    args: &Args,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let n = args.get_parsed(name, default)?;
+    if n == T::default() {
+        return Err(format!("--{name} must be at least 1"));
+    }
+    Ok(n)
+}
+
 /// `cesim metrics-check FILE` — validate a saved Prometheus scrape body
 /// with the in-repo exposition validator (CI gates on this).
 fn cmd_metrics_check(args: &Args) -> Result<(), String> {
@@ -508,8 +521,8 @@ fn scale_config(args: &Args) -> Result<ScaleConfig, String> {
     } else {
         ScaleConfig::default()
     };
-    cfg.nodes = args.get_parsed("nodes", cfg.nodes)?;
-    cfg.reps = args.get_parsed("reps", cfg.reps)?;
+    cfg.nodes = count_arg(args, "nodes", cfg.nodes)?;
+    cfg.reps = count_arg(args, "reps", cfg.reps)?;
     cfg.steps_scale = steps_scale_arg(args, cfg.steps_scale)?;
     cfg.seed = args.get_parsed("seed", cfg.seed)?;
     cfg.threads = args.get_parsed("threads", cfg.threads)?;
@@ -539,23 +552,11 @@ fn scale_config(args: &Args) -> Result<ScaleConfig, String> {
 
 fn cmd_fig(args: &Args, f: impl Fn(&ScaleConfig) -> FigureData) -> Result<(), String> {
     use cesim_core::obs::telemetry;
-    let mut cfg = scale_config(args)?;
+    let cfg = scale_config(args)?;
     let profile = args.has_flag("profile");
-    let shard_health = args.has_flag("shard-health");
     if profile {
         telemetry::set_enabled(true);
     }
-    if shard_health && cfg.shards <= 1 {
-        eprintln!("note: --shard-health needs --shards > 1; ignoring");
-    }
-    let telem = if shard_health && cfg.shards > 1 {
-        Some(std::sync::Arc::new(
-            cesim_core::engine::ShardTelemetry::new(cfg.shards),
-        ))
-    } else {
-        None
-    };
-    cfg.shard_telemetry = telem.clone();
     let sweep_start = std::time::Instant::now();
     let fig = f(&cfg);
     let wall = sweep_start.elapsed();
@@ -568,13 +569,20 @@ fn cmd_fig(args: &Args, f: impl Fn(&ScaleConfig) -> FigureData) -> Result<(), St
         std::fs::write(path, figure_csv(&fig)).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    if let Some(t) = &telem {
-        eprintln!("{}", t.report());
-    }
     if profile {
-        eprint!("{}", telemetry::profile_table(wall));
+        eprint_profile(wall);
     }
     Ok(())
+}
+
+/// The `--profile` report on stderr: the span profiler's phase table,
+/// then the shard report if any run was sharded.
+fn eprint_profile(wall: std::time::Duration) {
+    eprint!("{}", cesim_core::obs::telemetry::profile_table(wall));
+    let shards = cesim_core::engine::shard_globals();
+    if shards.runs_total > 0 {
+        eprintln!("{shards}");
+    }
 }
 
 /// Fig. 1: the hand example — a detour on rank 0 delays rank 2, which it
@@ -1025,7 +1033,7 @@ fn parse_mode(s: &str) -> Result<LoggingMode, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    use cesim_core::engine::{CompiledSchedule, ShardTelemetry};
+    use cesim_core::engine::CompiledSchedule;
     use cesim_core::experiment::run_against_baseline_entry;
     use cesim_core::obs::telemetry::{self, Span as ProfSpan};
     use cesim_core::workloads::natural_ranks;
@@ -1037,19 +1045,15 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         None => AppId::Lulesh,
         Some(name) => AppId::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?,
     };
-    let nodes = args.get_parsed("nodes", 256usize)?;
+    let nodes = count_arg(args, "nodes", 256usize)?;
     let mode = parse_mode(args.get("mode").unwrap_or("fw"))?;
     let mtbce = mtbce_arg(args, "5544")?;
-    let reps = args.get_parsed("reps", 3u32)?;
+    let reps = count_arg(args, "reps", 3u32)?;
     let seed = args.get_parsed("seed", 0xCE11u64)?;
     let shards = parse_shards(args, 1, natural_ranks(app, nodes))?;
     let profile = args.has_flag("profile");
-    let shard_health = args.has_flag("shard-health");
     if profile {
         telemetry::set_enabled(true);
-    }
-    if shard_health && shards <= 1 {
-        eprintln!("note: --shard-health needs --shards > 1; ignoring");
     }
     let mut exp = Experiment::new(app, nodes)
         .mode(mode)
@@ -1094,11 +1098,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let _s = ProfSpan::enter("baseline");
         CompiledEntry::new(ranks, cs, &exp.params).map_err(|e| e.to_string())?
     };
-    let telem = if shards > 1 && (shard_health || profile) {
-        Some(ShardTelemetry::new(shards))
-    } else {
-        None
-    };
 
     let progress = (shards > 1 && args.has_flag("progress")).then(|| {
         let expected_ps = entry.baseline().as_ps().saturating_mul(reps as u64);
@@ -1107,10 +1106,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
     let out = {
         let _s = ProfSpan::enter("run");
-        figures::with_threads(threads, || {
-            run_against_baseline_entry(&exp, &entry, 0, telem.as_ref())
-        })
-        .map_err(|e| e.to_string())?
+        figures::with_threads(threads, || run_against_baseline_entry(&exp, &entry, 0))
+            .map_err(|e| e.to_string())?
     };
     // Wall time for the profile table stops here: the progress join
     // below can lag up to one poll interval and is not simulation work.
@@ -1135,13 +1132,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             exp.mtbce
         ),
     }
-    if let Some(t) = &telem {
-        if shard_health {
-            eprintln!("{}", t.report());
-        }
-    }
     if profile {
-        eprint!("{}", telemetry::profile_table(run_wall));
+        eprint_profile(run_wall);
     }
     Ok(())
 }

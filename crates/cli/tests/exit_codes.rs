@@ -222,6 +222,10 @@ fn runtime_errors_exit_one() {
         (&["run"], "--steps-scale", "nan"),
         (&["fig3"], "--steps-scale", "-1"),
         (&["fig3"], "--steps-scale", "nan"),
+        (&["run"], "--reps", "0"),
+        (&["run"], "--nodes", "0"),
+        (&["fig3"], "--reps", "0"),
+        (&["fig3"], "--nodes", "0"),
     ] {
         let args: Vec<&str> = cmd.iter().copied().chain([flag, value]).collect();
         let (code, stderr) = run_cli(&args);

@@ -25,8 +25,7 @@
 use crate::cache::CompiledEntry;
 use crate::seed::rep_seed;
 use cesim_engine::{
-    simulate_sharded_instrumented, CompiledSchedule, Fork, ForkTable, NullRecorder, ShardTelemetry,
-    SimError, SimResult, Simulator,
+    simulate_compiled_sharded, CompiledSchedule, Fork, ForkTable, SimError, SimResult, Simulator,
 };
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
 use cesim_noise::{CeNoise, Scope};
@@ -381,7 +380,7 @@ pub fn run(exp: &Experiment) -> Result<Outcome, SimError> {
     let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
     let cs = Arc::new(CompiledSchedule::compile(&sched));
     let entry = CompiledEntry::new(ranks, cs, &exp.params)?;
-    run_against_baseline_entry(exp, &entry, 0, None)
+    run_against_baseline_entry(exp, &entry, 0)
 }
 
 /// [`run_against_baseline_entry`] for callers that hold only the
@@ -402,7 +401,7 @@ pub fn run_against_baseline_compiled(
         schedule: Arc::clone(cs),
         forks: ForkTable::terminal(baseline),
     };
-    run_against_baseline_entry(exp, &entry, observe_replicas, None)
+    run_against_baseline_entry(exp, &entry, observe_replicas)
 }
 
 /// The replicas of `exp` against a prepared entry: its compiled schedule,
@@ -411,9 +410,10 @@ pub fn run_against_baseline_compiled(
 /// across runs), and its baseline fork table.
 ///
 /// **Replica paths.** Unobserved serial replicas use every entry of the
-/// fork table ([`run_forked`]). Sharded replicas use only the terminal
-/// entry. Observed replicas always simulate in full, since they need the
-/// timeline.
+/// fork table ([`run_forked`]). Unobserved sharded replicas use only the
+/// terminal entry. Observed replicas always simulate in full on the
+/// serial engine, whatever `exp.shards` is, since they need the timeline
+/// and only the serial engine records one.
 ///
 /// **Determinism contract.** The recorder never alters simulation state
 /// (the engine's instrumentation only observes), each replica still
@@ -425,15 +425,11 @@ pub fn run_against_baseline_compiled(
 ///
 /// `observe_replicas` is the number of leading replicas (`rep <
 /// observe_replicas`) to record and summarize; `0` disables observation
-/// entirely. When `telem` is set and the experiment is sharded, every
-/// sharded replica accumulates per-shard busy/stall/barrier counters into
-/// it (see `cesim_engine::ShardTelemetry`); replicas answered by the
-/// baseline never reach the engine and add nothing to it.
+/// entirely.
 pub fn run_against_baseline_entry(
     exp: &Experiment,
     entry: &CompiledEntry,
     observe_replicas: usize,
-    telem: Option<&ShardTelemetry>,
 ) -> Result<Outcome, SimError> {
     let (ranks, cs, forks) = (entry.ranks, &entry.schedule, &entry.forks);
     let baseline_span = forks.finish().since(Time::ZERO);
@@ -471,20 +467,9 @@ pub fn run_against_baseline_entry(
                 // huge sweep cell cannot exhaust memory.
                 let cap = ((cs.total_ops() as usize).saturating_mul(12)).clamp(1 << 10, 1 << 22);
                 let mut rec = TimelineRecorder::with_capacity(cap);
-                let r = if exp.shards > 1 {
-                    simulate_sharded_instrumented(
-                        cs,
-                        &exp.params,
-                        exp.shards,
-                        &noise,
-                        &mut rec,
-                        telem,
-                    )?
-                } else {
-                    Simulator::from_compiled(Arc::clone(cs), exp.params)
-                        .with_recorder(&mut rec)
-                        .run(&mut noise)?
-                };
+                let r = Simulator::from_compiled(Arc::clone(cs), exp.params)
+                    .with_recorder(&mut rec)
+                    .run(&mut noise)?;
                 let events = rec.events();
                 let attr = cesim_obs::critical::attribute(&events);
                 let prov = cesim_obs::provenance::analyze(&events, rec.dropped()).summary();
@@ -502,15 +487,8 @@ pub fn run_against_baseline_entry(
                 // Sharded replicas use only the terminal entry.
                 match forks.lookup(noise.first_arrival()) {
                     Fork::Baseline => Ok(RunStats::baseline(forks.finish())),
-                    _ => simulate_sharded_instrumented(
-                        cs,
-                        &exp.params,
-                        exp.shards,
-                        &noise,
-                        &mut NullRecorder,
-                        telem,
-                    )
-                    .map(|r| RunStats::of(&r, 0, 0)),
+                    _ => simulate_compiled_sharded(cs, &exp.params, exp.shards, &noise)
+                        .map(|r| RunStats::of(&r, 0, 0)),
                 }
                 .map(|stats| (stats, None))
             } else {
@@ -657,8 +635,8 @@ mod tests {
             .reps(2)
             .steps(4);
         let entry = entry(&exp);
-        let plain = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
-        let observed = run_against_baseline_entry(&exp, &entry, 1, None).unwrap();
+        let plain = run_against_baseline_entry(&exp, &entry, 0).unwrap();
+        let observed = run_against_baseline_entry(&exp, &entry, 1).unwrap();
         // Observation is a pure add-on: replica results are identical.
         assert_eq!(results(&plain), results(&observed));
         assert!(plain.obs.is_none());
@@ -688,8 +666,8 @@ mod tests {
             .reps(3)
             .steps(4);
         let entry = entry(&exp);
-        let plain = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
-        let out = run_against_baseline_entry(&exp, &entry, 2, None).unwrap();
+        let plain = run_against_baseline_entry(&exp, &entry, 0).unwrap();
+        let out = run_against_baseline_entry(&exp, &entry, 2).unwrap();
         assert_eq!(
             results(&plain),
             results(&out),
@@ -708,29 +686,23 @@ mod tests {
         assert!(sd >= 0.0);
         assert!(obs.max_amplification() >= 0.0);
         // Asking for more observed replicas than reps records them all.
-        let capped = run_against_baseline_entry(&exp, &entry, 99, None).unwrap();
+        let capped = run_against_baseline_entry(&exp, &entry, 99).unwrap();
         assert_eq!(capped.obs.unwrap().replicas.len(), exp.reps as usize);
     }
 
     #[test]
-    fn shard_telemetry_never_alters_outcomes() {
+    fn observed_sharded_replicas_equal_serial() {
         let exp = Experiment::new(AppId::Lulesh, 8)
             .mode(LoggingMode::Firmware)
             .mtbce(Span::from_secs(1))
             .reps(2)
-            .steps(4)
-            .shards(3);
+            .steps(4);
         let entry = entry(&exp);
-        let plain = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
-        let telem = ShardTelemetry::new(exp.shards);
-        let watched = run_against_baseline_entry(&exp, &entry, 1, Some(&telem)).unwrap();
-        assert_eq!(plain.runs, watched.runs, "telemetry is a pure observer");
-        let report = telem.report();
-        assert_eq!(report.runs, u64::from(exp.reps));
-        assert!(report.events() > 0);
-        for s in &report.per_shard {
-            assert_eq!(s.busy + s.stall + s.barrier, s.wall);
-        }
+        let serial = run_against_baseline_entry(&exp, &entry, 2).unwrap();
+        let sharded = run_against_baseline_entry(&exp.clone().shards(3), &entry, 2).unwrap();
+        assert_eq!(serial.runs, sharded.runs);
+        assert_eq!(serial.obs, sharded.obs);
+        assert_eq!(sharded.obs.map(|o| o.replicas.len()), Some(2));
     }
 
     #[test]

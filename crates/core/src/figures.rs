@@ -26,7 +26,7 @@
 use crate::cache::CompiledEntry;
 use crate::experiment::{run_against_baseline_entry, CellObs, Experiment};
 use crate::seed::point_seed;
-use cesim_engine::{CompiledSchedule, ShardTelemetry};
+use cesim_engine::CompiledSchedule;
 use cesim_goal::Rank;
 use cesim_model::{LogGopsParams, LoggingMode, Span, SystemSpec};
 use cesim_noise::Scope;
@@ -75,11 +75,6 @@ pub struct ScaleConfig {
     /// worker-thread budget is divided by this factor so `cells × shards`
     /// never oversubscribes the host (see [`ScaleConfig::scoped`]).
     pub shards: usize,
-    /// Optional shard-health telemetry sink: every sharded run in the
-    /// sweep accumulates per-shard busy/stall/barrier counters into it
-    /// (`--shard-health` / `--profile` on the CLI). Pure observer —
-    /// figure data is byte-identical with or without it.
-    pub shard_telemetry: Option<Arc<ShardTelemetry>>,
 }
 
 impl Default for ScaleConfig {
@@ -96,7 +91,6 @@ impl Default for ScaleConfig {
             observe_replicas: 0,
             threads: 0,
             shards: 1,
-            shard_telemetry: None,
         }
     }
 }
@@ -202,10 +196,8 @@ impl ShardProgress {
         let start = cesim_engine::shard_globals();
         let thread = std::thread::spawn(move || {
             while stopped.recv_timeout(Duration::from_secs(2)) == Err(RecvTimeoutError::Timeout) {
-                let g = cesim_engine::shard_globals();
-                let sim_ps = g.sim_ps_advanced.saturating_sub(start.sim_ps_advanced);
-                let windows = g.windows.saturating_sub(start.windows);
-                let events = g.events.saturating_sub(start.events);
+                let g = cesim_engine::shard_globals().since(&start);
+                let (windows, events, sim_ps) = (g.windows, g.events, g.sim_ps_advanced);
                 let elapsed = started.elapsed().as_secs_f64();
                 let sim_s = sim_ps as f64 / 1e12;
                 let expected_s = expected_ps as f64 / 1e12;
@@ -416,7 +408,6 @@ fn run_figure(
             ShardProgress::start(id.to_string(), expected_ps, sweep_start)
         });
 
-        let telem = cfg.shard_telemetry.as_deref();
         let cells: Vec<Cell> = jobs
             .par_iter()
             .map(|&(ai, si)| {
@@ -445,7 +436,7 @@ fn run_figure(
                 };
                 let out = {
                     let _s = ProfSpan::enter("cell_run");
-                    run_against_baseline_entry(&exp, entry, cfg.observe_replicas, telem)
+                    run_against_baseline_entry(&exp, entry, cfg.observe_replicas)
                         .expect("workload schedules are deadlock-free")
                 };
                 let _agg = ProfSpan::enter("cell_aggregate");

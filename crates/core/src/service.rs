@@ -318,7 +318,7 @@ pub fn handle_simulate(
         .map_err(|e| ServiceError::Internal(e.to_string()))?;
     let out = {
         let _s = cesim_obs::telemetry::Span::enter("run");
-        run_against_baseline_entry(&exp, &entry, 0, None)
+        run_against_baseline_entry(&exp, &entry, 0)
             .map_err(|e| ServiceError::Internal(e.to_string()))?
     };
     state.schedules.record_forks(&out.runs);

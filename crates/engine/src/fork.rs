@@ -198,7 +198,7 @@ impl ForkTable {
         let k = MAX_SNAPSHOTS as u64;
         let total = cs.total_ops();
         with_thread_scratch(|scratch| {
-            start(cs, params, scratch, 0..cs.num_ranks() as u32, 0)?;
+            start(cs, params, scratch, 0..cs.num_ranks() as u32)?;
             let mut snapshots: Vec<Snapshot> = Vec::new();
             // Index of the next fraction `next / (k + 1)` to snapshot at.
             let mut next = 1;
@@ -324,7 +324,7 @@ impl ForkTable {
         with_thread_scratch(|scratch| {
             match from {
                 Some(snap) => scratch.resume(cs, params, snap),
-                None => start(cs, params, scratch, 0..cs.num_ranks() as u32, 0)?,
+                None => start(cs, params, scratch, 0..cs.num_ranks() as u32)?,
             }
             let mut next = 0;
             let mut rejoin = None;

@@ -46,9 +46,6 @@ pub use matchq::TagQueue;
 pub use noise::{NoNoise, NoiseModel};
 pub use record::{MsgClass, NullRecorder, Recorder, SegKind, SimEvent, VecRecorder};
 pub use result::{SimError, SimResult};
-pub use shard::{
-    auto_shards, shard_globals, simulate_compiled_sharded, simulate_sharded_instrumented,
-    ShardGlobals, ShardHealth, ShardHealthReport, ShardTelemetry,
-};
+pub use shard::{auto_shards, shard_globals, simulate_compiled_sharded, ShardGlobals, ShardHealth};
 pub use sim::{simulate, simulate_compiled, simulate_compiled_with, RunScratch, Simulator};
 pub use topology::{Dragonfly, FatTree, FlatCrossbar, Topology, Torus3D};

@@ -34,7 +34,6 @@
 //!   receive was posted. Comparing it with [`SimEvent::MsgSend::arrive`]
 //!   separates network-bound from receiver-bound completions.
 
-use crate::queue::EvKey;
 use cesim_goal::Tag;
 use cesim_model::{Span, Time};
 
@@ -266,13 +265,6 @@ pub trait Recorder {
 
     /// Observe one event.
     fn record(&mut self, ev: SimEvent);
-
-    /// Called once per popped event, before its dispatch, with the pop's
-    /// time and queue key. A no-op unless a recorder needs to tag its
-    /// events with the pop that emitted them (the sharded engine's merge
-    /// does, to restore serial emission order).
-    #[inline(always)]
-    fn begin_pop(&mut self, _t: Time, _key: EvKey) {}
 }
 
 /// The do-nothing recorder: disables instrumentation at compile time.
@@ -294,11 +286,6 @@ impl<R: Recorder> Recorder for &mut R {
     #[inline(always)]
     fn record(&mut self, ev: SimEvent) {
         (**self).record(ev);
-    }
-
-    #[inline(always)]
-    fn begin_pop(&mut self, t: Time, key: EvKey) {
-        (**self).begin_pop(t, key);
     }
 }
 

@@ -49,61 +49,51 @@
 //! rank, and arrivals for one rank are processed in the same key order
 //! as serially, so match outcomes cannot differ.
 //!
-//! # The Recorder
+//! # Scope
 //!
-//! A recorded sharded run tags every emitted [`SimEvent`] with the key
-//! of the pop that produced it (plus an intra-pop counter), buffers
-//! per-shard streams, and k-way-merges them afterwards — reproducing the
-//! serial emission order exactly. Message and detour ids are assigned
-//! per shard from disjoint provisional ranges and densely renumbered in
-//! merged order, which restores the exact ids the serial engine hands
-//! out. The merged stream is then replayed into the caller's recorder,
-//! so capacity/drop behavior also matches a serial recording.
+//! The sharded engine only advances unrecorded runs: a caller that
+//! records a run's event stream runs it on the serial engine, which
+//! produces the same results. Its one instrument is the process-wide
+//! set of shard counters read by [`shard_globals`].
 
 use crate::compile::CompiledSchedule;
 use crate::noise::NoiseModel;
 use crate::queue::EvKey;
-use crate::record::{NullRecorder, Recorder, SimEvent};
+use crate::record::NullRecorder;
 use crate::result::{SimError, SimResult};
-use crate::sim::{assemble, run_engine, start, Engine, Msg, RunScratch};
+use crate::sim::{assemble, simulate_compiled, start, Engine, Msg, RunScratch};
 use crate::topology::FlatCrossbar;
 use cesim_model::{LogGopsParams, Time};
 use std::fmt;
-use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-/// Provisional-id stride per shard: shard `i` hands
-/// out ids starting at `(i + 1) << 48`, far above any dense serial id,
-/// so provisional ids never collide across shards (or with the dense
-/// range) before the merge renumbers them.
-const ID_STRIDE: u64 = 1 << 48;
-
 // ---------------------------------------------------------------------
-// Shard health telemetry
+// Shard counters
 // ---------------------------------------------------------------------
 //
-// Two layers, both relaxed atomics so shard threads never synchronize
-// through the telemetry:
-//
-// * process-wide counters ([`shard_globals`]) — always on (a handful
-//   of relaxed adds per *window*, far below measurement noise), the
-//   source for live daemon gauges and window-based progress reporting;
-// * an opt-in per-run [`ShardTelemetry`] — per-shard busy/stall/
-//   barrier time, windows, events, outbox traffic. Timing reads the
-//   clock only when a telemetry handle is passed, so the default path
-//   never calls `Instant::now` per window.
+// One process-wide set. The window, event and sim-time counters are
+// relaxed atomics bumped once per window, so progress reporters and the
+// daemon's gauges see a run advance while it runs. Each shard thread
+// times its own windows into plain locals and the driver adds them to
+// the per-shard table once, when the run ends. Serial fallbacks count
+// nothing.
 
 static G_WINDOWS: AtomicU64 = AtomicU64::new(0);
 static G_EVENTS: AtomicU64 = AtomicU64::new(0);
 static G_SIM_PS: AtomicU64 = AtomicU64::new(0);
 static G_RUNS_ACTIVE: AtomicU64 = AtomicU64::new(0);
 static G_RUNS_TOTAL: AtomicU64 = AtomicU64::new(0);
+static G_DRIVE_NS: AtomicU64 = AtomicU64::new(0);
+static G_PER_SHARD: Mutex<Vec<ShardHealth>> = Mutex::new(Vec::new());
 
-/// Snapshot of process-wide sharded-engine activity since start.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Snapshot of process-wide sharded-engine activity since start;
+/// [`ShardGlobals::since`] narrows it to the runs between two snapshots.
+/// [`fmt::Display`] renders the imbalance report the CLI prints under
+/// `--profile`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardGlobals {
     /// Lookahead windows advanced (all runs).
     pub windows: u64,
@@ -115,6 +105,11 @@ pub struct ShardGlobals {
     pub runs_active: u64,
     /// Sharded drives started since process start.
     pub runs_total: u64,
+    /// Wall time inside the window drivers of finished runs.
+    pub drive: Duration,
+    /// Per-shard counters of finished runs, indexed by shard: a run of
+    /// `S` shards adds to the first `S` entries.
+    pub per_shard: Vec<ShardHealth>,
 }
 
 /// Read the process-wide sharded-engine counters.
@@ -125,6 +120,8 @@ pub fn shard_globals() -> ShardGlobals {
         sim_ps_advanced: G_SIM_PS.load(Ordering::Relaxed),
         runs_active: G_RUNS_ACTIVE.load(Ordering::Relaxed),
         runs_total: G_RUNS_TOTAL.load(Ordering::Relaxed),
+        drive: Duration::from_nanos(G_DRIVE_NS.load(Ordering::Relaxed)),
+        per_shard: G_PER_SHARD.lock().expect("shard table lock").clone(),
     }
 }
 
@@ -138,158 +135,18 @@ fn note_window(m_ps: u64, prev_m_ps: u64) {
     }
 }
 
-/// Per-shard health counters. Written with relaxed atomics from the
-/// shard's own thread; read by reporting code whenever convenient.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Wall nanoseconds spent executing windows that popped events.
-    busy_ns: AtomicU64,
-    /// Wall nanoseconds spent in windows that popped nothing — the
-    /// shard rode along while others had the work.
-    stall_ns: AtomicU64,
-    /// Wall nanoseconds waiting at window barriers.
-    barrier_ns: AtomicU64,
-    /// Total accounted wall nanoseconds. Every accounted nanosecond
-    /// lands in exactly one of the three buckets above, so
-    /// `busy + stall + barrier == wall` holds exactly.
-    wall_ns: AtomicU64,
-    /// Windows this shard participated in.
-    windows: AtomicU64,
-    /// Events this shard popped.
-    events: AtomicU64,
-    /// Cross-shard messages this shard staged in its outbox.
-    outbox_msgs: AtomicU64,
-}
-
-impl ShardStats {
-    #[inline]
-    fn add_ns(counter: &AtomicU64, ns: u64) {
-        counter.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Account a measured segment to one timing bucket (and the wall
-    /// total, preserving the conservation law).
-    #[inline]
-    fn lap(&self, bucket: Lap, ns: u64) {
-        let counter = match bucket {
-            Lap::Busy => &self.busy_ns,
-            Lap::Stall => &self.stall_ns,
-            Lap::Barrier => &self.barrier_ns,
-        };
-        Self::add_ns(counter, ns);
-        Self::add_ns(&self.wall_ns, ns);
-    }
-
-    fn health(&self) -> ShardHealth {
-        ShardHealth {
-            busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
-            stall: Duration::from_nanos(self.stall_ns.load(Ordering::Relaxed)),
-            barrier: Duration::from_nanos(self.barrier_ns.load(Ordering::Relaxed)),
-            wall: Duration::from_nanos(self.wall_ns.load(Ordering::Relaxed)),
-            windows: self.windows.load(Ordering::Relaxed),
-            events: self.events.load(Ordering::Relaxed),
-            outbox_msgs: self.outbox_msgs.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Which timing bucket a measured segment belongs to.
-#[derive(Clone, Copy)]
-enum Lap {
-    Busy,
-    Stall,
-    Barrier,
-}
-
-/// Boundary-timestamp accounting for one shard thread: consecutive
-/// [`Stamp::lap`] calls chain on the same instants, so the buckets
-/// partition the elapsed time with no gaps or double counting.
-struct Stamp<'a> {
-    stats: &'a ShardStats,
-    mark: Instant,
-}
-
-impl<'a> Stamp<'a> {
-    fn new(stats: &'a ShardStats) -> Self {
-        Stamp {
-            stats,
-            mark: Instant::now(),
-        }
-    }
-
-    #[inline]
-    fn lap(&mut self, bucket: Lap) {
-        let now = Instant::now();
-        let ns = now.duration_since(self.mark).as_nanos() as u64;
-        self.stats.lap(bucket, ns);
-        self.mark = now;
-    }
-}
-
-/// Aggregated shard-health telemetry for one or more sharded runs.
-/// Create one sized for the shard count, pass it to
-/// [`simulate_sharded_instrumented`] (possibly from many replicas
-/// concurrently — counters accumulate), then read [`Self::report`].
-#[derive(Debug, Default)]
-pub struct ShardTelemetry {
-    stats: Vec<ShardStats>,
-    drive_ns: AtomicU64,
-    runs: AtomicU64,
-}
-
-impl ShardTelemetry {
-    /// Telemetry sized for `shards` shards (at least one).
-    pub fn new(shards: usize) -> Self {
-        ShardTelemetry {
-            stats: (0..shards.max(1)).map(|_| ShardStats::default()).collect(),
-            drive_ns: AtomicU64::new(0),
-            runs: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shard slots.
-    pub fn shards(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Runs accumulated so far.
-    pub fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    /// Credit a serial-fallback run (no windows to attribute; the
-    /// whole run is busy time on shard 0).
-    fn note_serial_fallback(&self, elapsed: Duration, events: u64) {
-        let ns = elapsed.as_nanos() as u64;
-        let st = &self.stats[0];
-        st.lap(Lap::Busy, ns);
-        st.windows.fetch_add(1, Ordering::Relaxed);
-        st.events.fetch_add(events, Ordering::Relaxed);
-        self.drive_ns.fetch_add(ns, Ordering::Relaxed);
-        self.runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot everything into a plain-value report.
-    pub fn report(&self) -> ShardHealthReport {
-        ShardHealthReport {
-            per_shard: self.stats.iter().map(ShardStats::health).collect(),
-            runs: self.runs.load(Ordering::Relaxed),
-            drive: Duration::from_nanos(self.drive_ns.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// Plain-value snapshot of one shard's counters.
+/// One shard's counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardHealth {
     /// Wall time in windows where this shard popped events.
     pub busy: Duration,
     /// Wall time in windows where this shard had nothing to do.
     pub stall: Duration,
-    /// Wall time waiting at window barriers for the other shards
-    /// (zero for a run that fell back to the serial engine).
+    /// Wall time waiting at window barriers for the other shards.
     pub barrier: Duration,
-    /// Total accounted wall time (`busy + stall + barrier`, exactly).
+    /// Wall time of the shard's thread, measured end to end. The laps
+    /// above chain on the same instants, so `busy + stall + barrier ==
+    /// wall` holds exactly.
     pub wall: Duration,
     /// Windows participated in.
     pub windows: u64,
@@ -299,56 +156,62 @@ pub struct ShardHealth {
     pub outbox_msgs: u64,
 }
 
-/// The imbalance report: per-shard health plus the aggregate ratios
-/// the ISSUE asks operators to watch. [`fmt::Display`] renders the
-/// human table printed by `--shard-health`.
-#[derive(Clone, Debug, Default)]
-pub struct ShardHealthReport {
-    /// One entry per shard.
-    pub per_shard: Vec<ShardHealth>,
-    /// Sharded runs accumulated into this report.
-    pub runs: u64,
-    /// Total wall time inside the window drivers.
-    pub drive: Duration,
+impl ShardHealth {
+    fn add(&mut self, o: &ShardHealth) {
+        self.busy += o.busy;
+        self.stall += o.stall;
+        self.barrier += o.barrier;
+        self.wall += o.wall;
+        self.windows += o.windows;
+        self.events += o.events;
+        self.outbox_msgs += o.outbox_msgs;
+    }
+
+    fn since(&self, o: &ShardHealth) -> ShardHealth {
+        ShardHealth {
+            busy: self.busy.saturating_sub(o.busy),
+            stall: self.stall.saturating_sub(o.stall),
+            barrier: self.barrier.saturating_sub(o.barrier),
+            wall: self.wall.saturating_sub(o.wall),
+            windows: self.windows.saturating_sub(o.windows),
+            events: self.events.saturating_sub(o.events),
+            outbox_msgs: self.outbox_msgs.saturating_sub(o.outbox_msgs),
+        }
+    }
 }
 
-impl ShardHealthReport {
-    /// Total events popped across shards.
-    pub fn events(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.events).sum()
-    }
+/// Add the wall time since `*mark` to `bucket` and move `mark` to now,
+/// so consecutive laps partition a shard's wall time with no gap.
+#[inline]
+fn lap(mark: &mut Instant, bucket: &mut Duration) {
+    let now = Instant::now();
+    *bucket += now - *mark;
+    *mark = now;
+}
 
-    /// Windows advanced (shards participate in every window, so this
-    /// is the maximum over shards).
-    pub fn windows(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.windows).max().unwrap_or(0)
-    }
-
-    /// Total cross-shard messages staged.
-    pub fn outbox_msgs(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.outbox_msgs).sum()
-    }
-
-    /// Largest per-shard busy time.
-    pub fn max_busy(&self) -> Duration {
-        self.per_shard
-            .iter()
-            .map(|s| s.busy)
-            .max()
-            .unwrap_or_default()
-    }
-
-    /// Mean per-shard busy time.
-    pub fn mean_busy(&self) -> Duration {
-        if self.per_shard.is_empty() {
-            return Duration::ZERO;
+impl ShardGlobals {
+    /// The activity between `earlier` and `self`; `runs_active` stays
+    /// the later reading.
+    pub fn since(&self, earlier: &ShardGlobals) -> ShardGlobals {
+        let zero = ShardHealth::default();
+        ShardGlobals {
+            windows: self.windows.saturating_sub(earlier.windows),
+            events: self.events.saturating_sub(earlier.events),
+            sim_ps_advanced: self.sim_ps_advanced.saturating_sub(earlier.sim_ps_advanced),
+            runs_active: self.runs_active,
+            runs_total: self.runs_total.saturating_sub(earlier.runs_total),
+            drive: self.drive.saturating_sub(earlier.drive),
+            per_shard: self
+                .per_shard
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.since(earlier.per_shard.get(i).unwrap_or(&zero)))
+                .collect(),
         }
-        let total: Duration = self.per_shard.iter().map(|s| s.busy).sum();
-        total / self.per_shard.len() as u32
     }
 
-    /// Busy-time imbalance: max/mean (1.0 = perfectly balanced; also
-    /// 1.0 when nothing ran).
+    /// Busy-time imbalance: max/mean over shards (1.0 = perfectly
+    /// balanced; also 1.0 when nothing ran).
     pub fn imbalance(&self) -> f64 {
         let mean = self.mean_busy().as_secs_f64();
         if mean == 0.0 {
@@ -358,47 +221,55 @@ impl ShardHealthReport {
         }
     }
 
-    /// Fraction of accounted wall time spent in empty windows.
-    pub fn stall_fraction(&self) -> f64 {
-        self.fraction(|s| s.stall)
+    fn max_busy(&self) -> Duration {
+        self.per_shard
+            .iter()
+            .map(|s| s.busy)
+            .max()
+            .unwrap_or_default()
     }
 
-    /// Fraction of accounted wall time spent waiting at barriers.
-    pub fn barrier_fraction(&self) -> f64 {
-        self.fraction(|s| s.barrier)
+    fn mean_busy(&self) -> Duration {
+        if self.per_shard.is_empty() {
+            return Duration::ZERO;
+        }
+        let total: Duration = self.per_shard.iter().map(|s| s.busy).sum();
+        total / self.per_shard.len() as u32
     }
 
-    fn fraction(&self, f: impl Fn(&ShardHealth) -> Duration) -> f64 {
+    /// Fraction of the shards' wall time spent in `part`.
+    fn fraction(&self, part: impl Fn(&ShardHealth) -> Duration) -> f64 {
         let wall: Duration = self.per_shard.iter().map(|s| s.wall).sum();
         if wall.is_zero() {
             return 0.0;
         }
-        let part: Duration = self.per_shard.iter().map(f).sum();
+        let part: Duration = self.per_shard.iter().map(part).sum();
         part.as_secs_f64() / wall.as_secs_f64()
     }
 
-    /// Lookahead efficiency: events popped per shard-window. Low
-    /// values mean windows advance mostly empty — the lookahead `L`
-    /// is small relative to event spacing.
-    pub fn lookahead_efficiency(&self) -> f64 {
+    /// Lookahead efficiency: events popped per shard-window. Low values
+    /// mean windows advance mostly empty — the lookahead `L` is small
+    /// relative to event spacing.
+    fn lookahead_efficiency(&self) -> f64 {
         let shard_windows: u64 = self.per_shard.iter().map(|s| s.windows).sum();
+        let events: u64 = self.per_shard.iter().map(|s| s.events).sum();
         if shard_windows == 0 {
             0.0
         } else {
-            self.events() as f64 / shard_windows as f64
+            events as f64 / shard_windows as f64
         }
     }
 }
 
-impl fmt::Display for ShardHealthReport {
+impl fmt::Display for ShardGlobals {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
             "shard health: {} shards, {} windows, {} events, {} run(s), drive {:.3}s",
             self.per_shard.len(),
-            self.windows(),
-            self.events(),
-            self.runs,
+            self.windows,
+            self.events,
+            self.runs_total,
             self.drive.as_secs_f64()
         )?;
         writeln!(
@@ -425,8 +296,8 @@ impl fmt::Display for ShardHealthReport {
             self.max_busy().as_secs_f64(),
             self.mean_busy().as_secs_f64(),
             self.imbalance(),
-            100.0 * self.stall_fraction(),
-            100.0 * self.barrier_fraction(),
+            100.0 * self.fraction(|s| s.stall),
+            100.0 * self.fraction(|s| s.barrier),
             self.lookahead_efficiency()
         )
     }
@@ -477,70 +348,11 @@ fn shard_of(cuts: &[u32], rank: u32) -> usize {
     cuts.partition_point(|&c| c <= rank) - 1
 }
 
-/// A [`SimEvent`] tagged with the key of the pop that emitted it plus an
-/// intra-pop emission counter — the merge key that reproduces serial
-/// emission order.
-#[derive(Clone, Copy)]
-struct Tagged {
-    t: Time,
-    key: EvKey,
-    n: u32,
-    ev: SimEvent,
-}
-
-/// Per-shard recorder of a sharded run whose caller records into an
-/// `R`: buffers tagged events for the post-run merge. It is enabled
-/// exactly when `R` is, so an unrecorded run compiles the tagging away.
-struct KeyedRecorder<R> {
-    buf: Vec<Tagged>,
-    t: Time,
-    key: EvKey,
-    n: u32,
-    sink: PhantomData<fn(&mut R)>,
-}
-
-impl<R> KeyedRecorder<R> {
-    fn new() -> Self {
-        KeyedRecorder {
-            buf: Vec::new(),
-            t: Time::ZERO,
-            key: EvKey { crank: 0, cseq: 0 },
-            n: 0,
-            sink: PhantomData,
-        }
-    }
-}
-
-impl<R: Recorder> Recorder for KeyedRecorder<R> {
-    const ENABLED: bool = R::ENABLED;
-
-    #[inline]
-    fn record(&mut self, ev: SimEvent) {
-        self.buf.push(Tagged {
-            t: self.t,
-            key: self.key,
-            n: self.n,
-            ev,
-        });
-        self.n += 1;
-    }
-
-    #[inline]
-    fn begin_pop(&mut self, t: Time, key: EvKey) {
-        if R::ENABLED {
-            self.t = t;
-            self.key = key;
-            self.n = 0;
-        }
-    }
-}
-
-/// One shard of a run recording into an `R`: the scratch of its rank
-/// slice, its clone of the noise prototype, and its recorder.
-struct Shard<N, R> {
+/// One shard of a run: the scratch of its rank slice and its clone of
+/// the noise prototype.
+struct Shard<N> {
     s: RunScratch,
     noise: N,
-    rec: KeyedRecorder<R>,
 }
 
 /// Simulate a [`CompiledSchedule`] split across `shards` rank-contiguous
@@ -550,69 +362,31 @@ struct Shard<N, R> {
 /// per-rank noise substreams consumed are exactly the serial ones).
 ///
 /// `shards <= 1`, a single-rank schedule, or `params.latency == 0` (no
-/// usable lookahead) all run the serial engine.
+/// usable lookahead) all run [`crate::simulate_compiled`].
 pub fn simulate_compiled_sharded<N: NoiseModel + Clone + Send>(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     shards: usize,
     noise: &N,
 ) -> Result<SimResult, SimError> {
-    simulate_sharded_instrumented(cs, params, shards, noise, &mut NullRecorder, None)
-}
-
-/// [`simulate_compiled_sharded`] with instruments attached; results are
-/// byte-identical regardless of which are.
-///
-/// * `rec`: per-shard event streams are merged back into serial emission
-///   order (ids densely renumbered) and replayed into `rec`, so the
-///   recording is byte-identical to a serial recorded run.
-/// * `telem`: per-shard busy/stall/barrier time, window and event counts
-///   accumulate into it (relaxed atomics — safe to share across
-///   concurrent replicas).
-pub fn simulate_sharded_instrumented<N: NoiseModel + Clone + Send, R: Recorder>(
-    cs: &CompiledSchedule,
-    params: &LogGopsParams,
-    shards: usize,
-    noise: &N,
-    rec: &mut R,
-    telem: Option<&ShardTelemetry>,
-) -> Result<SimResult, SimError> {
-    if cs.num_ranks() == 0 {
-        return Err(SimError::EmptySchedule);
-    }
-    let s_eff = shards.clamp(1, cs.num_ranks());
+    let s_eff = shards.min(cs.num_ranks());
     if s_eff <= 1 || params.latency.is_zero() {
         // No usable partition or no lookahead: the serial engine IS the
         // sharded engine with one shard.
-        let t0 = telem.map(|_| Instant::now());
-        let mut scratch = RunScratch::new();
-        let out = run_engine(
-            cs,
-            *params,
-            &FlatCrossbar,
-            &mut scratch,
-            &mut *rec,
-            &mut noise.clone(),
-        );
-        if let (Some(t), Some(t0)) = (telem, t0) {
-            let events = out.as_ref().map(|r| r.events_processed).unwrap_or(0);
-            t.note_serial_fallback(t0.elapsed(), events);
-        }
-        return out;
+        return simulate_compiled(cs, params, &mut noise.clone());
     }
 
     let cuts = cuts(cs.num_ranks(), s_eff);
-    let mut shards: Vec<Shard<N, R>> = Vec::with_capacity(s_eff);
-    for (i, w) in cuts.windows(2).enumerate() {
+    let mut shards: Vec<Shard<N>> = Vec::with_capacity(s_eff);
+    for w in cuts.windows(2) {
         let mut s = RunScratch::new();
-        start(cs, params, &mut s, w[0]..w[1], (i as u64 + 1) * ID_STRIDE)?;
+        start(cs, params, &mut s, w[0]..w[1])?;
         shards.push(Shard {
             s,
             noise: noise.clone(),
-            rec: KeyedRecorder::new(),
         });
     }
-    let events = drive_threaded(cs, *params, &cuts, &mut shards, telem);
+    let events = drive_threaded(cs, *params, &cuts, &mut shards);
     let base = noise.events_injected();
     let noise_events = base
         + shards
@@ -620,11 +394,7 @@ pub fn simulate_sharded_instrumented<N: NoiseModel + Clone + Send, R: Recorder>(
             .map(|p| p.noise.events_injected() - base)
             .sum::<u64>();
     let parts: Vec<&RunScratch> = shards.iter().map(|p| &p.s).collect();
-    let out = assemble(cs, &parts, noise_events, events);
-    if R::ENABLED {
-        merge_records(shards.into_iter().map(|p| p.rec.buf), rec);
-    }
-    out
+    assemble(cs, &parts, noise_events, events)
 }
 
 /// Run the window protocol to completion, one OS thread per shard;
@@ -634,12 +404,11 @@ pub fn simulate_sharded_instrumented<N: NoiseModel + Clone + Send, R: Recorder>(
 /// it), and after **routing** outboxes (so mailbox drains see every
 /// message). Mailbox mutexes are uncontended by construction — senders
 /// and the draining owner are separated by the route barrier.
-fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
+fn drive_threaded<N: NoiseModel + Send>(
     cs: &CompiledSchedule,
     params: LogGopsParams,
     cuts: &[u32],
-    shards: &mut [Shard<N, R>],
-    telem: Option<&ShardTelemetry>,
+    shards: &mut [Shard<N>],
 ) -> u64 {
     G_RUNS_ACTIVE.fetch_add(1, Ordering::Relaxed);
     G_RUNS_TOTAL.fetch_add(1, Ordering::Relaxed);
@@ -653,198 +422,104 @@ fn drive_threaded<N: NoiseModel + Send, R: Recorder>(
     let done = AtomicBool::new(false);
     let mailboxes: Vec<Mutex<Vec<(Time, EvKey, Msg)>>> =
         (0..s_eff).map(|_| Mutex::new(Vec::new())).collect();
-    let events_total = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for (i, shard) in shards.iter_mut().enumerate() {
-            let (barrier, mins, wend_ps, prev_m_ps, done, mailboxes, events_total) = (
-                &barrier,
-                &mins,
-                &wend_ps,
-                &prev_m_ps,
-                &done,
-                &mailboxes,
-                &events_total,
-            );
-            scope.spawn(move || {
-                let Shard {
-                    s: scratch,
-                    noise,
-                    rec,
-                } = shard;
-                let stats = telem.and_then(|t| t.stats.get(i));
-                let mut stamp = stats.map(Stamp::new);
-                let mut events = 0u64;
-                loop {
-                    mins[i].store(
-                        scratch.queue.peek_time().map_or(u64::MAX, |t| t.as_ps()),
-                        Ordering::SeqCst,
-                    );
-                    if barrier.wait().is_leader() {
-                        let m = mins
-                            .iter()
-                            .map(|a| a.load(Ordering::SeqCst))
-                            .min()
-                            .expect("at least one shard");
-                        if m == u64::MAX {
-                            done.store(true, Ordering::SeqCst);
-                        } else {
-                            let wend = (Time::from_ps(m) + lookahead).as_ps();
-                            wend_ps.store(wend, Ordering::SeqCst);
-                            note_window(m, prev_m_ps.swap(m, Ordering::Relaxed));
+    let health: Vec<ShardHealth> = std::thread::scope(|scope| {
+        let threads: Vec<_> = shards
+            .iter_mut()
+            .enumerate()
+            .map(|(i, shard)| {
+                let (barrier, mins, wend_ps, prev_m_ps, done, mailboxes) =
+                    (&barrier, &mins, &wend_ps, &prev_m_ps, &done, &mailboxes);
+                scope.spawn(move || {
+                    let Shard { s: scratch, noise } = shard;
+                    let mut h = ShardHealth::default();
+                    let started = Instant::now();
+                    let mut mark = started;
+                    loop {
+                        mins[i].store(
+                            scratch.queue.peek_time().map_or(u64::MAX, |t| t.as_ps()),
+                            Ordering::SeqCst,
+                        );
+                        if barrier.wait().is_leader() {
+                            let m = mins
+                                .iter()
+                                .map(|a| a.load(Ordering::SeqCst))
+                                .min()
+                                .expect("at least one shard");
+                            if m == u64::MAX {
+                                done.store(true, Ordering::SeqCst);
+                            } else {
+                                let wend = (Time::from_ps(m) + lookahead).as_ps();
+                                wend_ps.store(wend, Ordering::SeqCst);
+                                note_window(m, prev_m_ps.swap(m, Ordering::Relaxed));
+                            }
                         }
+                        barrier.wait();
+                        lap(&mut mark, &mut h.barrier);
+                        if done.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let wend = Time::from_ps(wend_ps.load(Ordering::SeqCst));
+                        let popped = Engine {
+                            cs,
+                            params,
+                            topology: &FlatCrossbar,
+                            s: &mut *scratch,
+                            rec: NullRecorder,
+                        }
+                        .run_until(noise, wend, |_, _, _, _| ControlFlow::Continue(()));
+                        G_EVENTS.fetch_add(popped, Ordering::Relaxed);
+                        h.windows += 1;
+                        h.events += popped;
+                        h.outbox_msgs += scratch.outbox.len() as u64;
+                        lap(
+                            &mut mark,
+                            if popped == 0 {
+                                &mut h.stall
+                            } else {
+                                &mut h.busy
+                            },
+                        );
+                        for (t, key, m) in scratch.outbox.drain(..) {
+                            let d = shard_of(cuts, m.dst);
+                            mailboxes[d].lock().expect("mailbox lock").push((t, key, m));
+                        }
+                        lap(&mut mark, &mut h.busy);
+                        barrier.wait();
+                        lap(&mut mark, &mut h.barrier);
+                        for (t, key, m) in mailboxes[i].lock().expect("mailbox lock").drain(..) {
+                            scratch.deliver(t, key, m);
+                        }
+                        lap(&mut mark, &mut h.busy);
                     }
-                    barrier.wait();
-                    if let Some(s) = stamp.as_mut() {
-                        s.lap(Lap::Barrier);
-                    }
-                    if done.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let wend = Time::from_ps(wend_ps.load(Ordering::SeqCst));
-                    let popped = Engine {
-                        cs,
-                        params,
-                        topology: &FlatCrossbar,
-                        s: &mut *scratch,
-                        rec: &mut *rec,
-                    }
-                    .run_until(noise, wend, |_, _, _, _| ControlFlow::Continue(()));
-                    events += popped;
-                    G_EVENTS.fetch_add(popped, Ordering::Relaxed);
-                    if let Some(s) = stamp.as_mut() {
-                        let bucket = if popped == 0 { Lap::Stall } else { Lap::Busy };
-                        s.lap(bucket);
-                    }
-                    if let Some(st) = stats {
-                        st.windows.fetch_add(1, Ordering::Relaxed);
-                        st.events.fetch_add(popped, Ordering::Relaxed);
-                        st.outbox_msgs
-                            .fetch_add(scratch.outbox.len() as u64, Ordering::Relaxed);
-                    }
-                    for (t, key, m) in scratch.outbox.drain(..) {
-                        let d = shard_of(cuts, m.dst);
-                        mailboxes[d].lock().expect("mailbox lock").push((t, key, m));
-                    }
-                    if let Some(s) = stamp.as_mut() {
-                        s.lap(Lap::Busy);
-                    }
-                    barrier.wait();
-                    if let Some(s) = stamp.as_mut() {
-                        s.lap(Lap::Barrier);
-                    }
-                    for (t, key, m) in mailboxes[i].lock().expect("mailbox lock").drain(..) {
-                        scratch.deliver(t, key, m);
-                    }
-                    if let Some(s) = stamp.as_mut() {
-                        s.lap(Lap::Busy);
-                    }
-                }
-                events_total.fetch_add(events, Ordering::SeqCst);
-            });
-        }
+                    h.wall = mark - started;
+                    h
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    if let Some(t) = telem {
-        t.drive_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        t.runs.fetch_add(1, Ordering::Relaxed);
+    let mut table = G_PER_SHARD.lock().expect("shard table lock");
+    if table.len() < s_eff {
+        table.resize(s_eff, ShardHealth::default());
     }
+    for (total, h) in table.iter_mut().zip(&health) {
+        total.add(h);
+    }
+    drop(table);
+    G_DRIVE_NS.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     G_RUNS_ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    events_total.load(Ordering::SeqCst)
-}
-
-/// Merge per-shard tagged streams into serial emission order and replay
-/// into `rec`, renumbering message and detour ids densely (the exact
-/// ids a serial recorded run assigns).
-fn merge_records<R: Recorder>(bufs: impl Iterator<Item = Vec<Tagged>>, rec: &mut R) {
-    let mut all: Vec<Tagged> = bufs.flatten().collect();
-    // (pop time, pop key, intra-pop index) is unique per record, so this
-    // is a total order — the serial emission order.
-    all.sort_unstable_by_key(|e| (e.t, e.key, e.n));
-    let mut msg_ids: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    let mut next_msg = 0u64;
-    let mut next_detour = 0u64;
-    for t in all {
-        let ev = match t.ev {
-            SimEvent::MsgSend {
-                id,
-                src,
-                dst,
-                src_op,
-                class,
-                bytes,
-                tag,
-                inject,
-                arrive,
-            } => {
-                let dense = next_msg;
-                next_msg += 1;
-                msg_ids.insert(id, dense);
-                SimEvent::MsgSend {
-                    id: dense,
-                    src,
-                    dst,
-                    src_op,
-                    class,
-                    bytes,
-                    tag,
-                    inject,
-                    arrive,
-                }
-            }
-            SimEvent::MsgDeliver {
-                id,
-                src,
-                dst,
-                src_op,
-                dst_op,
-                class,
-                bytes,
-                at,
-            } => {
-                let dense = *msg_ids
-                    .get(&id)
-                    .expect("MsgSend always merges before its MsgDeliver");
-                SimEvent::MsgDeliver {
-                    id: dense,
-                    src,
-                    dst,
-                    src_op,
-                    dst_op,
-                    class,
-                    bytes,
-                    at,
-                }
-            }
-            SimEvent::Detour {
-                id: _,
-                rank,
-                op,
-                at,
-                dur,
-            } => {
-                let dense = next_detour;
-                next_detour += 1;
-                SimEvent::Detour {
-                    id: dense,
-                    rank,
-                    op,
-                    at,
-                    dur,
-                }
-            }
-            other => other,
-        };
-        rec.record(ev);
-    }
+    health.iter().map(|h| h.events).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::noise::NoNoise;
-    use crate::record::VecRecorder;
-    use crate::sim::{simulate, simulate_compiled};
+    use crate::sim::simulate;
     use cesim_goal::{builder::TagPool, collectives as coll, Rank, Schedule, ScheduleBuilder, Tag};
     use cesim_model::Span;
 
@@ -852,30 +527,13 @@ mod tests {
         LogGopsParams::xc40()
     }
 
-    /// Serializes the tests that run sharded drives: every drive bumps
-    /// the process-wide [`shard_globals`] counters, and
-    /// `telemetry_accumulates_across_runs_and_fallbacks` asserts their
-    /// exact deltas.
+    /// Serializes the tests that run sharded drives: every drive adds to
+    /// the process-wide [`shard_globals`] counters, and the counter tests
+    /// assert their exact differences across one run.
     static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn lock_globals() -> std::sync::MutexGuard<'static, ()> {
         GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A sharded run of `cs` with shard-health telemetry attached.
-    fn with_telemetry(
-        cs: &CompiledSchedule,
-        shards: usize,
-        telem: &ShardTelemetry,
-    ) -> Result<SimResult, SimError> {
-        simulate_sharded_instrumented(
-            cs,
-            &xc40(),
-            shards,
-            &NoNoise,
-            &mut NullRecorder,
-            Some(telem),
-        )
     }
 
     /// A communication-heavy schedule: per-rank entry calcs feeding a
@@ -996,29 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_recorded_stream_matches_serial() {
-        let _globals = lock_globals();
-        let sched = busy_schedule(6);
-        let cs = CompiledSchedule::compile(&sched);
-        let mut serial_rec = VecRecorder::default();
-        let mut scratch = RunScratch::new();
-        run_engine(
-            &cs,
-            xc40(),
-            &FlatCrossbar,
-            &mut scratch,
-            &mut serial_rec,
-            &mut NoNoise,
-        )
-        .unwrap();
-        for shards in [2usize, 3, 5] {
-            let mut rec = VecRecorder::default();
-            simulate_sharded_instrumented(&cs, &xc40(), shards, &NoNoise, &mut rec, None).unwrap();
-            assert_eq!(rec.events, serial_rec.events, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn sharded_deadlock_report_matches_serial() {
         let _globals = lock_globals();
         // Rank 2 waits on a message no one sends; ranks 0/1 complete.
@@ -1061,63 +696,49 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_is_conserved_and_counts_serial_events() {
+    fn counters_are_conserved_and_count_serial_events() {
         let _globals = lock_globals();
         let sched = busy_schedule(8);
         let cs = CompiledSchedule::compile(&sched);
         let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise).unwrap();
-        let telem = ShardTelemetry::new(4);
-        let got = with_telemetry(&cs, 4, &telem).unwrap();
-        assert_eq!(got, serial, "telemetry must not alter results");
-        let report = telem.report();
-        assert_eq!(report.runs, 1);
-        assert_eq!(report.per_shard.len(), 4);
+        let before = shard_globals();
+        let got = simulate_compiled_sharded(&cs, &xc40(), 4, &NoNoise).unwrap();
+        let run = shard_globals().since(&before);
+        assert_eq!(got, serial);
+        assert_eq!(run.runs_total, 1);
+        assert_eq!(run.per_shard.len(), 4);
+        assert_eq!(run.events, serial.events_processed);
         assert_eq!(
-            report.events(),
+            run.per_shard.iter().map(|s| s.events).sum::<u64>(),
             serial.events_processed,
             "per-shard events must sum to the serial count"
         );
-        let windows = report.windows();
-        assert!(windows > 0, "windowed run must advance windows");
-        for (i, s) in report.per_shard.iter().enumerate() {
-            assert_eq!(s.windows, windows, "shard {i} missed windows");
+        assert!(run.windows > 0, "windowed run must advance windows");
+        assert!(run.sim_ps_advanced > 0);
+        for (i, s) in run.per_shard.iter().enumerate() {
+            assert_eq!(s.windows, run.windows, "shard {i} missed windows");
             assert_eq!(
                 s.busy + s.stall + s.barrier,
                 s.wall,
                 "shard {i} time buckets must partition wall time"
             );
         }
-        assert!(report.imbalance() >= 1.0);
-        assert!(report.lookahead_efficiency() > 0.0);
-        // The Display table renders without panicking and mentions the
-        // headline aggregates.
-        let text = report.to_string();
-        assert!(text.contains("shard health"), "{text}");
+        assert!(run.imbalance() >= 1.0);
+        assert!(run.lookahead_efficiency() > 0.0);
+        // The report renders the headline aggregates.
+        let text = run.to_string();
+        assert!(text.contains("shard health: 4 shards"), "{text}");
         assert!(text.contains("imbalance"), "{text}");
     }
 
     #[test]
-    fn telemetry_accumulates_across_runs_and_fallbacks() {
+    fn serial_fallbacks_count_nothing() {
         let _globals = lock_globals();
-        let sched = busy_schedule(5);
-        let cs = CompiledSchedule::compile(&sched);
-        let serial = simulate_compiled(&cs, &xc40(), &mut NoNoise).unwrap();
-        let telem = ShardTelemetry::new(3);
-        for _ in 0..2 {
-            with_telemetry(&cs, 3, &telem).unwrap();
-        }
-        // Serial fallback (one shard) still credits events and a run.
-        with_telemetry(&cs, 1, &telem).unwrap();
-        let report = telem.report();
-        assert_eq!(report.runs, 3);
-        assert_eq!(report.events(), 3 * serial.events_processed);
+        let cs = CompiledSchedule::compile(&busy_schedule(5));
         let before = shard_globals();
-        simulate_compiled_sharded(&cs, &xc40(), 3, &NoNoise).unwrap();
-        let after = shard_globals();
-        assert!(after.windows > before.windows);
-        assert_eq!(after.events - before.events, serial.events_processed);
-        assert!(after.runs_total == before.runs_total + 1);
-        assert!(after.sim_ps_advanced >= before.sim_ps_advanced);
+        simulate_compiled_sharded(&cs, &xc40(), 1, &NoNoise).unwrap();
+        simulate_compiled_sharded(&cs, &LogGopsParams::ideal(), 3, &NoNoise).unwrap();
+        assert_eq!(shard_globals(), before);
     }
 
     /// A same-tick wildcard race across shards: two eager sends injected

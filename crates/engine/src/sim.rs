@@ -603,33 +603,29 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
     rec: R,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
-    start(cs, &params, scratch, 0..cs.num_ranks() as u32, 0)?;
+    start(cs, &params, scratch, 0..cs.num_ranks() as u32)?;
     drive(cs, params, topology, scratch, rec, noise, |_, _, _, _| {
         ControlFlow::Continue(())
     })
 }
 
 /// Prepare `scratch` to run the ranks `ranks` of `cs` from time zero:
-/// reset the slice, plan dispatch, start message and detour ids at
-/// `id_base`, and seed the initial ready wavefront as bucket appends
-/// (root keys reproduce the legacy rank-major seeding order: time 0,
-/// rank-major `crank`, in-rank `cseq` in root order). The serial engine
-/// prepares one full-range slice with ids from 0; each shard of a
-/// sharded run prepares its own slice with a disjoint id base.
+/// reset the slice, plan dispatch, and seed the initial ready wavefront
+/// as bucket appends (root keys reproduce the legacy rank-major seeding
+/// order: time 0, rank-major `crank`, in-rank `cseq` in root order). The
+/// serial engine prepares one full-range slice; each shard of a sharded
+/// run prepares its own.
 pub(crate) fn start(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     scratch: &mut RunScratch,
     ranks: std::ops::Range<u32>,
-    id_base: u64,
 ) -> Result<(), SimError> {
     if cs.num_ranks() == 0 {
         return Err(SimError::EmptySchedule);
     }
     scratch.reset_range(cs, ranks.start, ranks.end);
     scratch.plan_dispatch(cs, params);
-    scratch.next_msg_id = id_base;
-    scratch.next_detour_id = id_base;
     scratch.seed_roots(cs);
     Ok(())
 }
@@ -765,11 +761,9 @@ impl<'e, R: Recorder> Engine<'e, R> {
                         break;
                     }
                     let (t, key, ev) = self.s.queue.pop().expect("peeked entry exists");
-                    self.rec.begin_pop(t, key);
                     events += 1;
                     self.dispatch(noise, key, ev, t);
                 }
-                self.rec.begin_pop(bt, bkey);
                 events += 1;
                 self.dispatch(noise, bkey, bev, bt);
             }

@@ -219,6 +219,17 @@ impl TraceCtx {
     /// the caller's distributed trace: same trace id, and the root span
     /// is parented under the remote span in exports.
     pub fn new_root(name: impl Into<String>, adopted: Option<(TraceId, SpanId)>) -> TraceCtx {
+        TraceCtx::new_root_at(name, adopted, Instant::now())
+    }
+
+    /// [`TraceCtx::new_root`] for a request whose wall time began at
+    /// `started`, before its name was known: the daemon accepts a
+    /// connection, queues it, and reads the request line only then.
+    pub fn new_root_at(
+        name: impl Into<String>,
+        adopted: Option<(TraceId, SpanId)>,
+        started: Instant,
+    ) -> TraceCtx {
         let (trace_id, remote_parent) = match adopted {
             Some((t, s)) => (t, Some(s)),
             None => (next_trace_id(), None),
@@ -230,7 +241,7 @@ impl TraceCtx {
                 root,
                 remote_parent,
                 name: name.into(),
-                started: Instant::now(),
+                started,
                 spans: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
             }),
@@ -260,6 +271,20 @@ impl TraceCtx {
     pub fn install(&self) -> CtxGuard {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(self.clone()));
         CtxGuard { prev }
+    }
+
+    /// Record a span that ran from `start` to `end` under this handle's
+    /// parent span: a phase timed before the trace existed.
+    pub fn record_span(&self, name: &str, start: Instant, end: Instant) {
+        self.push(SpanRec {
+            id: next_span_id(),
+            parent: self.parent,
+            name: name.to_string(),
+            start_ns: start
+                .saturating_duration_since(self.inner.started)
+                .as_nanos() as u64,
+            dur_ns: end.saturating_duration_since(start).as_nanos() as u64,
+        });
     }
 
     fn push(&self, rec: SpanRec) {

@@ -130,7 +130,9 @@ struct Shared {
     state: ServiceState,
     metrics: Metrics,
     traces: tracectx::TraceStore,
-    queue: Mutex<VecDeque<TcpStream>>,
+    /// Accepted connections waiting for a worker, with their accept
+    /// instants (each request's trace starts there).
+    queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
 }
@@ -236,8 +238,8 @@ pub fn run(cfg: ServeConfig) -> std::io::Result<()> {
 
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
-        let mut stream = match listener.accept() {
-            Ok((s, _)) => s,
+        let (mut stream, accepted) = match listener.accept() {
+            Ok((s, _)) => (s, Instant::now()),
             Err(_) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -277,7 +279,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             resp.extra_headers.push(("retry-after", "1".into()));
             reject_connection(&mut stream, &resp);
         } else {
-            q.push_back(stream);
+            q.push_back((stream, accepted));
             shared.metrics.set_queue_depth(q.len());
             drop(q);
             shared.queue_cv.notify_one();
@@ -329,9 +331,11 @@ fn worker_loop(shared: &Shared) {
                 q = shared.queue_cv.wait(q).expect("worker queue wait");
             }
         };
-        let Some(mut stream) = stream else { return };
+        let Some((mut stream, accepted)) = stream else {
+            return;
+        };
         shared.metrics.worker_busy();
-        handle_connection(shared, &mut stream);
+        handle_connection(shared, &mut stream, accepted);
         shared.metrics.worker_idle();
     }
 }
@@ -395,7 +399,10 @@ fn access_log_line(
     )
 }
 
-fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
+/// Serve one connection accepted at `accepted`. Its trace's root starts
+/// there, with the accept-queue wait and the request read as its first
+/// children; the latency metrics start at the worker's pickup.
+fn handle_connection(shared: &Shared, stream: &mut TcpStream, accepted: Instant) {
     let start = Instant::now();
     let req = match http::read_request(stream, shared.cfg.max_body_bytes) {
         Ok(req) => req,
@@ -417,6 +424,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
             return;
         }
     };
+    let read = Instant::now();
     let endpoint = endpoint_label(&req.path);
     CACHE_OUTCOME.with(|c| c.set(None));
     // Every request is traced: fresh ids, or the trace adopted from a
@@ -428,7 +436,10 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
         .traceparent
         .as_deref()
         .and_then(tracectx::parse_traceparent);
-    let ctx = tracectx::TraceCtx::new_root(format!("{} {}", req.method, endpoint), adopted);
+    let ctx =
+        tracectx::TraceCtx::new_root_at(format!("{} {}", req.method, endpoint), adopted, accepted);
+    ctx.record_span("queue_wait", accepted, start);
+    ctx.record_span("read", start, read);
     let trace_hex = ctx.trace_id().to_string();
     let trace_guard = ctx.install();
     // Panic isolation boundary: a panicking handler (a bug, or the

@@ -201,7 +201,7 @@ fn experiment_replicas_match_full_simulation() {
                 .unwrap();
             assert_eq!(entry.baseline(), base.finish);
             let out = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
-            let forked = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
+            let forked = run_against_baseline_entry(&exp, &entry, 0).unwrap();
             assert_eq!(forked.baseline, out.baseline);
             let detour = exp.mode.per_event_cost();
             let (mut skipped, mut resumed) = (0, 0);
@@ -301,7 +301,7 @@ fn figure_cells_match_full_simulation() {
             let sched = workloads::build(cell.app, ranks, &workload);
             let cs = Arc::new(CompiledSchedule::compile(&sched));
             let entry = CompiledEntry::new(ranks, cs, &exp.params).unwrap();
-            let out = run_against_baseline_entry(&exp, &entry, 0, None).unwrap();
+            let out = run_against_baseline_entry(&exp, &entry, 0).unwrap();
             let at = format!("{id} {} {} {}", cell.app, cell.group, cell.mode);
             assert_eq!(out.baseline.as_secs_f64(), cell.baseline_secs, "{at}");
             assert_eq!(out.mean_slowdown_pct(), cell.slowdown_pct, "{at}");

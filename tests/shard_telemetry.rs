@@ -1,17 +1,25 @@
-//! Property-based tests for shard-health telemetry: the conservation
-//! law (`busy + stall + barrier == wall`, exactly, per shard), event
-//! accounting against the serial engine, and the guarantee that
-//! attaching a telemetry handle never perturbs simulation results.
+//! Property-based tests for the process-wide shard counters
+//! (`shard_globals`): the conservation law (`busy + stall + barrier ==
+//! wall`, exactly, per shard), event accounting against the serial
+//! engine, and serial fallbacks counting nothing. Each case takes the
+//! counters' difference across one run while holding a lock that every
+//! test in this binary holds while it runs the engine.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dram_ce_sim::engine::{
-    simulate, simulate_compiled_sharded, simulate_sharded_instrumented, CompiledSchedule, NoNoise,
-    NullRecorder, ShardTelemetry, SimResult,
+    shard_globals, simulate, simulate_compiled_sharded, CompiledSchedule, NoNoise, ShardGlobals,
+    SimResult,
 };
 use dram_ce_sim::goal::{Rank, Schedule, ScheduleBuilder, Tag};
 use dram_ce_sim::model::{LogGopsParams, Span};
 use proptest::prelude::*;
+
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn lock_counters() -> MutexGuard<'static, ()> {
+    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A random message: src/dst rank indices, tag class, payload size
 /// (crossing the eager/rendezvous boundary).
@@ -84,21 +92,22 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
     })
 }
 
-/// A sharded run of `cs` with shard-health telemetry attached.
-fn with_telemetry(
+/// A sharded run of `cs` and the counters' difference across it.
+fn counted_run(
     cs: &CompiledSchedule,
     params: &LogGopsParams,
     shards: usize,
-    telem: &ShardTelemetry,
-) -> Result<SimResult, dram_ce_sim::engine::SimError> {
-    simulate_sharded_instrumented(cs, params, shards, &NoNoise, &mut NullRecorder, Some(telem))
+) -> (SimResult, ShardGlobals) {
+    let before = shard_globals();
+    let r = simulate_compiled_sharded(cs, params, shards, &NoNoise).expect("sharded run failed");
+    (r, shard_globals().since(&before))
 }
 
 proptest! {
-    /// Per shard, the three timing buckets partition accounted wall
-    /// time with no gap and no double counting: boundary-timestamp
-    /// accounting makes `busy + stall + barrier == wall` hold to the
-    /// nanosecond.
+    /// Per shard, the three timing buckets partition the shard thread's
+    /// wall time with no gap and no double counting: the laps chain on
+    /// the same instants, so `busy + stall + barrier == wall` holds to
+    /// the nanosecond.
     #[test]
     fn buckets_partition_wall_exactly(
         sched in schedule_strategy(),
@@ -106,13 +115,15 @@ proptest! {
     ) {
         let params = LogGopsParams::default();
         let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let telem = ShardTelemetry::new(shards);
-        with_telemetry(&cs, &params, shards, &telem).expect("sharded run failed");
+        let _counters = lock_counters();
+        let (_, run) = counted_run(&cs, &params, shards);
 
-        let report = telem.report();
-        prop_assert_eq!(report.per_shard.len(), shards);
-        prop_assert_eq!(report.runs, 1);
-        for (i, s) in report.per_shard.iter().enumerate() {
+        prop_assert_eq!(run.runs_total, 1);
+        // Shards beyond the rank count are clamped away; the table keeps
+        // zero entries for shard indices this run did not use.
+        let used = run.per_shard.iter().filter(|s| s.windows > 0).count();
+        prop_assert_eq!(used, shards.min(sched.num_ranks()));
+        for (i, s) in run.per_shard.iter().enumerate() {
             prop_assert_eq!(
                 s.busy + s.stall + s.barrier,
                 s.wall,
@@ -121,10 +132,9 @@ proptest! {
         }
     }
 
-    /// Telemetry is an observer, not a participant: per-shard event
-    /// pops sum to the serial engine's event count, the sharded finish
-    /// time matches the serial one, and running with the handle
-    /// attached returns byte-identical results to running without it.
+    /// Counting never perturbs a run: per-shard event pops sum to the
+    /// serial engine's event count, the sharded result equals the serial
+    /// one, and a serial fallback counts nothing at all.
     #[test]
     fn events_conserved_and_results_unperturbed(
         sched in schedule_strategy(),
@@ -134,18 +144,17 @@ proptest! {
         let serial = simulate(&sched, &params, &mut NoNoise).expect("serial run failed");
 
         let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let telem = ShardTelemetry::new(shards);
-        let observed =
-            with_telemetry(&cs, &params, shards, &telem).expect("observed sharded run failed");
-        let plain = simulate_compiled_sharded(&cs, &params, shards, &NoNoise)
-            .expect("plain sharded run failed");
+        let _counters = lock_counters();
+        let (sharded, run) = counted_run(&cs, &params, shards);
+        prop_assert_eq!(run.per_shard.iter().map(|s| s.events).sum::<u64>(), serial.events_processed);
+        prop_assert_eq!(run.events, serial.events_processed);
+        prop_assert_eq!(&sharded, &serial);
+        prop_assert!(run.windows > 0);
+        prop_assert!(run.imbalance() >= 1.0);
 
-        let report = telem.report();
-        prop_assert_eq!(report.events(), serial.events_processed);
-        prop_assert_eq!(observed.finish, serial.finish);
-        prop_assert_eq!(observed.finish, plain.finish);
-        prop_assert_eq!(&observed.per_rank_finish, &plain.per_rank_finish);
-        prop_assert!(report.windows() > 0);
-        prop_assert!(report.imbalance() >= 1.0);
+        let before = shard_globals();
+        let fallback = simulate_compiled_sharded(&cs, &params, 1, &NoNoise).expect("serial fallback failed");
+        prop_assert_eq!(&fallback, &serial);
+        prop_assert_eq!(shard_globals(), before, "a serial fallback counts nothing");
     }
 }
