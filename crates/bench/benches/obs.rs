@@ -12,7 +12,7 @@
 //! The runtime-telemetry layer (span profiler, flight recorder, request
 //! traces) has the same contract at runtime instead of compile time:
 //! switched off via its process-wide atomic after it has been on (ring
-//! allocated, labels interned), the sharded engine path (4 threaded
+//! and phase histograms allocated), the sharded engine path (4 threaded
 //! shards) must stay within 2% of the same path timed before telemetry
 //! was ever enabled.
 
@@ -84,7 +84,7 @@ fn main() {
 
     // Runtime telemetry (span profiler, flight recorder, request traces)
     // is gated on a single process-wide atomic. Contract: once telemetry
-    // has been on — its ring allocated and its labels interned — and is
+    // has been on — its ring and phase histograms allocated — and is
     // switched off again, the engine path stays within 2% of the same
     // run measured before telemetry was ever enabled. The enabled cost
     // is printed alongside for the logs.

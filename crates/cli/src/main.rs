@@ -703,7 +703,7 @@ fn cmd_goal(args: &Args) -> Result<(), String> {
         None => AppId::Lulesh,
         Some(name) => AppId::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?,
     };
-    let nodes = args.get_parsed("nodes", 8usize)?;
+    let nodes = count_arg(args, "nodes", 8usize)?;
     let steps = args.get_parsed("steps", 2usize)?;
     let cfg = cesim_core::workloads::WorkloadConfig::default().with_steps(steps);
     let ranks = cesim_core::workloads::natural_ranks(app, nodes);
@@ -736,8 +736,12 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     use cesim_trace as tr;
 
     if let Some(path) = args.get("generate") {
+        let ranks = args.get_parsed("nodes", 8usize)?;
+        if ranks < 2 {
+            return Err("--nodes must be at least 2: the generated ring needs two ranks".into());
+        }
         let spec = tr::generate::GenSpec {
-            ranks: args.get_parsed("nodes", 8usize)?,
+            ranks,
             steps: args.get_parsed("steps", 4usize)?,
             seed: args.get_parsed("seed", 0x7ACEu64)?,
             ..tr::generate::GenSpec::default()
@@ -968,9 +972,9 @@ fn cmd_ablate(args: &Args) -> Result<(), String> {
         None => AppId::Lulesh,
         Some(name) => AppId::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?,
     };
-    let nodes = args.get_parsed("nodes", 128usize)?;
+    let nodes = count_arg(args, "nodes", 128usize)?;
     let mtbce = mtbce_arg(args, "10")?;
-    let reps = args.get_parsed("reps", 3u32)?;
+    let reps = count_arg(args, "reps", 3u32)?;
     println!(
         "allreduce-expansion ablation: {app}, {nodes} nodes, firmware logging, MTBCE {mtbce}\n"
     );

@@ -212,6 +212,8 @@ fn runtime_errors_exit_one() {
     // simulation runs, with a message naming the flag.
     let ring = example("ring8.trc");
     let ring = ring.to_str().unwrap();
+    let generated = scratch("generated.trc");
+    let generated = generated.to_str().unwrap();
     for (cmd, flag, value) in [
         (&["run"][..], "--mode", "-5"),
         (&["run"], "--mode", "nan"),
@@ -226,6 +228,11 @@ fn runtime_errors_exit_one() {
         (&["run"], "--nodes", "0"),
         (&["fig3"], "--reps", "0"),
         (&["fig3"], "--nodes", "0"),
+        (&["ablate"], "--reps", "0"),
+        (&["ablate"], "--nodes", "0"),
+        (&["goal"], "--nodes", "0"),
+        (&["trace", "--generate", generated], "--nodes", "0"),
+        (&["trace", "--generate", generated], "--nodes", "1"),
     ] {
         let args: Vec<&str> = cmd.iter().copied().chain([flag, value]).collect();
         let (code, stderr) = run_cli(&args);

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use cesim_engine::record::{SegKind, SimEvent};
 use cesim_model::Time;
 
-use crate::json::JsonValue;
+use cesim_json::JsonValue;
 
 /// Process id used for per-rank execution tracks.
 pub const PID_RANKS: u64 = 0;
@@ -282,10 +282,11 @@ pub fn export_request_trace(t: &crate::tracectx::FinishedTrace) -> String {
                 lane_end.len() - 1
             }
         };
+        out.push_str(",\n{\"name\":");
+        cesim_json::write_escaped(name, &mut out);
         let _ = write!(
             out,
-            ",\n{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"span_id\":\"{:016x}\",\"parent\":\"{:016x}\"}}}}",
-            name.replace('\\', "\\\\").replace('"', "\\\""),
+            ",\"cat\":\"request\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"span_id\":\"{:016x}\",\"parent\":\"{:016x}\"}}}}",
             ns_us(start_ns),
             ns_us(dur_ns),
             lane + 1,
@@ -427,13 +428,15 @@ mod tests {
     #[test]
     fn request_trace_export_validates_with_overlapping_siblings() {
         use crate::tracectx::{SpanId, SpanRec, TraceCtx};
-        let ctx = TraceCtx::new_root("POST /v1/sweep", None);
+        // Span names are arbitrary text (the root's carries the client's
+        // method): control characters must come out escaped.
+        let ctx = TraceCtx::new_root("GE\u{1}T /v1/sweep", None);
         let mut f = ctx.finish(200, false);
         f.dur_ns = 5_000_000;
         let mk = |id: u64, start_ns: u64, dur_ns: u64| SpanRec {
             id: SpanId(id),
             parent: f.root,
-            name: format!("cell {id}"),
+            name: format!("cell\t\"{id}\""),
             start_ns,
             dur_ns,
         };

@@ -16,19 +16,23 @@
 //! * [`provenance`] — per-event detour provenance: a causal propagation
 //!   pass that classifies every injected detour as absorbed or
 //!   propagated, with amplification factors and makespan attribution,
-//! * [`json`] — re-export of the shared `cesim-json` parser/serializer
-//!   used to validate exported traces and emit provenance JSONL,
 //! * [`telemetry`] — runtime telemetry for the tool itself: [`Span`],
 //!   the one wall-time guard, whose drop feeds a phase profiler (phase
-//!   tables, Prometheus histograms), a lock-free flight recorder of
-//!   recent runtime events, and the installed request trace — all
-//!   gated on one process-wide atomic so the disabled path is free,
+//!   tables, Prometheus histograms), a bounded flight ring of recent
+//!   runtime events, and the installed request trace — all gated on
+//!   one process-wide atomic so the disabled path is free. Its
+//!   [`Histogram`](telemetry::Histogram) is the one Prometheus
+//!   histogram type (the daemon's request latencies use it too),
 //! * [`tracectx`] — request-scoped distributed tracing: W3C
 //!   `traceparent` propagation, per-request span trees collected
 //!   across worker threads, and a tail-sampling [`TraceStore`] that
 //!   always retains errors, sheds, and the slowest cohort,
 //! * [`logging`] — leveled structured logging (logfmt | JSON) with
 //!   automatic `trace_id` stamping from the installed trace context.
+//!
+//! [`JsonValue`] is re-exported from `cesim-json`, the shared parser
+//! and serializer that validates exported traces and writes provenance
+//! JSONL.
 //!
 //! The event taxonomy itself ([`SimEvent`], [`Recorder`]) lives in
 //! `cesim_engine::record` so the engine carries no dependency on this
@@ -40,7 +44,6 @@
 
 pub mod chrome;
 pub mod critical;
-pub mod json;
 pub mod logging;
 pub mod metrics;
 pub mod provenance;
@@ -48,9 +51,9 @@ pub mod telemetry;
 pub mod timeline;
 pub mod tracectx;
 
+pub use cesim_json::JsonValue;
 pub use chrome::{export_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use critical::{Attribution, CriticalPath};
-pub use json::JsonValue;
 pub use metrics::{interval_metrics_csv, IntervalMetrics};
 pub use provenance::{
     analyze, heatmap_csv, provenance_jsonl, DetourFate, Fate, ProvenanceReport, ProvenanceSummary,

@@ -114,11 +114,6 @@ pub fn log(level: Level, event: &str, fields: &[(&str, &str)]) {
     );
 }
 
-/// [`log`] at [`Level::Error`].
-pub fn error(event: &str, fields: &[(&str, &str)]) {
-    log(Level::Error, event, fields);
-}
-
 /// [`log`] at [`Level::Warn`].
 pub fn warn(event: &str, fields: &[(&str, &str)]) {
     log(Level::Warn, event, fields);
@@ -127,11 +122,6 @@ pub fn warn(event: &str, fields: &[(&str, &str)]) {
 /// [`log`] at [`Level::Info`].
 pub fn info(event: &str, fields: &[(&str, &str)]) {
     log(Level::Info, event, fields);
-}
-
-/// [`log`] at [`Level::Debug`].
-pub fn debug(event: &str, fields: &[(&str, &str)]) {
-    log(Level::Debug, event, fields);
 }
 
 /// Render one line without emitting it — the format contract, exposed
@@ -242,7 +232,7 @@ mod tests {
             &[("path", "/v1/simulate"), ("note", "a \"quoted\" value")],
             None,
         );
-        let v = crate::json::JsonValue::parse(&line).expect("json log line parses");
+        let v = cesim_json::JsonValue::parse(&line).expect("json log line parses");
         assert_eq!(v.get("level").and_then(|l| l.as_str()), Some("warn"));
         assert_eq!(
             v.get("note").and_then(|n| n.as_str()),

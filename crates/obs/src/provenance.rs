@@ -732,11 +732,11 @@ pub fn analyze(events: &[SimEvent], dropped: u64) -> ProvenanceReport {
 }
 
 /// Render the per-event records plus a trailing summary object as JSONL,
-/// one JSON value per line, built with the shared [`crate::json`]
+/// one JSON value per line, built with the shared [`cesim_json`]
 /// serializer (so escaping and number formatting match what
-/// [`crate::json::JsonValue::parse`] accepts by construction).
+/// [`cesim_json::JsonValue::parse`] accepts by construction).
 pub fn provenance_jsonl(report: &ProvenanceReport) -> String {
-    use crate::json::JsonValue;
+    use cesim_json::JsonValue;
     let mut out = String::new();
     for f in &report.fates {
         let rec = JsonValue::object([
@@ -1024,13 +1024,13 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), rep.fates.len() + 1);
         for line in &lines {
-            let v = crate::json::JsonValue::parse(line).expect("every JSONL line parses");
+            let v = cesim_json::JsonValue::parse(line).expect("every JSONL line parses");
             assert!(v.get("type").is_some());
         }
-        let summary = crate::json::JsonValue::parse(lines.last().unwrap()).unwrap();
+        let summary = cesim_json::JsonValue::parse(lines.last().unwrap()).unwrap();
         assert_eq!(
             summary.get("propagated").unwrap(),
-            &crate::json::JsonValue::Number(1.0)
+            &cesim_json::JsonValue::Number(1.0)
         );
         let csv = heatmap_csv(&rep, 16);
         let mut it = csv.lines();

@@ -20,23 +20,26 @@
 //! load, no clock is read and nothing is recorded. Phases are surfaced
 //! as a [`profile_table`] (the CLI `--profile` flag) and as
 //! `cesim_phase_seconds` histograms on the daemon's `GET /metrics`.
+//! The registry holds one [`Histogram`] per phase, the same type the
+//! daemon keeps its request latencies in.
 //!
 //! # The flight recorder
 //!
-//! A fixed-size lock-free ring of the most recent structured telemetry
-//! events (span begin/end, shed, panic, cache evict, signal).
-//! Writers claim a slot with one `fetch_add` and stamp it with a
-//! unique sequence number *last* (release ordering); readers validate
-//! the stamp before and after reading a slot and drop torn records, so
-//! a dump never blocks or corrupts a writer. The dump —
-//! [`flight_dump_json`] — is wired to panic (via
+//! A bounded queue of the most recent structured telemetry events
+//! (span begin/end, shed, panic, cache evict, signal) behind one
+//! mutex: a record pushes one event and drops the oldest once
+//! [`FLIGHT_CAPACITY`] are held. A panic while the lock is held
+//! leaves the ring usable (poisoning is ignored), and the panic
+//! hook only `try_lock`s it, so a panic can never deadlock in the
+//! hook. The dump — [`flight_dump_json`] — is wired to panic (via
 //! [`install_panic_hook`]), to SIGUSR1 in the daemon, and to
 //! `GET /v1/debug/flightrec`, so a wedged or slow process can be
 //! diagnosed post-hoc without a restart.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Phase-duration histogram bucket upper bounds, in seconds (a `+Inf`
@@ -44,11 +47,11 @@ use std::time::{Duration, Instant};
 /// full-machine runs.
 pub const PHASE_BUCKETS: [f64; 9] = [0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0];
 
-/// Number of slots in the flight-recorder ring.
+/// Most events the flight ring holds.
 pub const FLIGHT_CAPACITY: usize = 4096;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static PHASES: Mutex<BTreeMap<&'static str, PhaseAgg>> = Mutex::new(BTreeMap::new());
+static PHASES: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Turn the telemetry sink on or off. Off (the default) makes every
@@ -69,14 +72,77 @@ fn mono_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-#[derive(Default, Clone)]
-struct PhaseAgg {
-    count: u64,
-    total_ns: u64,
-    /// Cumulative counts per [`PHASE_BUCKETS`] bound (Prometheus
-    /// histogram convention: an observation lands in every bucket
-    /// whose bound is >= its value).
-    buckets: [u64; PHASE_BUCKETS.len()],
+/// Lock `m`, ignoring poisoning: every registry here stays consistent
+/// across a panic (each update is one push or a few counter bumps).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A Prometheus histogram of durations over fixed bucket bounds (in
+/// seconds), with optional per-bucket OpenMetrics exemplars.
+#[derive(Clone, Debug)]
+pub struct Histogram {
+    bounds: &'static [f64],
+    /// Cumulative counts per bound, then the implicit `+Inf` bucket
+    /// (the observation count): an observation lands in every bucket
+    /// whose bound is >= its value.
+    counts: Vec<u64>,
+    sum: Duration,
+    /// Per bucket, `(trace id, seconds)` of the latest traced
+    /// observation whose lowest bucket it is; empty until the first.
+    exemplars: Vec<Option<(String, f64)>>,
+}
+
+impl Histogram {
+    /// An empty histogram over `bounds` (ascending, in seconds).
+    pub fn new(bounds: &'static [f64]) -> Histogram {
+        Histogram {
+            bounds,
+            counts: vec![0; bounds.len() + 1],
+            sum: Duration::ZERO,
+            exemplars: Vec::new(),
+        }
+    }
+
+    /// Record one observation, pinning `trace` (if any) as the exemplar
+    /// of the lowest bucket it lands in.
+    pub fn observe(&mut self, elapsed: Duration, trace: Option<&str>) {
+        let secs = elapsed.as_secs_f64();
+        let lowest = self.bounds.partition_point(|b| *b < secs);
+        for n in &mut self.counts[lowest..] {
+            *n += 1;
+        }
+        self.sum += elapsed;
+        if let Some(trace) = trace {
+            self.exemplars.resize(self.counts.len(), None);
+            self.exemplars[lowest] = Some((trace.to_string(), secs));
+        }
+    }
+
+    fn count(&self) -> u64 {
+        self.counts[self.bounds.len()]
+    }
+
+    /// Append this histogram's `_bucket`/`_sum`/`_count` samples as the
+    /// series `name{key="value"}`.
+    pub fn render(&self, out: &mut String, name: &str, (key, value): (&str, &str)) {
+        for (i, n) in self.counts.iter().enumerate() {
+            let le = self.bounds.get(i).map_or("+Inf".into(), f64::to_string);
+            let _ = write!(out, "{name}_bucket{{{key}=\"{value}\",le=\"{le}\"}} {n}");
+            if let Some(Some((trace, secs))) = self.exemplars.get(i) {
+                let _ = write!(out, " # {{trace_id=\"{trace}\"}} {secs}");
+            }
+            out.push('\n');
+        }
+        let sum = self.sum.as_secs_f64();
+        let _ = writeln!(out, "{name}_sum{{{key}=\"{value}\"}} {sum}");
+        let _ = writeln!(out, "{name}_count{{{key}=\"{value}\"}} {}", self.count());
+    }
+}
+
+/// Append a family's `# HELP` and `# TYPE` lines.
+pub fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
 }
 
 /// A scoped wall-time span: the one guard behind the profiler, the
@@ -149,20 +215,11 @@ impl Drop for Span {
         let Some(start) = self.start else { return };
         let elapsed = start.elapsed();
         if let Some(label) = self.phase {
-            let ns = elapsed.as_nanos() as u64;
-            let secs = elapsed.as_secs_f64();
-            {
-                let mut phases = PHASES.lock().expect("phase registry lock");
-                let agg = phases.entry(label).or_default();
-                agg.count += 1;
-                agg.total_ns += ns;
-                for (slot, bound) in agg.buckets.iter_mut().zip(PHASE_BUCKETS.iter()) {
-                    if secs <= *bound {
-                        *slot += 1;
-                    }
-                }
-            }
-            flight_record(FlightKind::SpanEnd, label, ns, 0);
+            lock(&PHASES)
+                .entry(label)
+                .or_insert_with(|| Histogram::new(&PHASE_BUCKETS))
+                .observe(elapsed, None);
+            flight_record(FlightKind::SpanEnd, label, elapsed.as_nanos() as u64, 0);
         }
         if let Some(trace) = self.trace.take() {
             trace.close(start, elapsed);
@@ -179,33 +236,25 @@ pub struct PhaseRow {
     pub count: u64,
     /// Total wall time across those spans.
     pub total: Duration,
-    /// Cumulative histogram counts per [`PHASE_BUCKETS`] bound.
-    pub buckets: [u64; PHASE_BUCKETS.len()],
 }
 
 /// Snapshot the phase registry, sorted by label.
 pub fn phase_snapshot() -> Vec<PhaseRow> {
-    let phases = PHASES.lock().expect("phase registry lock");
-    phases
+    lock(&PHASES)
         .iter()
-        .map(|(label, agg)| PhaseRow {
+        .map(|(label, h)| PhaseRow {
             label,
-            count: agg.count,
-            total: Duration::from_nanos(agg.total_ns),
-            buckets: agg.buckets,
+            count: h.count(),
+            total: h.sum,
         })
         .collect()
 }
 
 /// Clear the phase registry and the flight ring (test isolation and
-/// per-run `--profile` scoping).
+/// per-run `--profile` scoping). The flight sequence keeps counting.
 pub fn reset() {
-    PHASES.lock().expect("phase registry lock").clear();
-    if let Some(ring) = RING.get() {
-        for slot in ring {
-            slot.seq.store(0, Ordering::Release);
-        }
-    }
+    lock(&PHASES).clear();
+    lock(&RING).events.clear();
 }
 
 /// Render the phase breakdown as an aligned text table, with a final
@@ -254,32 +303,15 @@ fn percent(part: Duration, whole: Duration) -> f64 {
 /// per phase) to `out`. Deterministically ordered; empty when no spans
 /// have completed.
 pub fn render_prometheus(out: &mut String) {
-    let rows = phase_snapshot();
-    if rows.is_empty() {
+    let phases = lock(&PHASES);
+    if phases.is_empty() {
         return;
     }
-    out.push_str("# HELP cesim_phase_seconds Wall time per pipeline phase (span profiler).\n");
-    out.push_str("# TYPE cesim_phase_seconds histogram\n");
-    for r in &rows {
-        for (i, bound) in PHASE_BUCKETS.iter().enumerate() {
-            out.push_str(&format!(
-                "cesim_phase_seconds_bucket{{phase=\"{}\",le=\"{bound}\"}} {}\n",
-                r.label, r.buckets[i]
-            ));
-        }
-        out.push_str(&format!(
-            "cesim_phase_seconds_bucket{{phase=\"{}\",le=\"+Inf\"}} {}\n",
-            r.label, r.count
-        ));
-        out.push_str(&format!(
-            "cesim_phase_seconds_sum{{phase=\"{}\"}} {}\n",
-            r.label,
-            r.total.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "cesim_phase_seconds_count{{phase=\"{}\"}} {}\n",
-            r.label, r.count
-        ));
+    let name = "cesim_phase_seconds";
+    let help = "Wall time per pipeline phase (span profiler).";
+    family(out, name, "histogram", help);
+    for (label, h) in phases.iter() {
+        h.render(out, name, ("phase", label));
     }
 }
 
@@ -289,20 +321,19 @@ pub fn render_prometheus(out: &mut String) {
 
 /// What a flight-recorder event describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum FlightKind {
     /// A profiling span opened (`a`/`b` unused).
-    SpanBegin = 1,
+    SpanBegin,
     /// A profiling span closed (`a` = duration in ns).
-    SpanEnd = 2,
+    SpanEnd,
     /// The daemon shed a connection with 429 (`a` = queue depth).
-    Shed = 3,
+    Shed,
     /// A panic was observed (`a`/`b` unused).
-    Panic = 4,
+    Panic,
     /// A cache evicted an entry (`a` = entries after eviction).
-    CacheEvict = 5,
+    CacheEvict,
     /// A diagnostic signal (SIGUSR1) arrived.
-    Signal = 6,
+    Signal,
 }
 
 impl FlightKind {
@@ -316,89 +347,9 @@ impl FlightKind {
             FlightKind::Signal => "signal",
         }
     }
-
-    fn from_u8(v: u8) -> Option<FlightKind> {
-        match v {
-            1 => Some(FlightKind::SpanBegin),
-            2 => Some(FlightKind::SpanEnd),
-            3 => Some(FlightKind::Shed),
-            4 => Some(FlightKind::Panic),
-            5 => Some(FlightKind::CacheEvict),
-            6 => Some(FlightKind::Signal),
-            _ => None,
-        }
-    }
 }
 
-/// One ring slot. `seq == 0` means never written; otherwise `seq` is
-/// the unique 1-based ticket of the write, stored last with release
-/// ordering so a reader that sees the same nonzero `seq` before and
-/// after reading the payload saw a consistent record.
-#[derive(Default)]
-struct Slot {
-    seq: AtomicU64,
-    kind: AtomicU64,
-    label: AtomicU64,
-    t_ns: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-    trace_hi: AtomicU64,
-    trace_lo: AtomicU64,
-}
-
-static RING: OnceLock<Vec<Slot>> = OnceLock::new();
-static TICKET: AtomicU64 = AtomicU64::new(0);
-static LABELS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-fn ring() -> &'static [Slot] {
-    RING.get_or_init(|| (0..FLIGHT_CAPACITY).map(|_| Slot::default()).collect())
-}
-
-/// Intern a static label, returning its dense id. The table only ever
-/// holds the handful of distinct labels the codebase uses.
-fn label_id(label: &'static str) -> u64 {
-    let mut table = LABELS.lock().expect("flight label lock");
-    if let Some(i) = table.iter().position(|l| *l == label) {
-        return i as u64;
-    }
-    table.push(label);
-    (table.len() - 1) as u64
-}
-
-/// Record one flight event. A near-no-op when telemetry is disabled;
-/// otherwise lock-free (one `fetch_add` plus relaxed stores). Events
-/// recorded on a thread with a [`crate::tracectx`] context installed
-/// are stamped with its trace id, so flightrec dumps cross-correlate
-/// with access logs and stored traces.
-pub fn flight_record(kind: FlightKind, label: &'static str, a: u64, b: u64) {
-    if !enabled() {
-        return;
-    }
-    let t = mono_ns();
-    let id = label_id(label);
-    let trace = crate::tracectx::current_trace_id().map_or(0u128, |t| t.0);
-    let ring = ring();
-    let ticket = TICKET.fetch_add(1, Ordering::Relaxed) + 1;
-    let slot = &ring[(ticket - 1) as usize % FLIGHT_CAPACITY];
-    // Readers treat a slot whose seq changes under them as torn and
-    // drop it, so plain relaxed payload stores are fine here.
-    slot.kind.store(kind as u8 as u64, Ordering::Relaxed);
-    slot.label.store(id, Ordering::Relaxed);
-    slot.t_ns.store(t, Ordering::Relaxed);
-    slot.a.store(a, Ordering::Relaxed);
-    slot.b.store(b, Ordering::Relaxed);
-    slot.trace_hi.store((trace >> 64) as u64, Ordering::Relaxed);
-    slot.trace_lo.store(trace as u64, Ordering::Relaxed);
-    slot.seq.store(ticket, Ordering::Release);
-}
-
-/// Total flight events recorded since process start (including ones
-/// the ring has since overwritten).
-pub fn flight_total() -> u64 {
-    TICKET.load(Ordering::Relaxed)
-}
-
-/// One decoded flight-recorder event.
+/// One flight-recorder event.
 #[derive(Clone, Debug)]
 pub struct FlightEvent {
     /// Global 1-based sequence number of the event.
@@ -418,92 +369,117 @@ pub struct FlightEvent {
     pub trace: u128,
 }
 
-/// Snapshot the ring, oldest first. Records being overwritten while we
-/// read (seq changed mid-read) are dropped rather than returned torn.
-pub fn flight_snapshot() -> Vec<FlightEvent> {
-    let Some(ring) = RING.get() else {
-        return Vec::new();
-    };
-    let labels = LABELS.lock().expect("flight label lock").clone();
-    let mut out = Vec::new();
-    for slot in ring {
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 == 0 {
-            continue;
+/// The flight ring: the newest events, oldest first, and how many were
+/// ever recorded (the last event's `seq`).
+struct Ring {
+    events: VecDeque<FlightEvent>,
+    total: u64,
+}
+
+static RING: Mutex<Ring> = Mutex::new(Ring {
+    events: VecDeque::new(),
+    total: 0,
+});
+
+impl Ring {
+    fn push(&mut self, kind: FlightKind, label: &'static str, a: u64, b: u64) {
+        if self.events.len() == FLIGHT_CAPACITY {
+            self.events.pop_front();
         }
-        let kind = slot.kind.load(Ordering::Relaxed);
-        let label = slot.label.load(Ordering::Relaxed);
-        let t_ns = slot.t_ns.load(Ordering::Relaxed);
-        let a = slot.a.load(Ordering::Relaxed);
-        let b = slot.b.load(Ordering::Relaxed);
-        let trace = ((slot.trace_hi.load(Ordering::Relaxed) as u128) << 64)
-            | slot.trace_lo.load(Ordering::Relaxed) as u128;
-        if slot.seq.load(Ordering::Acquire) != s1 {
-            continue;
+        if self.events.capacity() == 0 {
+            // The ring's one allocation, on its first record.
+            self.events.reserve_exact(FLIGHT_CAPACITY);
         }
-        let Some(kind) = FlightKind::from_u8(kind as u8) else {
-            continue;
-        };
-        let Some(label) = labels.get(label as usize).copied() else {
-            continue;
-        };
-        out.push(FlightEvent {
-            seq: s1,
-            t_ns,
+        self.total += 1;
+        self.events.push_back(FlightEvent {
+            seq: self.total,
+            t_ns: mono_ns(),
             kind,
             label,
             a,
             b,
-            trace,
+            trace: crate::tracectx::current_trace_id().map_or(0, |t| t.0),
         });
     }
-    out.sort_unstable_by_key(|e| e.seq);
-    out
+
+    /// The ring as a JSON object: metadata plus the events, oldest first.
+    fn dump_json(&self) -> String {
+        let mut out = String::with_capacity(64 + self.events.len() * 96);
+        let _ = write!(
+            out,
+            "{{\"total\":{},\"capacity\":{FLIGHT_CAPACITY},\"events\":[",
+            self.total
+        );
+        for (i, e) in self.events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"seq\":{},\"t_us\":{},\"kind\":\"{}\",\"label\":",
+                e.seq,
+                e.t_ns / 1_000,
+                e.kind.name(),
+            );
+            cesim_json::write_escaped(e.label, &mut out);
+            let _ = write!(out, ",\"a\":{},\"b\":{}", e.a, e.b);
+            if e.trace != 0 {
+                let _ = write!(out, ",\"trace_id\":\"{:032x}\"", e.trace);
+            }
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
+    }
+}
+
+/// Record one flight event. A near-no-op when telemetry is disabled.
+/// Events recorded on a thread with a [`crate::tracectx`] context
+/// installed are stamped with its trace id, so flightrec dumps
+/// cross-correlate with access logs and stored traces.
+pub fn flight_record(kind: FlightKind, label: &'static str, a: u64, b: u64) {
+    if enabled() {
+        lock(&RING).push(kind, label, a, b);
+    }
+}
+
+/// Total flight events recorded since process start (including ones
+/// the ring has since dropped).
+pub fn flight_total() -> u64 {
+    lock(&RING).total
+}
+
+/// Snapshot the ring, oldest first.
+pub fn flight_snapshot() -> Vec<FlightEvent> {
+    lock(&RING).events.iter().cloned().collect()
 }
 
 /// Dump the flight recorder as a JSON object: ring metadata plus the
 /// surviving events, oldest first.
 pub fn flight_dump_json() -> String {
-    let events = flight_snapshot();
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str(&format!(
-        "{{\"total\":{},\"capacity\":{},\"events\":[",
-        flight_total(),
-        FLIGHT_CAPACITY
-    ));
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"t_us\":{},\"kind\":\"{}\",\"label\":",
-            e.seq,
-            e.t_ns / 1_000,
-            e.kind.name(),
-        ));
-        cesim_json::write_escaped(e.label, &mut out);
-        out.push_str(&format!(",\"a\":{},\"b\":{}", e.a, e.b));
-        if e.trace != 0 {
-            out.push_str(&format!(",\"trace_id\":\"{:032x}\"", e.trace));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    lock(&RING).dump_json()
 }
 
 /// Install a panic hook that records a [`FlightKind::Panic`] event and
 /// dumps the flight recorder to stderr before delegating to the
 /// previous hook. Idempotent; a no-op chain when telemetry is
-/// disabled at panic time.
+/// disabled at panic time, and when the ring is locked (by the
+/// panicking thread itself, or another writer mid-record).
 pub fn install_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             if enabled() {
-                flight_record(FlightKind::Panic, "panic", 0, 0);
-                eprintln!("cesim-flightrec: {}", flight_dump_json());
+                let ring = match RING.try_lock() {
+                    Ok(ring) => Some(ring),
+                    Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+                    Err(TryLockError::WouldBlock) => None,
+                };
+                if let Some(mut ring) = ring {
+                    ring.push(FlightKind::Panic, "panic", 0, 0);
+                    eprintln!("cesim-flightrec: {}", ring.dump_json());
+                }
             }
             prev(info);
         }));
@@ -560,9 +536,6 @@ pub(crate) mod tests {
                 .expect("phase recorded");
             assert_eq!(r.count, 1);
             assert!(r.total >= Duration::from_millis(2));
-            // Cumulative buckets: the +Inf-adjacent large bounds must
-            // all contain the observation.
-            assert_eq!(r.buckets[PHASE_BUCKETS.len() - 1], 1);
         });
     }
 
@@ -601,6 +574,25 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn poisoned_ring_still_records_and_dumps() {
+        with_sink(|| {
+            // Under the hook, which only try-locks the ring: a blocking
+            // lock would deadlock on the lock the panicking thread holds.
+            install_panic_hook();
+            let poisoner = std::thread::spawn(|| {
+                let _ring = lock(&RING);
+                panic!("panic while holding the flight ring");
+            });
+            assert!(poisoner.join().is_err() && RING.is_poisoned());
+            flight_record(FlightKind::Signal, "after_poison", 7, 0);
+            let last = flight_snapshot().pop().expect("recorded");
+            assert_eq!((last.label, last.a), ("after_poison", 7));
+            assert_eq!(last.seq, flight_total());
+            cesim_json::JsonValue::parse(&flight_dump_json()).expect("dump parses");
+        });
+    }
+
+    #[test]
     fn flight_dump_is_valid_json() {
         with_sink(|| {
             flight_record(FlightKind::CacheEvict, "schedule", 3, 0);
@@ -609,7 +601,7 @@ pub(crate) mod tests {
                 let _s = Span::enter("dumped");
             }
             let dump = flight_dump_json();
-            let v = crate::json::JsonValue::parse(&dump).expect("dump parses");
+            let v = cesim_json::JsonValue::parse(&dump).expect("dump parses");
             let events = v.get("events").and_then(|e| e.as_array()).unwrap();
             assert!(!events.is_empty());
             assert!(v.get("capacity").and_then(|c| c.as_u64()).unwrap() == FLIGHT_CAPACITY as u64);

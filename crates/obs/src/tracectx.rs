@@ -254,11 +254,6 @@ impl TraceCtx {
         self.inner.trace_id
     }
 
-    /// The root span id.
-    pub fn root_span(&self) -> SpanId {
-        self.inner.root
-    }
-
     /// `traceparent` value identifying this trace's root span —
     /// what the daemon echoes back in the response header.
     pub fn traceparent(&self) -> String {
@@ -795,7 +790,7 @@ mod tests {
             assert_eq!(by_name("inner").parent, by_name("outer").id);
             assert_eq!(by_name("top").parent, fin.root);
             let doc = trace_json(&fin);
-            let v = crate::json::JsonValue::parse(&doc).expect("trace json parses");
+            let v = cesim_json::JsonValue::parse(&doc).expect("trace json parses");
             let root = v.get("root").unwrap();
             assert_eq!(
                 root.get("children").unwrap().as_array().unwrap().len(),

@@ -69,11 +69,13 @@ pub fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Req
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split(' ');
-    let method = parts
-        .next()
-        .filter(|m| !m.is_empty())
-        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
-        .to_ascii_uppercase();
+    // An RFC 9110 token: the method lands in trace names and logs.
+    let method = parts.next().unwrap_or("");
+    let tchar = |b: u8| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b);
+    if method.is_empty() || !method.bytes().all(tchar) {
+        return Err(HttpError::Malformed(format!("invalid method {method:?}")));
+    }
+    let method = method.to_ascii_uppercase();
     let path = parts
         .next()
         .ok_or_else(|| HttpError::Malformed("missing request target".into()))?
@@ -345,6 +347,8 @@ mod tests {
     fn rejects_garbage() {
         for bytes in [
             &b"NOT-HTTP\r\n\r\n"[..],
+            &b"GE\x01T /x HTTP/1.1\r\n\r\n"[..],
+            &b" /x HTTP/1.1\r\n\r\n"[..],
             &b"GET /x SPDY/9\r\n\r\n"[..],
             &b"GET /x HTTP/1.1\r\nbroken header\r\n\r\n"[..],
             &b"GET /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n"[..],

@@ -419,7 +419,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream, accepted: Instant)
             };
             shared
                 .metrics
-                .observe("other", resp.status, start.elapsed());
+                .observe("other", resp.status, start.elapsed(), None);
             reject_connection(stream, &resp);
             return;
         }
@@ -477,7 +477,7 @@ fn handle_connection(shared: &Shared, stream: &mut TcpStream, accepted: Instant)
     }
     shared
         .metrics
-        .observe_traced(endpoint, resp.status, elapsed, Some(&trace_hex));
+        .observe(endpoint, resp.status, elapsed, Some(&trace_hex));
 }
 
 fn route(shared: &Shared, req: &http::Request) -> Response {

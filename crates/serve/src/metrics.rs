@@ -1,8 +1,11 @@
 //! Request counters and latency histograms, rendered in the Prometheus
-//! text exposition format on `GET /metrics`. Latency buckets carry
-//! OpenMetrics exemplars — the trace id of the latest observation that
-//! landed in each bucket — so a suspicious bucket links straight to a
-//! stored trace at `/v1/debug/traces/:id`.
+//! text exposition format on `GET /metrics`.
+//!
+//! Per-endpoint latencies are [`Histogram`]s, the type the span
+//! profiler's `cesim_phase_seconds` uses too. Their buckets carry
+//! OpenMetrics exemplars — the trace id of the latest traced
+//! observation that landed in each bucket — so a suspicious bucket
+//! links straight to a stored trace at `/v1/debug/traces/:id`.
 //!
 //! The hot-path cost is one short mutex acquisition per completed
 //! request; the queue-depth gauge and shed/panic counters are atomics
@@ -10,8 +13,10 @@
 //! sets live in [`BTreeMap`]s so the rendered text is deterministic —
 //! the integration tests diff whole scrape bodies.
 
+use cesim_core::obs::telemetry::{self, family, Histogram};
 use cesim_core::service::ServiceState;
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -21,40 +26,12 @@ use std::time::{Duration, Instant};
 pub const LATENCY_BUCKETS: [f64; 10] =
     [0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1.0, 5.0];
 
-/// An OpenMetrics exemplar: the most recent observation that landed in
-/// a bucket, tagged with its request's trace id so a spike in a latency
-/// bucket links directly to `/v1/debug/traces/:id`.
-#[derive(Clone)]
-struct Exemplar {
-    trace_id: String,
-    value_secs: f64,
-}
-
-#[derive(Default, Clone)]
-struct Hist {
-    buckets: [u64; LATENCY_BUCKETS.len()],
-    /// One slot per bucket plus `+Inf`; an observation overwrites the
-    /// exemplar of the lowest bucket it lands in (its canonical bucket).
-    exemplars: [Option<Exemplar>; LATENCY_BUCKETS.len() + 1],
-    count: u64,
-    sum_us: u64,
-}
-
 #[derive(Default)]
 struct Inner {
     /// `(endpoint, status)` → request count.
     requests: BTreeMap<(&'static str, u16), u64>,
     /// endpoint → latency histogram.
-    latency: BTreeMap<&'static str, Hist>,
-}
-
-/// OpenMetrics exemplar suffix for a bucket line: ` # {trace_id="…"} v`,
-/// or empty when the bucket has never seen a traced observation.
-fn exemplar_suffix(e: &Option<Exemplar>) -> String {
-    match e {
-        Some(e) => format!(" # {{trace_id=\"{}\"}} {}", e.trace_id, e.value_secs),
-        None => String::new(),
-    }
+    latency: BTreeMap<&'static str, Histogram>,
 }
 
 /// All daemon-level metrics; one instance shared by every thread.
@@ -88,39 +65,22 @@ impl Metrics {
         }
     }
 
-    /// Record one completed request.
-    pub fn observe(&self, endpoint: &'static str, status: u16, elapsed: Duration) {
-        self.observe_traced(endpoint, status, elapsed, None);
-    }
-
-    /// [`Metrics::observe`], additionally pinning the observation's
-    /// trace id as the exemplar of the bucket it lands in.
-    pub fn observe_traced(
+    /// Record one completed request; a `trace` id becomes the exemplar
+    /// of the latency bucket the observation lands in.
+    pub fn observe(
         &self,
         endpoint: &'static str,
         status: u16,
         elapsed: Duration,
-        trace_id: Option<&str>,
+        trace: Option<&str>,
     ) {
         let mut inner = self.inner.lock().expect("metrics lock");
         *inner.requests.entry((endpoint, status)).or_insert(0) += 1;
-        let hist = inner.latency.entry(endpoint).or_default();
-        let secs = elapsed.as_secs_f64();
-        let mut slot = LATENCY_BUCKETS.len(); // +Inf unless a bound fits
-        for (i, bound) in LATENCY_BUCKETS.iter().enumerate() {
-            if secs <= *bound {
-                hist.buckets[i] += 1;
-                slot = slot.min(i);
-            }
-        }
-        hist.count += 1;
-        hist.sum_us += elapsed.as_micros() as u64;
-        if let Some(trace_id) = trace_id {
-            hist.exemplars[slot] = Some(Exemplar {
-                trace_id: trace_id.to_string(),
-                value_secs: secs,
-            });
-        }
+        inner
+            .latency
+            .entry(endpoint)
+            .or_insert_with(|| Histogram::new(&LATENCY_BUCKETS))
+            .observe(elapsed, trace);
     }
 
     /// Record a connection shed with 429 because the queue was full.
@@ -128,19 +88,9 @@ impl Metrics {
         self.shed.fetch_add(1, Relaxed);
     }
 
-    /// Requests shed so far.
-    pub fn shed_count(&self) -> u64 {
-        self.shed.load(Relaxed)
-    }
-
     /// Record a handler panic caught by the worker isolation boundary.
     pub fn panicked(&self) {
         self.panics.fetch_add(1, Relaxed);
-    }
-
-    /// Panics caught so far.
-    pub fn panic_count(&self) -> u64 {
-        self.panics.load(Relaxed)
     }
 
     /// Publish the current accept-queue depth.
@@ -166,198 +116,111 @@ impl Metrics {
     /// Render the Prometheus text exposition, folding in the cache
     /// counters owned by the simulation state.
     pub fn render(&self, state: &ServiceState) -> String {
-        let inner = self.inner.lock().expect("metrics lock");
-        let mut out = String::with_capacity(2048);
-
-        out.push_str("# HELP cesim_requests_total Requests completed, by endpoint and status.\n");
-        out.push_str("# TYPE cesim_requests_total counter\n");
-        for ((endpoint, status), count) in &inner.requests {
-            out.push_str(&format!(
-                "cesim_requests_total{{endpoint=\"{endpoint}\",code=\"{status}\"}} {count}\n"
-            ));
-        }
-
-        out.push_str("# HELP cesim_request_duration_seconds Request latency, by endpoint.\n");
-        out.push_str("# TYPE cesim_request_duration_seconds histogram\n");
-        for (endpoint, hist) in &inner.latency {
-            for (i, bound) in LATENCY_BUCKETS.iter().enumerate() {
-                out.push_str(&format!(
-                    "cesim_request_duration_seconds_bucket{{endpoint=\"{endpoint}\",le=\"{bound}\"}} {}{}\n",
-                    hist.buckets[i],
-                    exemplar_suffix(&hist.exemplars[i])
-                ));
+        let mut text = String::with_capacity(2048);
+        let out = &mut text;
+        {
+            let inner = self.inner.lock().expect("metrics lock");
+            header(out, "cesim_requests_total");
+            for ((endpoint, status), count) in &inner.requests {
+                let labels = format!("endpoint=\"{endpoint}\",code=\"{status}\"");
+                let _ = writeln!(out, "cesim_requests_total{{{labels}}} {count}");
             }
-            out.push_str(&format!(
-                "cesim_request_duration_seconds_bucket{{endpoint=\"{endpoint}\",le=\"+Inf\"}} {}{}\n",
-                hist.count,
-                exemplar_suffix(&hist.exemplars[LATENCY_BUCKETS.len()])
-            ));
-            out.push_str(&format!(
-                "cesim_request_duration_seconds_sum{{endpoint=\"{endpoint}\"}} {}\n",
-                hist.sum_us as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "cesim_request_duration_seconds_count{{endpoint=\"{endpoint}\"}} {}\n",
-                hist.count
-            ));
+            let name = "cesim_request_duration_seconds";
+            header(out, name);
+            for (endpoint, hist) in &inner.latency {
+                hist.render(out, name, ("endpoint", endpoint));
+            }
         }
-        drop(inner);
-
-        out.push_str("# HELP cesim_queue_depth Connections waiting for a worker.\n");
-        out.push_str("# TYPE cesim_queue_depth gauge\n");
-        out.push_str(&format!(
-            "cesim_queue_depth {}\n",
-            self.queue_depth.load(Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP cesim_shed_total Connections answered 429 because the queue was full.\n",
-        );
-        out.push_str("# TYPE cesim_shed_total counter\n");
-        out.push_str(&format!("cesim_shed_total {}\n", self.shed.load(Relaxed)));
-
-        out.push_str("# HELP cesim_worker_panics_total Handler panics caught and answered 500.\n");
-        out.push_str("# TYPE cesim_worker_panics_total counter\n");
-        out.push_str(&format!(
-            "cesim_worker_panics_total {}\n",
-            self.panics.load(Relaxed)
-        ));
-
-        for (name, help, value) in [
-            (
-                "cesim_schedule_cache_hits_total",
-                "Compiled-schedule cache hits.",
-                state.schedules.hits(),
-            ),
-            (
-                "cesim_schedule_cache_misses_total",
-                "Compiled-schedule cache misses (compilations).",
-                state.schedules.misses(),
-            ),
-            (
-                "cesim_response_cache_hits_total",
-                "Full-response cache hits.",
-                state.responses.hits(),
-            ),
-            (
-                "cesim_response_cache_misses_total",
-                "Full-response cache misses.",
-                state.responses.misses(),
-            ),
-            (
-                "cesim_baseline_forks_total",
-                "Replicas resumed from a snapshot of the cached baseline.",
-                state.schedules.forks(),
-            ),
-            (
-                "cesim_forked_events_total",
-                "Engine events those replicas skipped.",
-                state.schedules.forked_events(),
-            ),
-            (
-                "cesim_baseline_rejoins_total",
-                "Replicas that rejoined the cached baseline before their end.",
-                state.schedules.rejoins(),
-            ),
-            (
-                "cesim_rejoined_events_total",
-                "Engine events of the baseline suffix those replicas skipped.",
-                state.schedules.rejoined_events(),
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-
-        let forks = state.schedules.fork_footprint();
-        for (name, help, value) in [
-            (
-                "cesim_fork_tables",
-                "Cached entries whose baseline fork table is built.",
-                forks.entries,
-            ),
-            (
-                "cesim_fork_snapshots",
-                "Baseline snapshots those fork tables hold.",
-                forks.snapshots,
-            ),
-            (
-                "cesim_fork_snapshot_bytes",
-                "Heap bytes those snapshots hold.",
-                forks.bytes,
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        }
-
-        out.push_str("# HELP cesim_build_info Build metadata; value is always 1.\n");
-        out.push_str("# TYPE cesim_build_info gauge\n");
-        out.push_str(&format!(
-            "cesim_build_info{{version=\"{}\"}} 1\n",
+        let s = &state.schedules;
+        let r = &state.responses;
+        let forks = s.fork_footprint();
+        let g = cesim_core::engine::shard_globals();
+        let build = format!(
+            "cesim_build_info{{version=\"{}\"}}",
             env!("CARGO_PKG_VERSION")
-        ));
-
-        out.push_str("# HELP cesim_uptime_seconds Seconds since the daemon started.\n");
-        out.push_str("# TYPE cesim_uptime_seconds gauge\n");
-        out.push_str(&format!(
-            "cesim_uptime_seconds {:.3}\n",
-            self.started.elapsed().as_secs_f64()
-        ));
-
-        out.push_str("# HELP cesim_workers Configured request-worker threads.\n");
-        out.push_str("# TYPE cesim_workers gauge\n");
-        out.push_str(&format!("cesim_workers {}\n", self.workers.load(Relaxed)));
-
-        out.push_str("# HELP cesim_workers_busy Workers currently handling a connection.\n");
-        out.push_str("# TYPE cesim_workers_busy gauge\n");
-        out.push_str(&format!(
-            "cesim_workers_busy {}\n",
-            self.busy_workers.load(Relaxed)
-        ));
-
+        );
+        let uptime = self.started.elapsed().as_secs_f64();
+        let sim_secs = g.sim_ps_advanced as f64 / 1e12;
+        single(out, "cesim_queue_depth", self.queue_depth.load(Relaxed));
+        single(out, "cesim_shed_total", self.shed.load(Relaxed));
+        single(out, "cesim_worker_panics_total", self.panics.load(Relaxed));
+        single(out, "cesim_schedule_cache_hits_total", s.hits());
+        single(out, "cesim_schedule_cache_misses_total", s.misses());
+        single(out, "cesim_response_cache_hits_total", r.hits());
+        single(out, "cesim_response_cache_misses_total", r.misses());
+        single(out, "cesim_baseline_forks_total", s.forks());
+        single(out, "cesim_forked_events_total", s.forked_events());
+        single(out, "cesim_baseline_rejoins_total", s.rejoins());
+        single(out, "cesim_rejoined_events_total", s.rejoined_events());
+        single(out, "cesim_fork_tables", forks.entries);
+        single(out, "cesim_fork_snapshots", forks.snapshots);
+        single(out, "cesim_fork_snapshot_bytes", forks.bytes);
+        single(out, &build, 1);
+        single(out, "cesim_uptime_seconds", format!("{uptime:.3}"));
+        single(out, "cesim_workers", self.workers.load(Relaxed));
+        single(out, "cesim_workers_busy", self.busy_workers.load(Relaxed));
         // Live shard-engine counters: process-wide, so in-flight sharded
         // simulations are visible between scrapes of the request metrics.
-        let g = cesim_core::engine::shard_globals();
-        out.push_str("# HELP cesim_shard_runs_active Sharded simulations currently in flight.\n");
-        out.push_str("# TYPE cesim_shard_runs_active gauge\n");
-        out.push_str(&format!("cesim_shard_runs_active {}\n", g.runs_active));
-        for (name, help, value) in [
-            (
-                "cesim_shard_runs_total",
-                "Sharded simulations driven since startup.",
-                g.runs_total,
-            ),
-            (
-                "cesim_shard_windows_total",
-                "Lookahead windows advanced by the shard engine.",
-                g.windows,
-            ),
-            (
-                "cesim_shard_events_total",
-                "Events processed by the shard engine.",
-                g.events,
-            ),
-        ] {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
-        }
-        out.push_str(
-            "# HELP cesim_shard_sim_seconds_total Simulated seconds advanced by the shard engine.\n",
+        single(out, "cesim_shard_runs_active", g.runs_active);
+        single(out, "cesim_shard_runs_total", g.runs_total);
+        single(out, "cesim_shard_windows_total", g.windows);
+        single(out, "cesim_shard_events_total", g.events);
+        single(
+            out,
+            "cesim_shard_sim_seconds_total",
+            format!("{sim_secs:.6}"),
         );
-        out.push_str("# TYPE cesim_shard_sim_seconds_total counter\n");
-        out.push_str(&format!(
-            "cesim_shard_sim_seconds_total {:.6}\n",
-            g.sim_ps_advanced as f64 / 1e12
-        ));
-
         // Span-profiler phase histograms (cesim_phase_seconds).
-        cesim_core::obs::telemetry::render_prometheus(&mut out);
-        out
+        telemetry::render_prometheus(out);
+        text
     }
+}
+
+/// Name, type and `# HELP` text of each family [`Metrics::render`]
+/// writes, in the order it writes them.
+const FAMILIES: &str = "\
+cesim_requests_total counter Requests completed, by endpoint and status.
+cesim_request_duration_seconds histogram Request latency, by endpoint.
+cesim_queue_depth gauge Connections waiting for a worker.
+cesim_shed_total counter Connections answered 429 because the queue was full.
+cesim_worker_panics_total counter Handler panics caught and answered 500.
+cesim_schedule_cache_hits_total counter Compiled-schedule cache hits.
+cesim_schedule_cache_misses_total counter Compiled-schedule cache misses (compilations).
+cesim_response_cache_hits_total counter Full-response cache hits.
+cesim_response_cache_misses_total counter Full-response cache misses.
+cesim_baseline_forks_total counter Replicas resumed from a snapshot of the cached baseline.
+cesim_forked_events_total counter Engine events those replicas skipped.
+cesim_baseline_rejoins_total counter Replicas that rejoined the cached baseline before their end.
+cesim_rejoined_events_total counter Engine events of the baseline suffix those replicas skipped.
+cesim_fork_tables gauge Cached entries whose baseline fork table is built.
+cesim_fork_snapshots gauge Baseline snapshots those fork tables hold.
+cesim_fork_snapshot_bytes gauge Heap bytes those snapshots hold.
+cesim_build_info gauge Build metadata; value is always 1.
+cesim_uptime_seconds gauge Seconds since the daemon started.
+cesim_workers gauge Configured request-worker threads.
+cesim_workers_busy gauge Workers currently handling a connection.
+cesim_shard_runs_active gauge Sharded simulations currently in flight.
+cesim_shard_runs_total counter Sharded simulations driven since startup.
+cesim_shard_windows_total counter Lookahead windows advanced by the shard engine.
+cesim_shard_events_total counter Events processed by the shard engine.
+cesim_shard_sim_seconds_total counter Simulated seconds advanced by the shard engine.
+";
+
+/// Append the `# HELP`/`# TYPE` lines of the family `name`, as listed
+/// in [`FAMILIES`].
+fn header(out: &mut String, name: &str) {
+    let (kind, help) = FAMILIES
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.split_once(' '))
+        .expect("every rendered family is listed in FAMILIES");
+    family(out, name, kind, help);
+}
+
+/// Append a single-sample family: its header, then `series value`
+/// (`series` is the family name, possibly with a label set).
+fn single(out: &mut String, series: &str, value: impl Display) {
+    header(out, series.split('{').next().unwrap_or(series));
+    let _ = writeln!(out, "{series} {value}");
 }
 
 #[cfg(test)]
@@ -368,13 +231,15 @@ mod tests {
     fn render_includes_all_families() {
         let m = Metrics::new();
         let state = ServiceState::new(2, 2);
-        m.observe("/v1/simulate", 200, Duration::from_millis(3));
-        m.observe("/v1/simulate", 200, Duration::from_millis(700));
-        m.observe("/healthz", 200, Duration::from_micros(50));
-        m.observe("/v1/simulate", 400, Duration::from_micros(80));
+        m.observe("/v1/simulate", 200, Duration::from_millis(3), None);
+        m.observe("/v1/simulate", 200, Duration::from_millis(700), None);
+        m.observe("/healthz", 200, Duration::from_micros(50), None);
+        m.observe("/v1/simulate", 400, Duration::from_micros(80), None);
         m.shed();
         m.panicked();
         m.set_queue_depth(5);
+        m.set_workers(7);
+        m.worker_busy();
         let text = m.render(&state);
         assert!(text.contains("cesim_requests_total{endpoint=\"/v1/simulate\",code=\"200\"} 2"));
         assert!(text.contains("cesim_requests_total{endpoint=\"/v1/simulate\",code=\"400\"} 1"));
@@ -403,20 +268,26 @@ mod tests {
         assert!(text.contains("cesim_forked_events_total 0"));
         assert!(text.contains("cesim_baseline_rejoins_total 0"));
         assert!(text.contains("cesim_rejoined_events_total 0"));
+        let version = env!("CARGO_PKG_VERSION");
+        assert!(text.contains(&format!("cesim_build_info{{version=\"{version}\"}} 1")));
+        assert!(text.contains("cesim_workers 7"));
+        assert!(text.contains("cesim_workers_busy 1"));
+        m.worker_idle();
+        assert!(m.render(&state).contains("cesim_workers_busy 0"));
     }
 
     #[test]
     fn traced_observations_render_bucket_exemplars() {
         let m = Metrics::new();
         let state = ServiceState::new(1, 1);
-        m.observe_traced(
+        m.observe(
             "/v1/sweep",
             200,
             Duration::from_millis(3),
             Some("0af7651916cd43dd8448eb211c80319c"),
         );
         // Beyond the last bound: the exemplar lands on +Inf.
-        m.observe_traced(
+        m.observe(
             "/v1/sweep",
             200,
             Duration::from_secs(6),
@@ -433,7 +304,7 @@ mod tests {
         ));
         // Untraced observations must not touch exemplars: only the
         // canonical bucket of the traced one carries a suffix.
-        m.observe("/v1/sweep", 200, Duration::from_millis(3));
+        m.observe("/v1/sweep", 200, Duration::from_millis(3), None);
         let text = m.render(&state);
         assert!(text.contains(
             "cesim_request_duration_seconds_bucket{endpoint=\"/v1/sweep\",le=\"0.0025\"} 0\n"
@@ -444,11 +315,81 @@ mod tests {
     }
 
     #[test]
+    fn exposition_families_are_pinned() {
+        // Nothing in this test binary enables telemetry, so the phase
+        // registry is empty and `cesim_phase_seconds` is not rendered.
+        let m = Metrics::new();
+        let state = ServiceState::new(1, 1);
+        m.observe(
+            "/v1/sweep",
+            200,
+            Duration::from_millis(3),
+            Some("0af7651916cd43dd8448eb211c80319c"),
+        );
+        m.observe("/healthz", 200, Duration::from_micros(50), None);
+        let text = m.render(&state);
+        let meta: Vec<_> = text.lines().filter(|l| l.starts_with("# ")).collect();
+        let want = [
+            "# HELP cesim_requests_total Requests completed, by endpoint and status.",
+            "# TYPE cesim_requests_total counter",
+            "# HELP cesim_request_duration_seconds Request latency, by endpoint.",
+            "# TYPE cesim_request_duration_seconds histogram",
+            "# HELP cesim_queue_depth Connections waiting for a worker.",
+            "# TYPE cesim_queue_depth gauge",
+            "# HELP cesim_shed_total Connections answered 429 because the queue was full.",
+            "# TYPE cesim_shed_total counter",
+            "# HELP cesim_worker_panics_total Handler panics caught and answered 500.",
+            "# TYPE cesim_worker_panics_total counter",
+            "# HELP cesim_schedule_cache_hits_total Compiled-schedule cache hits.",
+            "# TYPE cesim_schedule_cache_hits_total counter",
+            "# HELP cesim_schedule_cache_misses_total Compiled-schedule cache misses (compilations).",
+            "# TYPE cesim_schedule_cache_misses_total counter",
+            "# HELP cesim_response_cache_hits_total Full-response cache hits.",
+            "# TYPE cesim_response_cache_hits_total counter",
+            "# HELP cesim_response_cache_misses_total Full-response cache misses.",
+            "# TYPE cesim_response_cache_misses_total counter",
+            "# HELP cesim_baseline_forks_total Replicas resumed from a snapshot of the cached baseline.",
+            "# TYPE cesim_baseline_forks_total counter",
+            "# HELP cesim_forked_events_total Engine events those replicas skipped.",
+            "# TYPE cesim_forked_events_total counter",
+            "# HELP cesim_baseline_rejoins_total Replicas that rejoined the cached baseline before their end.",
+            "# TYPE cesim_baseline_rejoins_total counter",
+            "# HELP cesim_rejoined_events_total Engine events of the baseline suffix those replicas skipped.",
+            "# TYPE cesim_rejoined_events_total counter",
+            "# HELP cesim_fork_tables Cached entries whose baseline fork table is built.",
+            "# TYPE cesim_fork_tables gauge",
+            "# HELP cesim_fork_snapshots Baseline snapshots those fork tables hold.",
+            "# TYPE cesim_fork_snapshots gauge",
+            "# HELP cesim_fork_snapshot_bytes Heap bytes those snapshots hold.",
+            "# TYPE cesim_fork_snapshot_bytes gauge",
+            "# HELP cesim_build_info Build metadata; value is always 1.",
+            "# TYPE cesim_build_info gauge",
+            "# HELP cesim_uptime_seconds Seconds since the daemon started.",
+            "# TYPE cesim_uptime_seconds gauge",
+            "# HELP cesim_workers Configured request-worker threads.",
+            "# TYPE cesim_workers gauge",
+            "# HELP cesim_workers_busy Workers currently handling a connection.",
+            "# TYPE cesim_workers_busy gauge",
+            "# HELP cesim_shard_runs_active Sharded simulations currently in flight.",
+            "# TYPE cesim_shard_runs_active gauge",
+            "# HELP cesim_shard_runs_total Sharded simulations driven since startup.",
+            "# TYPE cesim_shard_runs_total counter",
+            "# HELP cesim_shard_windows_total Lookahead windows advanced by the shard engine.",
+            "# TYPE cesim_shard_windows_total counter",
+            "# HELP cesim_shard_events_total Events processed by the shard engine.",
+            "# TYPE cesim_shard_events_total counter",
+            "# HELP cesim_shard_sim_seconds_total Simulated seconds advanced by the shard engine.",
+            "# TYPE cesim_shard_sim_seconds_total counter",
+        ];
+        assert_eq!(meta, want);
+    }
+
+    #[test]
     fn render_is_deterministic() {
         let m = Metrics::new();
         let state = ServiceState::new(1, 1);
-        m.observe("/v1/sweep", 200, Duration::from_millis(1));
-        m.observe("/healthz", 200, Duration::from_millis(1));
+        m.observe("/v1/sweep", 200, Duration::from_millis(1), None);
+        m.observe("/healthz", 200, Duration::from_millis(1), None);
         // Uptime is the one wall-clock-dependent sample; everything else
         // must render byte-identically.
         fn strip_uptime(s: &str) -> String {
@@ -461,27 +402,5 @@ mod tests {
             strip_uptime(&m.render(&state)),
             strip_uptime(&m.render(&state))
         );
-    }
-
-    #[test]
-    fn render_includes_runtime_and_shard_families() {
-        let m = Metrics::new();
-        m.set_workers(7);
-        m.worker_busy();
-        let state = ServiceState::new(1, 1);
-        let text = m.render(&state);
-        assert!(text.contains(&format!(
-            "cesim_build_info{{version=\"{}\"}} 1",
-            env!("CARGO_PKG_VERSION")
-        )));
-        assert!(text.contains("cesim_uptime_seconds "));
-        assert!(text.contains("cesim_workers 7"));
-        assert!(text.contains("cesim_workers_busy 1"));
-        assert!(text.contains("cesim_shard_runs_active "));
-        assert!(text.contains("cesim_shard_windows_total "));
-        assert!(text.contains("cesim_shard_events_total "));
-        assert!(text.contains("cesim_shard_sim_seconds_total "));
-        m.worker_idle();
-        assert!(m.render(&state).contains("cesim_workers_busy 0"));
     }
 }

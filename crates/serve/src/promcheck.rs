@@ -476,9 +476,9 @@ h_bucket{le=\"+Inf\"} 1 # {trace_id=unquoted} 0.03\nh_sum 0.03\nh_count 1\n";
         let m = Metrics::new();
         m.set_workers(2);
         let state = ServiceState::new(2, 2);
-        m.observe("/v1/simulate", 200, Duration::from_millis(3));
-        m.observe("/metrics", 200, Duration::from_micros(90));
-        m.observe_traced(
+        m.observe("/v1/simulate", 200, Duration::from_millis(3), None);
+        m.observe("/metrics", 200, Duration::from_micros(90), None);
+        m.observe(
             "/v1/sweep",
             200,
             Duration::from_millis(40),

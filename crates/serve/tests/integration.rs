@@ -246,6 +246,24 @@ fn truncated_request_times_out_as_408() {
 }
 
 #[test]
+fn non_token_method_reads_400() {
+    // A control character in the method makes it no RFC 9110 token:
+    // rejected at read, so it never reaches a trace name.
+    let server = Server::bind(test_config()).unwrap();
+    let addr = server.addr();
+    use std::io::{Read, Write};
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    s.write_all(b"GE\x01T /v1/simulate HTTP/1.1\r\n\r\n")
+        .unwrap();
+    let mut text = String::new();
+    s.read_to_string(&mut text).unwrap();
+    assert!(text.starts_with("HTTP/1.1 400 "), "got: {text}");
+    assert!(text.contains("invalid method"), "got: {text}");
+    server.shutdown();
+}
+
+#[test]
 fn oversized_body_written_in_full_still_reads_413() {
     // The daemon answers 413 from the headers alone, with most of the
     // body still unread in its socket. Closing such a socket sends a
