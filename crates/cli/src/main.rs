@@ -792,8 +792,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let metrics_interval = args.get("metrics-interval");
     let observe = trace_out.is_some() || metrics_interval.is_some();
     let pert = if observe {
-        let cap = (sched.total_ops().saturating_mul(12)).clamp(1 << 10, 1 << 22);
-        let mut rec = TimelineRecorder::with_capacity(cap);
+        let mut rec = TimelineRecorder::for_ops(sched.total_ops() as u64);
         let r = Simulator::new(&sched, params)
             .with_recorder(&mut rec)
             .run(&mut noise)
@@ -895,8 +894,7 @@ fn cmd_attribute(args: &Args) -> Result<(), String> {
         Scope::AllRanks,
         args.get_parsed("seed", 0xCE11u64)?,
     );
-    let cap = (sched.total_ops().saturating_mul(12)).clamp(1 << 10, 1 << 22);
-    let mut rec = TimelineRecorder::with_capacity(cap);
+    let mut rec = TimelineRecorder::for_ops(sched.total_ops() as u64);
     let pert = Simulator::new(&sched, params)
         .with_recorder(&mut rec)
         .run(&mut noise)
@@ -1037,11 +1035,10 @@ fn parse_mode(s: &str) -> Result<LoggingMode, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    use cesim_core::engine::CompiledSchedule;
-    use cesim_core::experiment::run_against_baseline_entry;
+    use cesim_core::engine::{CompiledSchedule, ForkTable};
+    use cesim_core::experiment::run_against_table;
     use cesim_core::obs::telemetry::{self, Span as ProfSpan};
     use cesim_core::workloads::natural_ranks;
-    use cesim_core::CompiledEntry;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -1091,26 +1088,30 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         let _s = ProfSpan::enter("build");
         cesim_core::workloads::build(exp.app, ranks, &exp.workload)
     };
+    // Only the compiled form is needed from here on: free the schedule,
+    // inside the compile phase, before the baseline run builds the fork
+    // table.
     let cs = {
         let _s = ProfSpan::enter("compile");
-        Arc::new(CompiledSchedule::compile(&sched))
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        drop(sched);
+        cs
     };
-    // Only the compiled form is needed from here on: free the schedule
-    // before the baseline run builds the fork table.
-    drop(sched);
-    let entry = {
+    let table = {
         let _s = ProfSpan::enter("baseline");
-        CompiledEntry::new(ranks, cs, &exp.params).map_err(|e| e.to_string())?
+        ForkTable::build(cs, &exp.params)
+            .map_err(|e| e.to_string())?
+            .0
     };
 
     let progress = (shards > 1 && args.has_flag("progress")).then(|| {
-        let expected_ps = entry.baseline().as_ps().saturating_mul(reps as u64);
+        let expected_ps = table.finish().as_ps().saturating_mul(reps as u64);
         figures::ShardProgress::start("run".into(), expected_ps, run_start)
     });
 
     let out = {
         let _s = ProfSpan::enter("run");
-        figures::with_threads(threads, || run_against_baseline_entry(&exp, &entry, 0))
+        figures::with_threads(threads, || run_against_table(&exp, &table, 0))
             .map_err(|e| e.to_string())?
     };
     // Wall time for the profile table stops here: the progress join

@@ -6,13 +6,13 @@
 //! process, so this module turns compile-once-per-process into
 //! compile-once-per-(app, ranks, workload, params) across requests:
 //!
-//! * [`ScheduleCache`] — a bounded LRU of [`CompiledEntry`]s: compiled
-//!   schedules **plus their noise-free baselines and baseline fork
-//!   tables** (the baseline is a deterministic function of the schedule
-//!   and network parameters, so it is cached alongside and never
-//!   re-simulated on a hit; its snapshots let noisy replicas skip their
-//!   noise-free prefix, see [`cesim_engine::fork`]). Figure sweeps and
-//!   `cesim run` make the same entries without the cache;
+//! * [`ScheduleCache`] — a bounded LRU of [`ForkTable`]s: compiled
+//!   schedules **with their noise-free baselines** (the baseline is a
+//!   deterministic function of the schedule and network parameters, so
+//!   it is cached in the table and never re-simulated on a hit; its
+//!   snapshots let noisy replicas skip their noise-free prefix, see
+//!   [`cesim_engine::fork`]). Figure sweeps and `cesim run` build the
+//!   same tables without the cache;
 //! * [`ResponseCache`] — a bounded LRU of full response bodies keyed by
 //!   the canonicalized request. Sound because every run is seeded and
 //!   deterministic: the same request always produces the same bytes
@@ -23,7 +23,7 @@
 
 use crate::experiment::RunStats;
 use cesim_engine::{CompiledSchedule, ForkTable, SimError};
-use cesim_model::{LogGopsParams, Time};
+use cesim_model::LogGopsParams;
 use cesim_obs::telemetry::{flight_record, FlightKind, Span};
 use cesim_workloads::{natural_ranks, AppId, WorkloadConfig};
 use std::collections::HashMap;
@@ -110,66 +110,14 @@ impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
     }
 }
 
-/// A compiled schedule plus everything per-request work shares: the
-/// snapped rank count and the baseline fork table, which holds the
-/// noise-free finish time. Made by [`CompiledEntry::new`], so the table
-/// always belongs to the schedule.
-pub struct CompiledEntry {
-    /// Ranks actually simulated (after [`natural_ranks`] snapping).
-    pub(crate) ranks: usize,
-    /// The immutable compiled schedule (shared, never copied).
-    pub(crate) schedule: Arc<CompiledSchedule>,
-    /// Snapshots of the noise-free run under `params`, built with it
-    /// (see [`cesim_engine::fork`]).
-    pub(crate) forks: ForkTable,
-}
-
-impl CompiledEntry {
-    /// The entry for `schedule` (compiled for `ranks` ranks) under
-    /// `params`: runs the noise-free baseline once, snapshotting it into
-    /// the fork table every replica of the entry is answered from.
-    pub fn new(
-        ranks: usize,
-        schedule: Arc<CompiledSchedule>,
-        params: &LogGopsParams,
-    ) -> Result<Self, SimError> {
-        let (forks, _) = ForkTable::build(&schedule, params)?;
-        Ok(CompiledEntry {
-            ranks,
-            schedule,
-            forks,
-        })
-    }
-
-    /// Ranks actually simulated (after [`natural_ranks`] snapping).
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// The immutable compiled schedule (shared, never copied).
-    pub fn schedule(&self) -> &Arc<CompiledSchedule> {
-        &self.schedule
-    }
-
-    /// Snapshots of the noise-free run (see [`cesim_engine::fork`]).
-    pub fn forks(&self) -> &ForkTable {
-        &self.forks
-    }
-
-    /// Noise-free baseline finish time for `params`.
-    pub fn baseline(&self) -> Time {
-        self.forks.finish()
-    }
-}
-
 /// One key's entry, filled by the first caller to compile it.
-type Slot = Mutex<Option<Arc<CompiledEntry>>>;
+type Slot = Mutex<Option<Arc<ForkTable>>>;
 
 /// What the fork tables of a [`ScheduleCache`]'s entries hold (see
 /// [`ScheduleCache::fork_footprint`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ForkFootprint {
-    /// Compiled entries counted.
+    /// Fork tables counted.
     pub entries: usize,
     /// Snapshots their fork tables hold.
     pub snapshots: usize,
@@ -177,8 +125,9 @@ pub struct ForkFootprint {
     pub bytes: usize,
 }
 
-/// Thread-safe LRU of [`CompiledEntry`]s keyed by
-/// `(app, ranks, workload knobs, network params)`.
+/// Thread-safe LRU of [`ForkTable`]s keyed by
+/// `(app, ranks, workload knobs, network params)`, where `ranks` is the
+/// node count after [`natural_ranks`] snapping.
 ///
 /// The key is the `Debug` rendering of the exact inputs: every field of
 /// [`WorkloadConfig`] and [`LogGopsParams`] is plain data whose `Debug`
@@ -219,9 +168,9 @@ impl ScheduleCache {
         format!("{app:?}|{ranks}|{workload:?}|{params:?}")
     }
 
-    /// Fetch the compiled schedule + baseline for `(app, nodes,
-    /// workload, params)`, compiling and simulating the baseline on a
-    /// miss; the baseline run also builds the entry's fork table.
+    /// Fetch the fork table for `(app, nodes, workload, params)`,
+    /// compiling the schedule and simulating its baseline into the table
+    /// on a miss.
     /// Single-flight: the first caller for a key compiles while holding
     /// only that key's slot, so racing callers for the same key wait for
     /// its result and count a hit, and unrelated requests are never
@@ -234,7 +183,7 @@ impl ScheduleCache {
         nodes: usize,
         workload: &WorkloadConfig,
         params: &LogGopsParams,
-    ) -> Result<Arc<CompiledEntry>, SimError> {
+    ) -> Result<Arc<ForkTable>, SimError> {
         let ranks = natural_ranks(app, nodes);
         let key = Self::key(app, ranks, workload, params);
         let slot = {
@@ -264,9 +213,9 @@ impl ScheduleCache {
         let _s = Span::enter("compile");
         let sched = cesim_workloads::build(app, ranks, workload);
         let cs = Arc::new(CompiledSchedule::compile(&sched));
-        let entry = Arc::new(CompiledEntry::new(ranks, cs, params)?);
-        *filled = Some(Arc::clone(&entry));
-        Ok(entry)
+        let table = Arc::new(ForkTable::build(cs, params)?.0);
+        *filled = Some(Arc::clone(&table));
+        Ok(table)
     }
 
     /// Lookups served from the cache.
@@ -279,7 +228,7 @@ impl ScheduleCache {
         self.misses.load(Relaxed)
     }
 
-    /// Count the replicas of cached entries that resumed from a baseline
+    /// Count the replicas of cached tables that resumed from a baseline
     /// snapshot (a non-zero [`RunStats::prefix`]) with the prefix events
     /// they skipped, and separately those that rejoined the baseline (a
     /// non-zero [`RunStats::suffix`]) with the suffix events they
@@ -318,9 +267,9 @@ impl ScheduleCache {
         self.rejoined_events.load(Relaxed)
     }
 
-    /// The snapshots the fork tables of the entries held now keep: the
-    /// heap this cache spends to let replicas resume and rejoin. An entry
-    /// whose slot is busy (being compiled, or being looked up at that
+    /// The snapshots the fork tables held now keep: the heap this cache
+    /// spends to let replicas resume and rejoin. A table whose slot is
+    /// busy (being compiled, or being looked up at that
     /// instant) is skipped rather than waited for.
     pub fn fork_footprint(&self) -> ForkFootprint {
         let slots: Vec<Arc<Slot>> = {
@@ -334,10 +283,10 @@ impl ScheduleCache {
                 Err(TryLockError::Poisoned(e)) => e.into_inner(),
                 Err(TryLockError::WouldBlock) => continue,
             };
-            if let Some(entry) = filled.as_ref() {
+            if let Some(table) = filled.as_ref() {
                 out.entries += 1;
-                out.snapshots += entry.forks.snapshots().len();
-                out.bytes += entry.forks.bytes();
+                out.snapshots += table.snapshots().len();
+                out.bytes += table.bytes();
             }
         }
         out
@@ -476,8 +425,7 @@ mod tests {
             .get_or_compile(AppId::MiniFe, 8, &wl, &params)
             .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!(Arc::ptr_eq(&a, &b), "hit returns the shared entry");
-        assert_eq!(a.baseline(), b.baseline());
+        assert!(Arc::ptr_eq(&a, &b), "hit returns the shared table");
         // A different workload knob is a different schedule.
         let wl3 = WorkloadConfig::default().with_steps(3);
         let c = cache
@@ -494,9 +442,10 @@ mod tests {
         let wl = WorkloadConfig::default().with_steps(3);
         let params = LogGopsParams::xc40();
         let e = cache.get_or_compile(AppId::Hpcg, 8, &wl, &params).unwrap();
-        let base = simulate_compiled(&e.schedule, &params, &mut NoNoise).unwrap();
-        assert_eq!(e.baseline(), base.finish);
-        assert!(!e.forks.snapshots().is_empty());
+        let base = simulate_compiled(e.schedule(), &params, &mut NoNoise).unwrap();
+        assert_eq!(e.finish(), base.finish);
+        assert_eq!(e.params(), &params);
+        assert!(!e.snapshots().is_empty());
         assert_eq!((cache.forks(), cache.forked_events()), (0, 0));
         // (prefix, suffix) skipped per replica: replicas that skipped
         // neither are not counted, and one that did both counts twice.
@@ -519,7 +468,7 @@ mod tests {
         let wl = WorkloadConfig::default().with_steps(2);
         let params = LogGopsParams::xc40();
         let start = std::sync::Barrier::new(THREADS);
-        let entries: Vec<Arc<CompiledEntry>> = std::thread::scope(|s| {
+        let entries: Vec<Arc<ForkTable>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     s.spawn(|| {
@@ -547,7 +496,7 @@ mod tests {
         let a = cache
             .get_or_compile(AppId::Lulesh, 260, &wl, &params)
             .unwrap();
-        assert_eq!(a.ranks, 250);
+        assert_eq!(a.schedule().num_ranks(), 250);
         let b = cache
             .get_or_compile(AppId::Lulesh, 250, &wl, &params)
             .unwrap();
@@ -568,17 +517,17 @@ mod tests {
 
         let wl = WorkloadConfig::default().with_steps(2);
         let params = LogGopsParams::xc40();
-        let finish = |entry: &Arc<CompiledEntry>, mode: LoggingMode| {
+        let finish = |table: &Arc<ForkTable>, mode: LoggingMode| {
             // MTBCE 500ms keeps even firmware's 133ms detour convergent
             // (utilization ~0.27 < 1), so the stretch loop terminates.
             let mut noise = CeNoise::new(
-                entry.ranks,
+                table.schedule().num_ranks(),
                 Span::from_ms(500),
                 mode.per_event_cost(),
                 Scope::AllRanks,
                 11,
             );
-            simulate_compiled(&entry.schedule, &params, &mut noise)
+            simulate_compiled(table.schedule(), &params, &mut noise)
                 .unwrap()
                 .finish
         };

@@ -14,18 +14,19 @@
 //! `slowdown = None`.
 //!
 //! **One replica path.** Every caller — figure cells, [`run`], `cesim
-//! run`, `/v1/simulate` and fleet slices — prepares a [`CompiledEntry`]
-//! ([`CompiledEntry::new`]: the compiled schedule plus the fork table of
-//! its noise-free run) and answers replicas through
-//! [`run_against_baseline_entry`], so every unobserved serial replica may
-//! skip the noise-free prefix and rejoin the baseline before its end.
-//! [`run_against_baseline_compiled`] is the one wrapper for callers that
-//! hold only a finish time.
+//! run`, `/v1/simulate` and fleet slices — holds a [`ForkTable`]
+//! ([`ForkTable::build`]: the compiled schedule and its parameters, with
+//! snapshots of their noise-free run), and every unobserved serial
+//! replica is answered by [`ForkTable::answer`] with nothing but its
+//! noise model, so it may skip the noise-free prefix and rejoin the
+//! baseline before its end. [`run_against_table`] runs a cell's replicas
+//! against a table; [`run_against_baseline_compiled`] is the one wrapper
+//! for callers that hold only a finish time.
 
-use crate::cache::CompiledEntry;
 use crate::seed::rep_seed;
 use cesim_engine::{
-    simulate_compiled_sharded, CompiledSchedule, Fork, ForkTable, SimError, SimResult, Simulator,
+    simulate_compiled_sharded, CompiledSchedule, Fork, ForkRun, ForkTable, SimError, SimResult,
+    Simulator,
 };
 use cesim_model::{LogGopsParams, LoggingMode, Span, Time};
 use cesim_noise::{CeNoise, Scope};
@@ -158,7 +159,7 @@ pub struct ReplicaObs {
 }
 
 /// Per-cell observability: the first `observe_replicas` replicas of the
-/// cell, recorded and summarized (see [`run_against_baseline_entry`]),
+/// cell, recorded and summarized (see [`run_against_table`]),
 /// plus aggregation helpers that the CSV reporting layer uses for
 /// mean/stddev columns.
 #[derive(Clone, Debug, PartialEq)]
@@ -254,43 +255,23 @@ impl RunStats {
         self.skipped - self.suffix
     }
 
-    /// The answer for a replica no CE reaches: the noise-free run,
-    /// which the engine did not process again.
-    fn baseline(finish: Time) -> Self {
-        RunStats {
-            finish: finish.since(Time::ZERO),
-            ce_events: 0,
-            events: 0,
-            skipped: 0,
-            suffix: 0,
+    /// The stats of a replica [`ForkTable::answer`] answered from
+    /// `table` with `run`. `None` is the noise-free run, which the engine
+    /// did not process again. All four answers are bit-identical to a
+    /// full run, apart from the event counts ([`RunStats::events`],
+    /// [`RunStats::skipped`], [`RunStats::suffix`]).
+    pub fn answered(table: &ForkTable, run: Option<ForkRun>) -> Self {
+        match run {
+            Some(run) => Self::of(&run.result, run.prefix, run.suffix),
+            None => RunStats {
+                finish: table.finish().since(Time::ZERO),
+                ce_events: 0,
+                events: 0,
+                skipped: 0,
+                suffix: 0,
+            },
         }
     }
-}
-
-/// One replica with `noise` on the serial engine, answered from the
-/// baseline fork table of `cs` under `params` (see
-/// [`cesim_engine::fork`]): the baseline itself when no CE reaches the
-/// replica, else a run resumed from the last snapshot before its first
-/// arrival, or from the start, that rejoins the baseline at a later
-/// snapshot once the rest of its run is the baseline's shifted in time
-/// ([`ForkTable::run`]). All four answers are bit-identical to a full
-/// run, apart from the event counts ([`RunStats::events`],
-/// [`RunStats::skipped`], [`RunStats::suffix`]). `noise` must be fresh;
-/// afterwards it holds the replica's per-rank CE counts.
-pub fn run_forked(
-    cs: &CompiledSchedule,
-    params: &LogGopsParams,
-    forks: &ForkTable,
-    noise: &mut CeNoise,
-) -> Result<RunStats, SimError> {
-    let from = match forks.lookup(noise.first_arrival()) {
-        Fork::Baseline => return Ok(RunStats::baseline(forks.finish())),
-        Fork::Resume(snap) => Some(snap),
-        Fork::Cold => None,
-    };
-    let run = forks.run(cs, params, from, noise)?;
-    let prefix = from.map_or(0, |snap| snap.events());
-    Ok(RunStats::of(&run.result, prefix, run.suffix))
 }
 
 /// Aggregated result of an [`Experiment`].
@@ -308,7 +289,7 @@ pub struct Outcome {
     pub diverged: bool,
     /// Observability summaries of the recorded replicas; `None` unless
     /// the experiment ran with a non-zero `observe_replicas` count (see
-    /// [`run_against_baseline_entry`]).
+    /// [`run_against_table`]).
     pub obs: Option<CellObs>,
 }
 
@@ -373,22 +354,22 @@ impl Outcome {
 }
 
 /// Run an experiment: build and compile the schedule, simulate the
-/// baseline into its fork table ([`CompiledEntry::new`]), then the
+/// baseline into its fork table ([`ForkTable::build`]), then the
 /// perturbed replicas (unless the divergence guard fires).
 pub fn run(exp: &Experiment) -> Result<Outcome, SimError> {
     let ranks = natural_ranks(exp.app, exp.nodes);
     let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
     let cs = Arc::new(CompiledSchedule::compile(&sched));
-    let entry = CompiledEntry::new(ranks, cs, &exp.params)?;
-    run_against_baseline_entry(exp, &entry, 0)
+    let (table, _) = ForkTable::build(cs, &exp.params)?;
+    run_against_table(exp, &table, 0)
 }
 
-/// [`run_against_baseline_entry`] for callers that hold only the
-/// noise-free finish `baseline` of `cs` under `exp.params`, not its fork
-/// table: the entry's table holds only that terminal entry, so a replica
-/// is answered by the baseline or simulated from the start, never
-/// resumed or rejoined. Outcomes equal those against a full table except
-/// for the event counts.
+/// [`run_against_table`] for callers that hold only the noise-free
+/// finish `baseline` of `cs` (with `ranks` ranks) under `exp.params`, not
+/// its fork table: the table holds only that terminal entry, so a
+/// replica is answered by the baseline or simulated from the start,
+/// never resumed or rejoined. Outcomes equal those against a full table
+/// except for the event counts.
 pub fn run_against_baseline_compiled(
     exp: &Experiment,
     ranks: usize,
@@ -396,24 +377,22 @@ pub fn run_against_baseline_compiled(
     baseline: Time,
     observe_replicas: usize,
 ) -> Result<Outcome, SimError> {
-    let entry = CompiledEntry {
-        ranks,
-        schedule: Arc::clone(cs),
-        forks: ForkTable::terminal(baseline),
-    };
-    run_against_baseline_entry(exp, &entry, observe_replicas)
+    debug_assert_eq!(ranks, cs.num_ranks());
+    let table = ForkTable::terminal(Arc::clone(cs), &exp.params, baseline);
+    run_against_table(exp, &table, observe_replicas)
 }
 
-/// The replicas of `exp` against a prepared entry: its compiled schedule,
-/// shared by every replica and cell (workers clone the [`Arc`], never the
+/// The replicas of `exp` against `table`: its compiled schedule, shared
+/// by every replica and cell (workers clone the [`Arc`], never the
 /// schedule, and reuse per-thread [`cesim_engine::RunScratch`] state
-/// across runs), and its baseline fork table.
+/// across runs), the parameters its baseline ran under (which replace
+/// `exp.params`), and its snapshots.
 ///
 /// **Replica paths.** Unobserved serial replicas use every entry of the
-/// fork table ([`run_forked`]). Unobserved sharded replicas use only the
-/// terminal entry. Observed replicas always simulate in full on the
-/// serial engine, whatever `exp.shards` is, since they need the timeline
-/// and only the serial engine records one.
+/// fork table ([`ForkTable::answer`]). Unobserved sharded replicas use
+/// only the terminal entry. Observed replicas always simulate in full on
+/// the serial engine, whatever `exp.shards` is, since they need the
+/// timeline and only the serial engine records one.
 ///
 /// **Determinism contract.** The recorder never alters simulation state
 /// (the engine's instrumentation only observes), each replica still
@@ -426,13 +405,14 @@ pub fn run_against_baseline_compiled(
 /// `observe_replicas` is the number of leading replicas (`rep <
 /// observe_replicas`) to record and summarize; `0` disables observation
 /// entirely.
-pub fn run_against_baseline_entry(
+pub fn run_against_table(
     exp: &Experiment,
-    entry: &CompiledEntry,
+    table: &ForkTable,
     observe_replicas: usize,
 ) -> Result<Outcome, SimError> {
-    let (ranks, cs, forks) = (entry.ranks, &entry.schedule, &entry.forks);
-    let baseline_span = forks.finish().since(Time::ZERO);
+    let (cs, params) = (table.schedule(), table.params());
+    let ranks = cs.num_ranks();
+    let baseline_span = table.finish().since(Time::ZERO);
     if exp.diverges() {
         return Ok(Outcome {
             app: exp.app,
@@ -462,12 +442,8 @@ pub fn run_against_baseline_entry(
             let mut noise =
                 CeNoise::new(ranks, exp.mtbce, detour, exp.scope, rep_seed(exp.seed, rep));
             if (rep as usize) < observe_replicas {
-                // Size the ring for the full event stream of typical
-                // schedules (~a dozen events per op), bounded above so a
-                // huge sweep cell cannot exhaust memory.
-                let cap = ((cs.total_ops() as usize).saturating_mul(12)).clamp(1 << 10, 1 << 22);
-                let mut rec = TimelineRecorder::with_capacity(cap);
-                let r = Simulator::from_compiled(Arc::clone(cs), exp.params)
+                let mut rec = TimelineRecorder::for_ops(cs.total_ops());
+                let r = Simulator::from_compiled(Arc::clone(cs), *params)
                     .with_recorder(&mut rec)
                     .run(&mut noise)?;
                 let events = rec.events();
@@ -485,14 +461,15 @@ pub fn run_against_baseline_entry(
                 ))
             } else if exp.shards > 1 {
                 // Sharded replicas use only the terminal entry.
-                match forks.lookup(noise.first_arrival()) {
-                    Fork::Baseline => Ok(RunStats::baseline(forks.finish())),
-                    _ => simulate_compiled_sharded(cs, &exp.params, exp.shards, &noise)
+                match table.lookup(noise.first_arrival()) {
+                    Fork::Baseline => Ok(RunStats::answered(table, None)),
+                    _ => simulate_compiled_sharded(cs, params, exp.shards, &noise)
                         .map(|r| RunStats::of(&r, 0, 0)),
                 }
                 .map(|stats| (stats, None))
             } else {
-                run_forked(cs, &exp.params, forks, &mut noise).map(|stats| (stats, None))
+                let run = table.answer(&mut noise)?;
+                Ok((RunStats::answered(table, run), None))
             }
         })
         .collect();
@@ -518,12 +495,12 @@ mod tests {
     use super::*;
     use cesim_goal::Rank;
 
-    /// The compiled entry of `exp`'s workload, as [`run`] prepares it.
-    fn entry(exp: &Experiment) -> CompiledEntry {
+    /// The fork table of `exp`'s workload, as [`run`] prepares it.
+    fn table(exp: &Experiment) -> ForkTable {
         let ranks = natural_ranks(exp.app, exp.nodes);
         let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
         let cs = Arc::new(CompiledSchedule::compile(&sched));
-        CompiledEntry::new(ranks, cs, &exp.params).unwrap()
+        ForkTable::build(cs, &exp.params).unwrap().0
     }
 
     /// Each replica's results and the events a full run of it processes:
@@ -634,9 +611,9 @@ mod tests {
             .mtbce(Span::from_secs(1))
             .reps(2)
             .steps(4);
-        let entry = entry(&exp);
-        let plain = run_against_baseline_entry(&exp, &entry, 0).unwrap();
-        let observed = run_against_baseline_entry(&exp, &entry, 1).unwrap();
+        let table = table(&exp);
+        let plain = run_against_table(&exp, &table, 0).unwrap();
+        let observed = run_against_table(&exp, &table, 1).unwrap();
         // Observation is a pure add-on: replica results are identical.
         assert_eq!(results(&plain), results(&observed));
         assert!(plain.obs.is_none());
@@ -665,9 +642,9 @@ mod tests {
             .mtbce(Span::from_secs(1))
             .reps(3)
             .steps(4);
-        let entry = entry(&exp);
-        let plain = run_against_baseline_entry(&exp, &entry, 0).unwrap();
-        let out = run_against_baseline_entry(&exp, &entry, 2).unwrap();
+        let table = table(&exp);
+        let plain = run_against_table(&exp, &table, 0).unwrap();
+        let out = run_against_table(&exp, &table, 2).unwrap();
         assert_eq!(
             results(&plain),
             results(&out),
@@ -686,7 +663,7 @@ mod tests {
         assert!(sd >= 0.0);
         assert!(obs.max_amplification() >= 0.0);
         // Asking for more observed replicas than reps records them all.
-        let capped = run_against_baseline_entry(&exp, &entry, 99).unwrap();
+        let capped = run_against_table(&exp, &table, 99).unwrap();
         assert_eq!(capped.obs.unwrap().replicas.len(), exp.reps as usize);
     }
 
@@ -697,9 +674,9 @@ mod tests {
             .mtbce(Span::from_secs(1))
             .reps(2)
             .steps(4);
-        let entry = entry(&exp);
-        let serial = run_against_baseline_entry(&exp, &entry, 2).unwrap();
-        let sharded = run_against_baseline_entry(&exp.clone().shards(3), &entry, 2).unwrap();
+        let table = table(&exp);
+        let serial = run_against_table(&exp, &table, 2).unwrap();
+        let sharded = run_against_table(&exp.clone().shards(3), &table, 2).unwrap();
         assert_eq!(serial.runs, sharded.runs);
         assert_eq!(serial.obs, sharded.obs);
         assert_eq!(sharded.obs.map(|o| o.replicas.len()), Some(2));

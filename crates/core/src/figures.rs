@@ -18,15 +18,14 @@
 //! * `steps_scale`, `reps`, `seed` — statistical effort.
 //!
 //! A sweep compiles each `(app, node count)` scale once into a
-//! [`CompiledEntry`] whose fork table holds snapshots of the noise-free
-//! run, and answers every cell's replicas from it through
-//! [`run_against_baseline_entry`] — the replica path `/v1/simulate` and
-//! fleet slices take too (see `crate::experiment`, "One replica path").
+//! [`ForkTable`], which holds the compiled schedule and snapshots of its
+//! noise-free run, and answers every cell's replicas from it through
+//! [`run_against_table`] — the replica path `/v1/simulate` and fleet
+//! slices take too (see `crate::experiment`, "One replica path").
 
-use crate::cache::CompiledEntry;
-use crate::experiment::{run_against_baseline_entry, CellObs, Experiment};
+use crate::experiment::{run_against_table, CellObs, Experiment};
 use crate::seed::point_seed;
-use cesim_engine::CompiledSchedule;
+use cesim_engine::{CompiledSchedule, ForkTable};
 use cesim_goal::Rank;
 use cesim_model::{LogGopsParams, LoggingMode, Span, SystemSpec};
 use cesim_noise::Scope;
@@ -318,9 +317,9 @@ struct CellSpec {
 /// 1. every distinct `(app, node count)` scale builds its schedule,
 ///    **compiles it once** into an [`Arc`]-shared
 ///    [`CompiledSchedule`], and simulates the noise-free baseline into
-///    the fork table of its [`CompiledEntry`];
+///    its [`ForkTable`];
 /// 2. every `(app, spec)` cell runs its perturbed replicas against its
-///    scale's entry ([`run_against_baseline_entry`]), so they skip the
+///    scale's table ([`run_against_table`]), so they skip the
 ///    noise-free prefix and rejoin the baseline where they can — workers
 ///    clone the `Arc`, not the schedule, and reuse per-thread run
 ///    scratch across replicas.
@@ -354,25 +353,29 @@ fn run_figure(
                 }
             }
         }
-        let built: Vec<CompiledEntry> = scales
+        let built: Vec<ForkTable> = scales
             .par_iter()
             .map(|&(ai, nodes)| {
                 let _trace_guard = trace.map(|t| t.install());
                 let app = cfg.apps[ai];
                 let ranks = natural_ranks(app, nodes);
-                // Free the schedule before the baseline run builds the
-                // fork table: only its compiled form is needed after.
+                // Free the schedule, inside the compile phase, before the
+                // baseline run builds the fork table: only its compiled
+                // form is needed after.
                 let cs = {
                     let sched = {
                         let _s = ProfSpan::enter("build");
                         cesim_workloads::build(app, ranks, &cfg.workload_cfg(ai as u64))
                     };
                     let _s = ProfSpan::enter("compile");
-                    Arc::new(CompiledSchedule::compile(&sched))
+                    let cs = Arc::new(CompiledSchedule::compile(&sched));
+                    drop(sched);
+                    cs
                 };
                 let _s = ProfSpan::enter("baseline");
-                CompiledEntry::new(ranks, cs, &LogGopsParams::xc40())
+                ForkTable::build(cs, &LogGopsParams::xc40())
                     .expect("workload schedules are deadlock-free")
+                    .0
             })
             .collect();
         let scale_index: HashMap<(usize, usize), usize> = scales
@@ -401,7 +404,7 @@ fn run_figure(
             let expected_ps: u64 = jobs
                 .iter()
                 .map(|&(ai, si)| {
-                    let base = built[scale_index[&(ai, specs[si].nodes)]].baseline();
+                    let base = built[scale_index[&(ai, specs[si].nodes)]].finish();
                     base.as_ps().saturating_mul(cfg.reps as u64)
                 })
                 .sum();
@@ -421,13 +424,14 @@ fn run_figure(
                         spec.mode.short_label()
                     ))
                 });
-                let entry = &built[scale_index[&(ai, spec.nodes)]];
+                let table = &built[scale_index[&(ai, spec.nodes)]];
+                let ranks = table.schedule().num_ranks();
                 let exp = Experiment {
                     app,
                     nodes: spec.nodes,
                     mode: spec.mode,
                     mtbce: spec.mtbce,
-                    scope: scope_for(entry.ranks),
+                    scope: scope_for(ranks),
                     reps: cfg.reps,
                     seed: point_seed(cfg.seed, id, ai, si),
                     params: LogGopsParams::xc40(),
@@ -436,7 +440,7 @@ fn run_figure(
                 };
                 let out = {
                     let _s = ProfSpan::enter("cell_run");
-                    run_against_baseline_entry(&exp, entry, cfg.observe_replicas)
+                    run_against_table(&exp, table, cfg.observe_replicas)
                         .expect("workload schedules are deadlock-free")
                 };
                 let _agg = ProfSpan::enter("cell_aggregate");
@@ -479,7 +483,7 @@ fn run_figure(
                     stddev_pct: out.slowdown_stddev_pct(),
                     baseline_secs: out.baseline.as_secs_f64(),
                     ce_events: out.mean_ce_events(),
-                    ranks: entry.ranks,
+                    ranks,
                     obs: out.obs,
                 }
             })

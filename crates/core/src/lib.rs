@@ -66,7 +66,7 @@ pub use cesim_workloads as workloads;
 /// Re-export: tracing, metrics, and Chrome-trace export.
 pub use cesim_obs as obs;
 
-pub use cache::{CompiledEntry, ForkFootprint, ResponseCache, ScheduleCache};
+pub use cache::{ForkFootprint, ResponseCache, ScheduleCache};
 pub use experiment::{CellObs, Experiment, Outcome};
 pub use figures::{FigureData, ScaleConfig};
 pub use service::{

@@ -16,7 +16,7 @@
 //! runs.
 
 use crate::cache::{ResponseCache, ScheduleCache};
-use crate::experiment::{run_against_baseline_entry, Experiment};
+use crate::experiment::{run_against_table, Experiment};
 use crate::figures::{self, FigureData, ScaleConfig};
 use cesim_goal::Rank;
 use cesim_json::JsonValue;
@@ -312,14 +312,13 @@ pub fn handle_simulate(
     let exp = req.to_experiment();
     // The "compile" phase span lives inside `get_or_compile` so cache
     // hits contribute nothing to it; the run phase wraps the replicas.
-    let entry = state
+    let table = state
         .schedules
         .get_or_compile(req.app, req.nodes, &req.workload, &LogGopsParams::xc40())
         .map_err(|e| ServiceError::Internal(e.to_string()))?;
     let out = {
         let _s = cesim_obs::telemetry::Span::enter("run");
-        run_against_baseline_entry(&exp, &entry, 0)
-            .map_err(|e| ServiceError::Internal(e.to_string()))?
+        run_against_table(&exp, &table, 0).map_err(|e| ServiceError::Internal(e.to_string()))?
     };
     state.schedules.record_forks(&out.runs);
     let ci = out.slowdown_ci95_pct();

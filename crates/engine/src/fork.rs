@@ -7,13 +7,17 @@
 //! model, and LogGOPSim's noise injection). Up to its first CE arrival a
 //! replica therefore repeats the noise-free baseline event for event, and
 //! its CE process draws nothing. A [`ForkTable`] records that prefix once
-//! per schedule:
+//! per schedule. The table is the one prepared form of a schedule: it
+//! owns the [`CompiledSchedule`] and the [`LogGopsParams`] its baseline
+//! ran under, so a replica is answered from the table and its noise
+//! model alone.
 //!
 //! * [`ForkTable::build`] runs the baseline under a noise model that
 //!   injects nothing and tracks the *horizon*, the latest end of any
 //!   non-zero-work CPU interval stretched so far. Between batches it
 //!   snapshots the run at up to K completed-op fractions `k/(K+1)`.
 //!   `total_ops` is known up front, so this takes a single pass.
+//!   [`ForkTable::terminal`] makes a table from a known finish alone.
 //! * [`ForkTable::lookup`] answers a replica by its first CE arrival `a`:
 //!   [`Fork::Baseline`] when `a` is after the noise-free finish (the
 //!   table's terminal entry: every interval of the run ends by then, so
@@ -21,7 +25,9 @@
 //!   snapshot whose horizon is strictly before `a`; else [`Fork::Cold`].
 //! * [`ForkTable::run`] simulates a resumed or cold replica and *rejoins*
 //!   the baseline at a later snapshot when it can (below): the fourth
-//!   answer. [`resume_compiled`] resumes without rejoining.
+//!   answer. [`ForkTable::resume`] resumes without rejoining.
+//! * [`ForkTable::answer`] is the one call for a replica: it looks up
+//!   the noise model's first arrival and gives one of the four answers.
 //!
 //! **Exactness of a resume.** The noise model must leave an interval
 //! alone (return `start + work` and change no state) when its work is
@@ -110,6 +116,7 @@ use cesim_goal::{Rank, Tag};
 use cesim_model::{LogGopsParams, Span, Time};
 use std::mem::size_of;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// Most snapshots a table holds.
 pub const MAX_SNAPSHOTS: usize = 16;
@@ -126,17 +133,20 @@ pub enum Fork<'a> {
     /// No CE reaches the replica: it is the noise-free run, bit for bit.
     Baseline,
     /// Resume from this snapshot ([`ForkTable::run`] or
-    /// [`resume_compiled`]).
+    /// [`ForkTable::resume`]).
     Resume(&'a Snapshot),
     /// Simulate from the start ([`ForkTable::run`] with no snapshot).
     Cold,
 }
 
-/// Snapshots of one schedule's noise-free run under one parameter set,
-/// plus its finish (the terminal entry) and what a rejoining replica
-/// needs of the rest of the run. See the module docs.
-#[derive(Debug)]
+/// One compiled schedule and parameter set, with snapshots of their
+/// noise-free run, its finish (the terminal entry) and what a rejoining
+/// replica needs of the rest of the run. See the module docs.
 pub struct ForkTable {
+    /// The schedule every replica runs (shared, never copied).
+    schedule: Arc<CompiledSchedule>,
+    /// The parameters the baseline ran under.
+    params: LogGopsParams,
     finish: Time,
     /// Engine events of the whole baseline run.
     events: u64,
@@ -167,17 +177,22 @@ pub struct ForkRun {
     /// `events_processed`, which counts only the events this run
     /// dispatched.
     pub result: SimResult,
+    /// Baseline events before the snapshot the replica resumed from,
+    /// which it did not process; `0` if it ran from the start.
+    pub prefix: u64,
     /// Baseline events after the snapshot the replica rejoined at, which
     /// it did not process; `0` if it ran to the end.
     pub suffix: u64,
 }
 
 impl ForkTable {
-    /// A table holding only the terminal entry: replicas are answered
-    /// [`Fork::Baseline`] or [`Fork::Cold`]. `finish` must be the
-    /// noise-free finish of the schedule the replicas run.
-    pub fn terminal(finish: Time) -> Self {
+    /// A table of `cs` under `params` holding only the terminal entry:
+    /// replicas are answered [`Fork::Baseline`] or [`Fork::Cold`].
+    /// `finish` must be the noise-free finish of `cs` under `params`.
+    pub fn terminal(cs: Arc<CompiledSchedule>, params: &LogGopsParams, finish: Time) -> Self {
         ForkTable {
+            schedule: cs,
+            params: *params,
             finish,
             events: 0,
             ranks: Vec::new(),
@@ -189,15 +204,16 @@ impl ForkTable {
 
     /// Run the noise-free baseline of `cs` under `params`, snapshotting
     /// it on the way. Returns the table and the baseline result, which is
-    /// identical to `simulate_compiled(cs, params, &mut NoNoise)`.
+    /// identical to `simulate_compiled(&cs, params, &mut NoNoise)`.
     pub fn build(
-        cs: &CompiledSchedule,
+        cs: Arc<CompiledSchedule>,
         params: &LogGopsParams,
     ) -> Result<(ForkTable, SimResult), SimError> {
-        let budget = Self::budget(cs);
+        let budget = Self::budget(&cs);
         let k = MAX_SNAPSHOTS as u64;
         let total = cs.total_ops();
-        with_thread_scratch(|scratch| {
+        let (snapshots, ranks, base) = with_thread_scratch(|scratch| {
+            let cs = &*cs;
             start(cs, params, scratch, 0..cs.num_ranks() as u32)?;
             let mut snapshots: Vec<Snapshot> = Vec::new();
             // Index of the next fraction `next / (k + 1)` to snapshot at.
@@ -253,16 +269,19 @@ impl ForkTable {
                     work: base.per_rank_work[r],
                 })
                 .collect();
-            let table = ForkTable {
-                finish: base.finish,
-                events: base.events_processed,
-                ranks,
-                msgs_delivered: base.msgs_delivered,
-                control_msgs: base.control_msgs,
-                snapshots,
-            };
-            Ok((table, base))
-        })
+            Ok::<_, SimError>((snapshots, ranks, base))
+        })?;
+        let table = ForkTable {
+            schedule: cs,
+            params: *params,
+            finish: base.finish,
+            events: base.events_processed,
+            ranks,
+            msgs_delivered: base.msgs_delivered,
+            control_msgs: base.control_msgs,
+            snapshots,
+        };
+        Ok((table, base))
     }
 
     /// Byte budget for the snapshots of `cs`: a quarter of its compiled
@@ -271,6 +290,43 @@ impl ForkTable {
     /// few to resume or rejoin at (see the module docs, "Sizing").
     pub fn budget(cs: &CompiledSchedule) -> usize {
         (cs.heap_bytes() / BUDGET_DIV).max(MIN_BUDGET)
+    }
+
+    /// The compiled schedule every replica runs.
+    pub fn schedule(&self) -> &Arc<CompiledSchedule> {
+        &self.schedule
+    }
+
+    /// The parameters the baseline ran under, and every replica runs
+    /// under.
+    pub fn params(&self) -> &LogGopsParams {
+        &self.params
+    }
+
+    /// Answer a replica with `noise`, which must be fresh: `None` when no
+    /// CE reaches it, so it is the baseline run, bit for bit; else its run
+    /// ([`ForkTable::run`]) from the last snapshot before its first
+    /// arrival, or from the start, rejoining the baseline where it can.
+    /// The first arrival is the earliest [`NoiseModel::next_arrival`] of
+    /// any rank at time zero; a model that cannot tell runs from the
+    /// start and never rejoins.
+    // Out of line, the replica event loop is compiled once per noise
+    // model; inlined into a caller's replica closure, the figures
+    // benchmark ran a few percent slower.
+    #[inline(never)]
+    pub fn answer<N: NoiseModel + ?Sized>(
+        &self,
+        noise: &mut N,
+    ) -> Result<Option<ForkRun>, SimError> {
+        let first = (0..self.schedule.num_ranks() as u32).try_fold(Time::MAX, |a, r| {
+            Some(a.min(noise.next_arrival(Rank(r), Time::ZERO)?))
+        });
+        let from = match first.map(|a| self.lookup(a)) {
+            Some(Fork::Baseline) => return Ok(None),
+            Some(Fork::Resume(snap)) => Some(snap),
+            Some(Fork::Cold) | None => None,
+        };
+        self.run(from, noise).map(Some)
     }
 
     /// How to run a replica whose noise model's first pending arrival is
@@ -288,9 +344,9 @@ impl ForkTable {
         }
     }
 
-    /// Run a replica of `cs` with `noise` on this thread's pooled scratch:
-    /// from snapshot `from` of this table (with the precondition of
-    /// [`resume_compiled`]) or, with `None`, from the start. At every
+    /// Run a replica with `noise` on this thread's pooled scratch: from
+    /// snapshot `from` of this table (with the precondition of
+    /// [`ForkTable::resume`]) or, with `None`, from the start. At every
     /// later snapshot it reaches, the replica rejoins the baseline if the
     /// rule in the module docs holds, and its result is assembled from
     /// the table instead of simulated. Either way the result equals a
@@ -301,70 +357,72 @@ impl ForkTable {
     ///
     /// # Panics
     ///
-    /// If `from` was taken from another schedule or parameter set.
+    /// If `from` was taken from another table's schedule or parameters.
     pub fn run<N: NoiseModel + ?Sized>(
         &self,
-        cs: &CompiledSchedule,
-        params: &LogGopsParams,
         from: Option<&Snapshot>,
         noise: &mut N,
     ) -> Result<ForkRun, SimError> {
+        let (cs, params) = (&*self.schedule, &self.params);
         let first = from.map_or(0, |f| {
             self.snapshots
                 .partition_point(|s| s.completed <= f.completed)
         });
         let later = &self.snapshots[first..];
-        if later.is_empty() {
+        let (result, suffix) = if later.is_empty() {
             let result = match from {
-                Some(snap) => resume_compiled(cs, params, snap, noise)?,
+                Some(snap) => self.resume(snap, noise)?,
                 None => simulate_compiled(cs, params, noise)?,
             };
-            return Ok(ForkRun { result, suffix: 0 });
-        }
-        with_thread_scratch(|scratch| {
-            match from {
-                Some(snap) => scratch.resume(cs, params, snap),
-                None => start(cs, params, scratch, 0..cs.num_ranks() as u32)?,
-            }
-            let mut next = 0;
-            let mut rejoin = None;
-            let events = Engine {
-                cs,
-                params: *params,
-                topology: &FlatCrossbar,
-                s: &mut *scratch,
-                rec: NullRecorder,
-            }
-            .run_until(noise, Time::MAX, |s, noise, t, _| {
-                while later
-                    .get(next)
-                    .is_some_and(|snap| snap.completed < s.completed)
-                {
-                    next += 1;
+            (result, 0)
+        } else {
+            with_thread_scratch(|scratch| {
+                match from {
+                    Some(snap) => scratch.resume(cs, params, snap),
+                    None => start(cs, params, scratch, 0..cs.num_ranks() as u32)?,
                 }
-                let Some(snap) = later.get(next).filter(|snap| snap.completed == s.completed)
-                else {
-                    return ControlFlow::Continue(());
-                };
-                match self.shift(cs, snap, s, noise, t) {
-                    Some(delta) => {
-                        rejoin = Some((snap, delta));
-                        ControlFlow::Break(())
+                let mut next = 0;
+                let mut rejoin = None;
+                let events = Engine {
+                    cs,
+                    params: *params,
+                    topology: &FlatCrossbar,
+                    s: &mut *scratch,
+                    rec: NullRecorder,
+                }
+                .run_until(noise, Time::MAX, |s, noise, t, _| {
+                    while later
+                        .get(next)
+                        .is_some_and(|snap| snap.completed < s.completed)
+                    {
+                        next += 1;
                     }
-                    None => ControlFlow::Continue(()),
-                }
-            });
-            let noise_events = noise.events_injected();
-            match rejoin {
-                None => {
-                    let result = assemble(cs, &[scratch], noise_events, events)?;
-                    Ok(ForkRun { result, suffix: 0 })
-                }
-                Some((snap, delta)) => Ok(ForkRun {
-                    result: self.rejoined(cs, scratch, snap, delta, noise_events, events),
-                    suffix: self.events - snap.events,
-                }),
-            }
+                    let Some(snap) = later.get(next).filter(|snap| snap.completed == s.completed)
+                    else {
+                        return ControlFlow::Continue(());
+                    };
+                    match self.shift(snap, s, noise, t) {
+                        Some(delta) => {
+                            rejoin = Some((snap, delta));
+                            ControlFlow::Break(())
+                        }
+                        None => ControlFlow::Continue(()),
+                    }
+                });
+                let noise_events = noise.events_injected();
+                Ok(match rejoin {
+                    None => (assemble(cs, &[scratch], noise_events, events)?, 0),
+                    Some((snap, delta)) => (
+                        self.rejoined(scratch, snap, delta, noise_events, events),
+                        self.events - snap.events,
+                    ),
+                })
+            })?
+        };
+        Ok(ForkRun {
+            result,
+            prefix: from.map_or(0, |f| f.events),
+            suffix,
         })
     }
 
@@ -373,7 +431,6 @@ impl ForkTable {
     /// baseline (the rejoin rule of the module docs).
     fn shift<N: NoiseModel + ?Sized>(
         &self,
-        cs: &CompiledSchedule,
         snap: &Snapshot,
         s: &RunScratch,
         noise: &N,
@@ -412,7 +469,7 @@ impl ForkTable {
             if !done {
                 let want = match indeg.next_if(|&&(g, _)| g as usize == f) {
                     Some(&(_, d)) => d,
-                    None => cs.indeg0[f],
+                    None => self.schedule.indeg0[f],
                 };
                 if s.indeg[f] != want {
                     return None;
@@ -449,13 +506,13 @@ impl ForkTable {
     /// with `s` its scratch at the cut (see the module docs).
     fn rejoined(
         &self,
-        cs: &CompiledSchedule,
         s: &RunScratch,
         snap: &Snapshot,
         delta: Span,
         noise_events: u64,
         events: u64,
     ) -> SimResult {
+        let cs = &*self.schedule;
         let per_rank_finish: Vec<Time> = (0..cs.num_ranks())
             .map(|r| {
                 let lo = cs.rank_off[r] as usize;
@@ -485,6 +542,37 @@ impl ForkTable {
             max_posted: s.max_posted.max(snap.rest_max_posted),
             events_processed: events,
         }
+    }
+
+    /// Run a replica from `snap` to completion with `noise`, on this
+    /// thread's pooled scratch. `noise` must be in its initial state and
+    /// its first pending arrival strictly after `snap.horizon()` (what
+    /// [`ForkTable::lookup`] checks); the result then equals a full
+    /// `simulate_compiled` run with the same noise model, except that
+    /// `events_processed` omits the [`Snapshot::events`] of the prefix.
+    /// It never rejoins the baseline; [`ForkTable::run`] does.
+    ///
+    /// # Panics
+    ///
+    /// If `snap` was taken from another table's schedule or parameters.
+    pub fn resume<N: NoiseModel + ?Sized>(
+        &self,
+        snap: &Snapshot,
+        noise: &mut N,
+    ) -> Result<SimResult, SimError> {
+        let cs = &*self.schedule;
+        with_thread_scratch(|scratch| {
+            scratch.resume(cs, &self.params, snap);
+            drive(
+                cs,
+                self.params,
+                &FlatCrossbar,
+                scratch,
+                NullRecorder,
+                noise,
+                |_, _, _, _| ControlFlow::Continue(()),
+            )
+        })
     }
 
     /// The noise-free finish (the terminal entry).
@@ -790,37 +878,6 @@ impl RunScratch {
     }
 }
 
-/// Run a replica of `cs` from `snap` to completion with `noise`, on this
-/// thread's pooled scratch. `noise` must be in its initial state and its
-/// first pending arrival strictly after `snap.horizon()` (what
-/// [`ForkTable::lookup`] checks); the result then equals a full
-/// `simulate_compiled` run with the same noise model, except that
-/// `events_processed` omits the [`Snapshot::events`] of the prefix.
-/// It never rejoins the baseline; [`ForkTable::run`] does.
-///
-/// # Panics
-///
-/// If `snap` was taken from another schedule or parameter set.
-pub fn resume_compiled<N: NoiseModel + ?Sized>(
-    cs: &CompiledSchedule,
-    params: &LogGopsParams,
-    snap: &Snapshot,
-    noise: &mut N,
-) -> Result<SimResult, SimError> {
-    with_thread_scratch(|scratch| {
-        scratch.resume(cs, params, snap);
-        drive(
-            cs,
-            *params,
-            &FlatCrossbar,
-            scratch,
-            NullRecorder,
-            noise,
-            |_, _, _, _| ControlFlow::Continue(()),
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -882,9 +939,9 @@ mod tests {
     #[test]
     fn resume_in_a_used_scratch_matches_the_full_run() {
         let p = LogGopsParams::xc40();
-        let cs = steps();
-        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
-        assert_eq!(base, simulate_compiled(&cs, &p, &mut NoNoise).unwrap());
+        let (forks, base) = ForkTable::build(Arc::new(steps()), &p).unwrap();
+        let cs = forks.schedule();
+        assert_eq!(base, simulate_compiled(cs, &p, &mut NoNoise).unwrap());
         assert!(
             forks.snapshots().len() >= 2,
             "{} snapshots",
@@ -909,7 +966,7 @@ mod tests {
         };
         for snap in forks.snapshots() {
             simulate_compiled(&other, &p, &mut NoNoise).unwrap();
-            let quiet = resume_compiled(&cs, &p, snap, &mut NoNoise).unwrap();
+            let quiet = forks.resume(snap, &mut NoNoise).unwrap();
             same_but_events(quiet, &base, snap.events());
             for r in 0..cs.num_ranks() as u32 {
                 let ce = || OneCe {
@@ -917,9 +974,9 @@ mod tests {
                     at: snap.horizon() + Span::from_ps(1),
                     fired: false,
                 };
-                let full = simulate_compiled(&cs, &p, &mut ce()).unwrap();
+                let full = simulate_compiled(cs, &p, &mut ce()).unwrap();
                 simulate_compiled(&other, &p, &mut NoNoise).unwrap();
-                let fork = resume_compiled(&cs, &p, snap, &mut ce()).unwrap();
+                let fork = forks.resume(snap, &mut ce()).unwrap();
                 same_but_events(fork, &full, snap.events());
             }
         }
@@ -928,8 +985,7 @@ mod tests {
     #[test]
     fn lookup_picks_the_last_snapshot_strictly_before_the_arrival() {
         let p = LogGopsParams::xc40();
-        let cs = steps();
-        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+        let (forks, base) = ForkTable::build(Arc::new(steps()), &p).unwrap();
         let ps = Span::from_ps(1);
         assert!(matches!(forks.lookup(base.finish + ps), Fork::Baseline));
         assert!(matches!(forks.lookup(Time::ZERO), Fork::Cold));
@@ -943,8 +999,20 @@ mod tests {
             assert!(std::ptr::eq(got, &snaps[last_at_horizon]), "snapshot {i}");
             assert!(!matches!(forks.lookup(s.horizon()), Fork::Resume(t) if std::ptr::eq(t, s)));
         }
+        // `answer` looks the first arrival up across all ranks: the
+        // noise-free replica is the baseline, and a model that cannot
+        // tell its arrivals runs from the start.
+        assert!(forks.answer(&mut NoNoise).unwrap().is_none());
+        let mut ce = OneCe {
+            rank: Rank(0),
+            at: Time::ZERO,
+            fired: false,
+        };
+        let cold = forks.answer(&mut ce).unwrap().expect("a CE reaches it");
+        assert_eq!((cold.prefix, cold.suffix), (0, 0));
+        assert!(ce.fired);
         // The terminal-only table answers Baseline or Cold.
-        let terminal = ForkTable::terminal(base.finish);
+        let terminal = ForkTable::terminal(Arc::clone(forks.schedule()), &p, base.finish);
         assert!(matches!(terminal.lookup(base.finish + ps), Fork::Baseline));
         assert!(matches!(terminal.lookup(base.finish), Fork::Cold));
         assert_eq!(terminal.bytes(), 0);
@@ -953,10 +1021,9 @@ mod tests {
     #[test]
     fn snapshots_ascend_and_fit_the_budget() {
         let p = LogGopsParams::xc40();
-        let cs = steps();
-        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+        let (forks, base) = ForkTable::build(Arc::new(steps()), &p).unwrap();
         let snaps = forks.snapshots();
-        assert!(forks.bytes() <= ForkTable::budget(&cs));
+        assert!(forks.bytes() <= ForkTable::budget(forks.schedule()));
         assert!(snaps.len() <= MAX_SNAPSHOTS);
         assert!(snaps.iter().all(|s| s.horizon() < base.finish));
         for w in snaps.windows(2) {

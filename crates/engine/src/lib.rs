@@ -41,7 +41,7 @@ pub mod sim;
 pub mod topology;
 
 pub use compile::CompiledSchedule;
-pub use fork::{resume_compiled, Fork, ForkRun, ForkTable, Snapshot};
+pub use fork::{Fork, ForkRun, ForkTable, Snapshot};
 pub use matchq::TagQueue;
 pub use noise::{NoNoise, NoiseModel};
 pub use record::{MsgClass, NullRecorder, Recorder, SegKind, SimEvent, VecRecorder};

@@ -8,8 +8,10 @@
 //!    workload through the compile-once engine, with
 //!    a per-rank [`CeNoise`](cesim_noise::CeNoise::per_rank) carrying each
 //!    hosting node's MTBCE and logging-mode detour (`fleet_run`). Each
-//!    slice is answered from its cached schedule's baseline fork table
-//!    ([`run_forked`]): a slice whose first CE arrival comes after its
+//!    slice is answered by its cached fork table, which holds the
+//!    compiled schedule and its baseline
+//!    ([`ForkTable::answer`](cesim_engine::ForkTable::answer)): a slice
+//!    whose first CE arrival comes after its
 //!    noise-free finish is the baseline run, one whose first arrival
 //!    comes after a snapshot's horizon resumes there instead of
 //!    simulating its noise-free prefix, and one that reaches a later
@@ -37,7 +39,7 @@
 use crate::cluster::{build_cluster, Node};
 use crate::policy::{build_policy, Action};
 use crate::spec::{FleetSpec, JobSpec, Placement};
-use cesim_core::experiment::{run_forked, DIVERGENCE_LIMIT};
+use cesim_core::experiment::{RunStats, DIVERGENCE_LIMIT};
 use cesim_core::seed::{fnv1a, mix, point_seed, rep_seed};
 use cesim_core::ScheduleCache;
 use cesim_model::rng::Rng64;
@@ -422,13 +424,14 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                             inp.job_index
                         ))
                     });
-                    let entry = schedules
+                    let table = schedules
                         .get_or_compile(inp.app, inp.nodes_required, &inp.workload, &params)
                         .map_err(|e| format!("job {}: {e}", inp.job_index))?;
-                    let rank_params: Vec<RankCeParams> = (0..entry.ranks())
+                    let ranks = table.schedule().num_ranks();
+                    let rank_params: Vec<RankCeParams> = (0..ranks)
                         .map(|r| inp.rank_params_of[r % inp.rank_params_of.len()])
                         .collect();
-                    let baseline = entry.baseline().since(Time::ZERO);
+                    let baseline = table.finish().since(Time::ZERO);
                     let mut noise = CeNoise::per_rank(rank_params, inp.seed);
                     if noise.max_utilization() >= DIVERGENCE_LIMIT {
                         // No forward progress on at least one hosting
@@ -439,14 +442,16 @@ pub fn run_fleet(spec: &FleetSpec, schedules: &ScheduleCache) -> Result<FleetOut
                             finish: baseline,
                             baseline,
                             ce_events: 0,
-                            per_rank: vec![0; entry.ranks()],
+                            per_rank: vec![0; ranks],
                             diverged: true,
                         });
                     }
                     // A slice no CE reaches leaves the process untouched,
                     // so its per-rank counts are all zero.
-                    let r = run_forked(entry.schedule(), &params, entry.forks(), &mut noise)
+                    let run = table
+                        .answer(&mut noise)
                         .map_err(|e| format!("job {}: {e}", inp.job_index))?;
+                    let r = RunStats::answered(&table, run);
                     schedules.record_forks([&r]);
                     Ok(SliceResult {
                         job_index: inp.job_index,

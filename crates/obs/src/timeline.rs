@@ -39,6 +39,14 @@ impl TimelineRecorder {
         }
     }
 
+    /// A recorder sized for the full event stream of a typical run of a
+    /// schedule with `ops` ops (about a dozen events per op), between
+    /// 2^10 and 2^22 events so that a huge schedule cannot exhaust
+    /// memory.
+    pub fn for_ops(ops: u64) -> Self {
+        Self::with_capacity(ops.saturating_mul(12).clamp(1 << 10, 1 << 22) as usize)
+    }
+
     /// A recorder with [`DEFAULT_CAPACITY`].
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
@@ -144,6 +152,12 @@ mod tests {
         let evs = r.events();
         assert_eq!(evs, vec![ev(6), ev(7), ev(8), ev(9)]);
         assert_eq!(r.iter().count(), 4);
+    }
+
+    #[test]
+    fn sized_for_a_dozen_events_per_op() {
+        assert_eq!(TimelineRecorder::for_ops(0).cap, 1 << 10);
+        assert_eq!(TimelineRecorder::for_ops(1000).cap, 12_000);
     }
 
     #[test]

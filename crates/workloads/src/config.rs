@@ -1,6 +1,6 @@
 //! Workload generation knobs.
 
-use cesim_goal::collectives::{AllreduceAlgo, CollectiveCosts};
+use cesim_goal::collectives::AllreduceAlgo;
 
 /// Configuration shared by every workload generator.
 #[derive(Clone, Copy, Debug)]
@@ -12,16 +12,8 @@ pub struct WorkloadConfig {
     /// experiments; the slowdown ratios the study reports converge with
     /// relatively few steps.
     pub steps_scale: f64,
-    /// Scale all compute durations (models faster/slower nodes).
-    pub compute_scale: f64,
-    /// Per-step, per-rank multiplicative compute jitter amplitude
-    /// (breaks artificial lockstep; the paper's traces contain natural
-    /// imbalance).
-    pub jitter: f64,
-    /// Seed for jitter streams.
+    /// Seed for the compute jitter streams.
     pub seed: u64,
-    /// Local reduction-operator cost model for expanded collectives.
-    pub collective_costs: CollectiveCosts,
     /// Allreduce expansion algorithm (ablation knob).
     pub allreduce_algo: AllreduceAlgo,
 }
@@ -31,10 +23,7 @@ impl Default for WorkloadConfig {
         WorkloadConfig {
             steps_override: None,
             steps_scale: 1.0,
-            compute_scale: 1.0,
-            jitter: 0.01,
             seed: 0xCE51,
-            collective_costs: CollectiveCosts::default(),
             allreduce_algo: AllreduceAlgo::default(),
         }
     }

@@ -21,10 +21,14 @@
 use crate::config::WorkloadConfig;
 use crate::geometry::{offsets, order, Grid};
 use cesim_goal::builder::TagPool;
-use cesim_goal::collectives::allreduce;
+use cesim_goal::collectives::{allreduce, CollectiveCosts};
 use cesim_goal::{OpId, Rank, Schedule, ScheduleBuilder, Tag};
 use cesim_model::rng::Rng64;
 use cesim_model::Span;
+
+/// Per-step, per-rank multiplicative compute jitter amplitude (breaks
+/// artificial lockstep; the paper's traces contain natural imbalance).
+const JITTER: f64 = 0.01;
 
 /// One halo stencil class: all offsets with `order` non-zero components
 /// exchange `bytes` each.
@@ -66,7 +70,7 @@ pub struct Skeleton {
     /// operation (e.g. MD reneighboring every few steps); LogGOPSim traces
     /// capture the same effect through their recorded dependencies.
     pub halo_every: usize,
-    /// Local compute per step (before jitter/scaling).
+    /// Local compute per step (before jitter).
     pub compute_per_step: Span,
     /// Global reduction cadence, if any.
     pub collective: Option<CollectivePlan>,
@@ -98,6 +102,7 @@ impl Skeleton {
 
         let mut b = ScheduleBuilder::new(ranks);
         let mut tags = TagPool::new();
+        let costs = CollectiveCosts::default();
         let mut jitter: Vec<Rng64> = (0..ranks)
             .map(|r| Rng64::substream(cfg.seed, r as u64))
             .collect();
@@ -108,9 +113,7 @@ impl Skeleton {
         for step in 0..steps {
             // Compute phase.
             for r in 0..ranks {
-                let dur = self
-                    .compute_per_step
-                    .mul_f64(cfg.compute_scale * jitter[r].jitter(cfg.jitter));
+                let dur = self.compute_per_step.mul_f64(jitter[r].jitter(JITTER));
                 cur[r] = b.calc(Rank::from(r), dur, &[cur[r]]);
             }
             // Halo phase(s). Tags: two per step (forward/reverse), far
@@ -126,14 +129,8 @@ impl Skeleton {
             if let Some(c) = self.collective {
                 if step % c.every.max(1) == 0 {
                     for _ in 0..c.per_occurrence {
-                        cur = allreduce(
-                            &mut b,
-                            &mut tags,
-                            cfg.allreduce_algo,
-                            c.bytes,
-                            &cfg.collective_costs,
-                            &cur,
-                        );
+                        cur =
+                            allreduce(&mut b, &mut tags, cfg.allreduce_algo, c.bytes, &costs, &cur);
                     }
                 }
             }
@@ -145,7 +142,7 @@ impl Skeleton {
     /// bound on the baseline runtime (useful for sizing experiments).
     pub fn nominal_compute(&self, cfg: &WorkloadConfig) -> Span {
         let steps = cfg.effective_steps(self.default_steps) as u64;
-        self.compute_per_step.mul_f64(cfg.compute_scale) * steps
+        self.compute_per_step * steps
     }
 }
 
@@ -277,11 +274,6 @@ mod tests {
         let sk = toy();
         let cfg = WorkloadConfig::default();
         assert_eq!(sk.nominal_compute(&cfg), Span::from_ms(4));
-        let cfg2 = WorkloadConfig {
-            compute_scale: 2.0,
-            ..cfg
-        };
-        assert_eq!(sk.nominal_compute(&cfg2), Span::from_ms(8));
     }
 
     #[test]

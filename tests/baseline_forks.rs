@@ -11,14 +11,14 @@
 mod common;
 
 use dram_ce_sim::engine::{
-    resume_compiled, simulate_compiled, CompiledSchedule, Fork, ForkTable, NoiseModel, SimResult,
-    Snapshot,
+    simulate_compiled, CompiledSchedule, Fork, ForkTable, NoiseModel, SimResult, Snapshot,
 };
 use dram_ce_sim::goal::{Rank, Schedule};
 use dram_ce_sim::model::{LogGopsParams, Span, Time};
 use dram_ce_sim::noise::{CeNoise, Scope};
 use dram_ce_sim::workloads::{AppId, WorkloadConfig};
 use dram_ce_sim::ScheduleCache;
+use std::sync::Arc;
 
 /// Seeds tried per snapshot and scope.
 const SEEDS: u64 = 48;
@@ -26,12 +26,12 @@ const SEEDS: u64 = 48;
 /// Resume `noise` from `snap` and check it against a full run: every
 /// `SimResult` field and the per-rank CE counts agree, except that the
 /// resumed run counts only the events after the snapshot.
-fn assert_resume_matches(at: &str, cs: &CompiledSchedule, snap: &Snapshot, noise: &CeNoise) {
+fn assert_resume_matches(at: &str, forks: &ForkTable, snap: &Snapshot, noise: &CeNoise) {
     let p = LogGopsParams::xc40();
     let mut full_noise = noise.clone();
-    let full = simulate_compiled(cs, &p, &mut full_noise).unwrap();
+    let full = simulate_compiled(forks.schedule(), &p, &mut full_noise).unwrap();
     let mut fork_noise = noise.clone();
-    let fork = resume_compiled(cs, &p, snap, &mut fork_noise).unwrap();
+    let fork = forks.resume(snap, &mut fork_noise).unwrap();
     assert_eq!(
         fork.events_processed,
         full.events_processed - snap.events(),
@@ -55,8 +55,8 @@ fn assert_resume_matches(at: &str, cs: &CompiledSchedule, snap: &Snapshot, noise
 /// number of snapshots and resumed runs checked.
 fn check_every_snapshot(label: &str, sched: &Schedule) -> (usize, usize) {
     let p = LogGopsParams::xc40();
-    let cs = CompiledSchedule::compile(sched);
-    let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+    let cs = Arc::new(CompiledSchedule::compile(sched));
+    let (forks, base) = ForkTable::build(Arc::clone(&cs), &p).unwrap();
     let ranks = cs.num_ranks();
     // Detours short against the run keep every process convergent
     // (utilization at most 1/8), even for microsecond collectives.
@@ -81,7 +81,7 @@ fn check_every_snapshot(label: &str, sched: &Schedule) -> (usize, usize) {
                     continue;
                 }
                 let at = format!("{label}: snapshot {i} {scope:?} seed {seed}");
-                assert_resume_matches(&at, &cs, snap, &noise);
+                assert_resume_matches(&at, &forks, snap, &noise);
                 resumed += 1;
             }
         }
@@ -147,8 +147,8 @@ fn lookup_is_strict_at_horizons_and_finish() {
     let p = LogGopsParams::xc40();
     let ps = Span::from_ps(1);
     for (label, sched) in common::app_schedules(8, 3) {
-        let cs = CompiledSchedule::compile(&sched);
-        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let (forks, base) = ForkTable::build(Arc::clone(&cs), &p).unwrap();
         assert_eq!(forks.finish(), base.finish, "{label}");
         assert!(
             matches!(forks.lookup(base.finish + ps), Fork::Baseline),
@@ -179,7 +179,7 @@ fn lookup_is_strict_at_horizons_and_finish() {
             // prefix (one ends at `h`), which a resumed run never sees.
             let (mut full, mut fork) = (OneCe { at: h, hit: None }, OneCe { at: h, hit: None });
             simulate_compiled(&cs, &p, &mut full).unwrap();
-            resume_compiled(&cs, &p, snap, &mut fork).unwrap();
+            forks.resume(snap, &mut fork).unwrap();
             let (_, _, end) = full.hit.expect("the full run takes the CE");
             assert_eq!(end, h, "{at}");
             assert_ne!(fork.hit, full.hit, "{at}");
@@ -211,11 +211,11 @@ fn snapshot_bytes_stay_within_budget() {
         .map(|app| (app, 64, fleet))
         .chain(AppId::all().into_iter().map(|app| (app, 128, serve)));
     for (app, nodes, wl) in shapes {
-        let entry = cache.get_or_compile(app, nodes, &wl, &p).unwrap();
-        let budget = ForkTable::budget(entry.schedule());
-        let bytes = entry.forks().bytes();
+        let table = cache.get_or_compile(app, nodes, &wl, &p).unwrap();
+        let budget = ForkTable::budget(table.schedule());
+        let bytes = table.bytes();
         assert!(bytes <= budget, "{app} x{nodes}: {bytes} > {budget}");
-        assert!(!entry.forks().snapshots().is_empty(), "{app} x{nodes}");
-        assert!(entry.forks().snapshots().len() <= 16, "{app} x{nodes}");
+        assert!(!table.snapshots().is_empty(), "{app} x{nodes}");
+        assert!(table.snapshots().len() <= 16, "{app} x{nodes}");
     }
 }

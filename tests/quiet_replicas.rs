@@ -14,11 +14,11 @@
 mod common;
 
 use dram_ce_sim::engine::{
-    resume_compiled, simulate_compiled, simulate_compiled_sharded, CompiledSchedule, Fork,
-    ForkTable, NoNoise, NoiseModel, SimResult,
+    simulate_compiled, simulate_compiled_sharded, CompiledSchedule, Fork, ForkTable, NoNoise,
+    NoiseModel, SimResult,
 };
 use dram_ce_sim::experiment::{
-    run_against_baseline_compiled, run_against_baseline_entry, Experiment,
+    run_against_baseline_compiled, run_against_table, Experiment, RunStats,
 };
 use dram_ce_sim::figures::{self, FigureData, ScaleConfig};
 use dram_ce_sim::goal::{Rank, Schedule};
@@ -27,7 +27,7 @@ use dram_ce_sim::noise::{CeNoise, Scope};
 use dram_ce_sim::report::figure_csv;
 use dram_ce_sim::seed::{point_seed, rep_seed};
 use dram_ce_sim::workloads::{self, natural_ranks, AppId, WorkloadConfig};
-use dram_ce_sim::{CompiledEntry, ScheduleCache};
+use dram_ce_sim::ScheduleCache;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -101,8 +101,8 @@ fn quiet_replica_matches_full_simulation() {
     let (mut baseline, mut resumed, mut cold, mut rejoined) = (0, 0, 0, 0);
     for (app, sched) in common::app_schedules(8, 2) {
         let ranks = sched.num_ranks();
-        let cs = CompiledSchedule::compile(&sched);
-        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let (forks, base) = ForkTable::build(Arc::clone(&cs), &p).unwrap();
         let base_ps = base.finish.as_ps();
         let last = Rank::from(ranks - 1);
         for scope in [Scope::AllRanks, Scope::SingleRank(last)] {
@@ -128,7 +128,7 @@ fn quiet_replica_matches_full_simulation() {
                             resumed += 1;
                             assert!(snap.horizon() < noise.first_arrival(), "{at}");
                             let mut fork = noise.clone();
-                            let f = resume_compiled(&cs, &p, snap, &mut fork).unwrap();
+                            let f = forks.resume(snap, &mut fork).unwrap();
                             let events = r.events_processed - snap.events();
                             assert_eq!(f.events_processed, events, "{at}");
                             assert_same_but_events(&at, f, &r);
@@ -142,9 +142,9 @@ fn quiet_replica_matches_full_simulation() {
                         Fork::Cold => None,
                     };
                     let mut fork = noise.clone();
-                    let f = forks.run(&cs, &p, from, &mut fork).unwrap();
-                    let prefix = from.map_or(0, |s| s.events());
-                    let events = f.result.events_processed + prefix + f.suffix;
+                    let f = forks.run(from, &mut fork).unwrap();
+                    assert_eq!(f.prefix, from.map_or(0, |s| s.events()), "{at}");
+                    let events = f.result.events_processed + f.prefix + f.suffix;
                     assert_eq!(events, r.events_processed, "{at}");
                     assert_same_but_events(&at, f.result, &r);
                     assert_eq!(fork.per_rank_events(), full.per_rank_events(), "{at}");
@@ -168,7 +168,7 @@ fn assert_same_but_events(at: &str, got: SimResult, want: &SimResult) {
 }
 
 /// End to end through `run_against_baseline_compiled` (serial and
-/// sharded) and `run_against_baseline_entry`: every replica's finish and
+/// sharded) and `run_against_table`: every replica's finish and
 /// CE count equal a full simulation of that replica. Exactly the replicas
 /// no CE reaches report no engine events, and a forked replica's events
 /// plus the prefix and suffix it skipped are the full run's.
@@ -196,12 +196,12 @@ fn experiment_replicas_match_full_simulation() {
             )));
             let base = simulate_compiled(&cs, &exp.params, &mut NoNoise).unwrap();
             let exp = exp.mtbce(Span::from_ps(base.finish.as_ps() * 2 * targeted));
-            let entry = cache
+            let table = cache
                 .get_or_compile(app, exp.nodes, &exp.workload, &exp.params)
                 .unwrap();
-            assert_eq!(entry.baseline(), base.finish);
+            assert_eq!(table.finish(), base.finish);
             let out = run_against_baseline_compiled(&exp, ranks, &cs, base.finish, 0).unwrap();
-            let forked = run_against_baseline_entry(&exp, &entry, 0).unwrap();
+            let forked = run_against_table(&exp, &table, 0).unwrap();
             assert_eq!(forked.baseline, out.baseline);
             let detour = exp.mode.per_event_cost();
             let (mut skipped, mut resumed) = (0, 0);
@@ -240,10 +240,11 @@ fn experiment_replicas_match_full_simulation() {
 /// full simulation: a small Fig. 3 and Fig. 6 sweep, once plain and once
 /// with every replica observed (observed replicas always simulate in
 /// full), agree on every base CSV column. Every cell, rerun here against
-/// an entry prepared from its own app and scale, reproduces the sweep's
+/// a table built from its own app and scale, reproduces the sweep's
 /// cell; and one cell of each sweep has replicas that resumed from a
 /// snapshot and replicas that rejoined the baseline, so the comparison
-/// covers both.
+/// covers both. The figure's fork ledger, summed over those reruns, pins
+/// how many replicas took each answer.
 #[test]
 fn figure_cells_match_full_simulation() {
     // Exact per-node rates (Fig. 3 is never rescaled): at the
@@ -268,13 +269,41 @@ fn figure_cells_match_full_simulation() {
             .collect()
     };
     // (figure, sweep, scope, index of the cell that resumes and rejoins:
-    // LULESH under software logging, at MTBCE 100 ms and 1 s).
+    // LULESH under software logging, at MTBCE 100 ms and 1 s, and the
+    // figure's fork ledger).
     type Sweep = fn(&ScaleConfig) -> FigureData;
-    let sweeps: [(&str, Sweep, Scope, usize); 2] = [
-        ("fig3", figures::fig3, Scope::SingleRank(Rank(0)), 7),
-        ("fig6", figures::fig6, Scope::AllRanks, 7),
+    let sweeps: [(&str, Sweep, Scope, usize, Ledger); 2] = [
+        (
+            "fig3",
+            figures::fig3,
+            Scope::SingleRank(Rank(0)),
+            7,
+            Ledger {
+                baseline: 57,
+                resumed: 7,
+                rejoined: 29,
+                prefix: 26_865,
+                suffix: 53_840,
+                events: 254_575,
+            },
+        ),
+        (
+            "fig6",
+            figures::fig6,
+            Scope::AllRanks,
+            7,
+            Ledger {
+                baseline: 26,
+                resumed: 7,
+                rejoined: 17,
+                prefix: 31_295,
+                suffix: 31_536,
+                events: 98_897,
+            },
+        ),
     ];
-    for (id, fig, scope, forked) in sweeps {
+    for (id, fig, scope, forked, want) in sweeps {
+        let mut ledger = Ledger::default();
         let plain = fig(&cfg);
         assert_eq!(base_cols(&plain), base_cols(&fig(&observed)), "{id}");
         let specs = plain.cells.len() / cfg.apps.len();
@@ -300,11 +329,14 @@ fn figure_cells_match_full_simulation() {
             let ranks = natural_ranks(cell.app, cfg.nodes);
             let sched = workloads::build(cell.app, ranks, &workload);
             let cs = Arc::new(CompiledSchedule::compile(&sched));
-            let entry = CompiledEntry::new(ranks, cs, &exp.params).unwrap();
-            let out = run_against_baseline_entry(&exp, &entry, 0).unwrap();
+            let (table, _) = ForkTable::build(cs, &exp.params).unwrap();
+            let out = run_against_table(&exp, &table, 0).unwrap();
             let at = format!("{id} {} {} {}", cell.app, cell.group, cell.mode);
             assert_eq!(out.baseline.as_secs_f64(), cell.baseline_secs, "{at}");
             assert_eq!(out.mean_slowdown_pct(), cell.slowdown_pct, "{at}");
+            for r in &out.runs {
+                ledger.add(r);
+            }
             if k == forked {
                 assert!(
                     out.runs.iter().any(|r| r.prefix() > 0),
@@ -313,5 +345,30 @@ fn figure_cells_match_full_simulation() {
                 assert!(out.runs.iter().any(|r| r.suffix > 0), "{at}: none rejoined");
             }
         }
+        assert_eq!(ledger, want, "{id}: fork ledger");
+    }
+}
+
+/// How a figure's replicas were answered, summed over its cells: by the
+/// baseline, resumed from a snapshot, rejoining the baseline, and the
+/// engine events skipped before and after and dispatched.
+#[derive(Debug, Default, PartialEq)]
+struct Ledger {
+    baseline: u64,
+    resumed: u64,
+    rejoined: u64,
+    prefix: u64,
+    suffix: u64,
+    events: u64,
+}
+
+impl Ledger {
+    fn add(&mut self, r: &RunStats) {
+        self.baseline += u64::from(r.events == 0);
+        self.resumed += u64::from(r.prefix() > 0);
+        self.rejoined += u64::from(r.suffix > 0);
+        self.prefix += r.prefix();
+        self.suffix += r.suffix;
+        self.events += r.events;
     }
 }

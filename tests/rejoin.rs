@@ -20,18 +20,18 @@ use dram_ce_sim::goal::builder::TagPool;
 use dram_ce_sim::goal::{Rank, Schedule, ScheduleBuilder};
 use dram_ce_sim::model::{LogGopsParams, Span, Time};
 use dram_ce_sim::noise::{CeNoise, RankCeParams, Scope};
+use std::sync::Arc;
 
 /// Seeds tried per schedule and CE process kind.
 const SEEDS: u64 = 24;
 
-/// Run `noise` through `forks` as `run_forked` does (lookup by
+/// Run `noise` through `forks` as `ForkTable::answer` does (lookup by
 /// `first_arrival`, then resume or run cold) and check the answer against
 /// a full simulation: every `SimResult` field but `events_processed` is
 /// equal, and the events run plus those skipped before and after are the
 /// full run's. Returns the fork run and both noise models as they end.
 fn check<N: NoiseModel + Clone>(
     at: &str,
-    cs: &CompiledSchedule,
     forks: &ForkTable,
     first_arrival: Time,
     noise: &N,
@@ -43,12 +43,12 @@ fn check<N: NoiseModel + Clone>(
         Fork::Cold => None,
     };
     let mut full_noise = noise.clone();
-    let full = simulate_compiled(cs, &p, &mut full_noise).unwrap();
+    let full = simulate_compiled(forks.schedule(), &p, &mut full_noise).unwrap();
     let mut fork_noise = noise.clone();
-    let fork = forks.run(cs, &p, from, &mut fork_noise).unwrap();
-    let prefix = from.map_or(0, |s| s.events());
+    let fork = forks.run(from, &mut fork_noise).unwrap();
+    assert_eq!(fork.prefix, from.map_or(0, |s| s.events()), "{at}");
     assert_eq!(
-        fork.result.events_processed + prefix + fork.suffix,
+        fork.result.events_processed + fork.prefix + fork.suffix,
         full.events_processed,
         "{at}"
     );
@@ -106,14 +106,14 @@ fn processes(ranks: usize, finish: Time, seed: u64) -> Vec<(&'static str, CeNois
 /// CE counts included. Returns `(replicas run, replicas rejoined)`.
 fn check_grid(label: &str, sched: &Schedule) -> (usize, usize) {
     let p = LogGopsParams::xc40();
-    let cs = CompiledSchedule::compile(sched);
-    let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+    let cs = Arc::new(CompiledSchedule::compile(sched));
+    let (forks, base) = ForkTable::build(Arc::clone(&cs), &p).unwrap();
     let (mut ran, mut rejoined) = (0, 0);
     for seed in 0..SEEDS {
         for (kind, noise) in processes(cs.num_ranks(), base.finish, seed) {
             let at = format!("{label}: {kind} seed {seed}");
             let Some((fork, fork_noise, full_noise)) =
-                check(&at, &cs, &forks, noise.first_arrival(), &noise)
+                check(&at, &forks, noise.first_arrival(), &noise)
             else {
                 continue;
             };
@@ -163,13 +163,13 @@ fn rejoined_replicas_match_full_simulation_for_every_collective() {
 fn noise_free_replicas_rejoin_at_the_next_snapshot() {
     let p = LogGopsParams::xc40();
     for (label, sched) in common::app_schedules(8, 2) {
-        let cs = CompiledSchedule::compile(&sched);
-        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let (forks, base) = ForkTable::build(Arc::clone(&cs), &p).unwrap();
         let snaps = forks.snapshots();
         let starts = std::iter::once(None).chain(snaps.iter().map(Some));
         for (i, from) in starts.enumerate() {
             let at = format!("{label}: start {i}");
-            let run = forks.run(&cs, &p, from, &mut NoNoise).unwrap();
+            let run = forks.run(from, &mut NoNoise).unwrap();
             assert_same_but_events(&at, &run.result, &base);
             let prefix = from.map_or(0, |s| s.events());
             match snaps.get(i) {
@@ -208,8 +208,8 @@ fn an_arrival_at_a_shifted_last_busy_end_blocks_rejoin() {
     let p = LogGopsParams::xc40();
     let (mut apps, mut scripts) = (0, 0);
     for (label, sched) in common::app_schedules(8, 3) {
-        let cs = CompiledSchedule::compile(&sched);
-        let (forks, base) = ForkTable::build(&cs, &p).unwrap();
+        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let (forks, base) = ForkTable::build(Arc::clone(&cs), &p).unwrap();
         let mut last = LastBusy(vec![Time::ZERO; cs.num_ranks()]);
         simulate_compiled(&cs, &p, &mut last).unwrap();
         let q = (0..cs.num_ranks()).max_by_key(|&r| last.0[r]).unwrap();
@@ -221,7 +221,7 @@ fn an_arrival_at_a_shifted_last_busy_end_blocks_rejoin() {
                 let script = vec![(Rank::from(r), first, detour)];
                 let at = format!("{label}: {script:?}");
                 let noise = ScriptedNoise::new(script.clone());
-                let Some((one, _, _)) = check(&at, &cs, &forks, first, &noise) else {
+                let Some((one, _, _)) = check(&at, &forks, first, &noise) else {
                     continue;
                 };
                 if one.suffix == 0 {
@@ -235,8 +235,7 @@ fn an_arrival_at_a_shifted_last_busy_end_blocks_rejoin() {
                     let mut two = script.clone();
                     two.push((Rank::from(q), end + extra, detour));
                     let noise = ScriptedNoise::new(two);
-                    let (fork, fork_noise, full_noise) =
-                        check(&at, &cs, &forks, first, &noise).unwrap();
+                    let (fork, fork_noise, full_noise) = check(&at, &forks, first, &noise).unwrap();
                     let fired = 2 - u64::from(rejoins);
                     assert_eq!(full_noise.events_injected(), fired, "{at}");
                     assert_eq!(fork_noise.events_injected(), fired, "{at}");
@@ -289,8 +288,8 @@ fn two_pairs(steps: usize) -> Schedule {
 #[test]
 fn ranks_shifted_by_different_amounts_do_not_rejoin() {
     let p = LogGopsParams::xc40();
-    let cs = CompiledSchedule::compile(&two_pairs(12));
-    let (forks, _) = ForkTable::build(&cs, &p).unwrap();
+    let cs = Arc::new(CompiledSchedule::compile(&two_pairs(12)));
+    let (forks, _) = ForkTable::build(Arc::clone(&cs), &p).unwrap();
     assert!(forks.snapshots().len() >= 4);
     let (at, detour) = (Time::ZERO + Span::from_us(2), Span::from_us(3));
     for (ranks, rejoins) in [
@@ -301,7 +300,7 @@ fn ranks_shifted_by_different_amounts_do_not_rejoin() {
     ] {
         let label = format!("detours on ranks {ranks:?}");
         let script = ranks.iter().map(|&r| (Rank(r), at, detour)).collect();
-        let (fork, _, full) = check(&label, &cs, &forks, at, &ScriptedNoise::new(script)).unwrap();
+        let (fork, _, full) = check(&label, &forks, at, &ScriptedNoise::new(script)).unwrap();
         assert_eq!(full.events_injected(), ranks.len() as u64, "{label}");
         assert_eq!(fork.suffix > 0, rejoins, "{label}");
     }
