@@ -704,7 +704,7 @@ fn cmd_goal(args: &Args) -> Result<(), String> {
         Some(name) => AppId::parse(name).ok_or_else(|| format!("unknown workload '{name}'"))?,
     };
     let nodes = count_arg(args, "nodes", 8usize)?;
-    let steps = args.get_parsed("steps", 2usize)?;
+    let steps = count_arg(args, "steps", 2usize)?;
     let cfg = cesim_core::workloads::WorkloadConfig::default().with_steps(steps);
     let ranks = cesim_core::workloads::natural_ranks(app, nodes);
     let sched = cesim_core::workloads::build(app, ranks, &cfg);
@@ -1065,11 +1065,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if args.has_flag("single-node") {
         exp = exp.scope(Scope::SingleRank(Rank(0)));
     }
-    if let Some(steps) = args.get("steps") {
-        let s: usize = steps
-            .parse()
-            .map_err(|_| format!("invalid --steps '{steps}'"))?;
-        exp = exp.steps(s);
+    if args.get("steps").is_some() {
+        exp = exp.steps(count_arg(args, "steps", 1usize)?);
     } else {
         exp.workload.steps_scale = steps_scale_arg(args, 0.25)?;
     }
@@ -1086,16 +1083,13 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let ranks = natural_ranks(exp.app, exp.nodes);
     let sched = {
         let _s = ProfSpan::enter("build");
-        cesim_core::workloads::build(exp.app, ranks, &exp.workload)
+        cesim_core::workloads::build_periodic(exp.app, ranks, &exp.workload)
     };
-    // Only the compiled form is needed from here on: free the schedule,
-    // inside the compile phase, before the baseline run builds the fork
-    // table.
+    // Compiling consumes (and frees) the schedule inside the compile
+    // phase, before the baseline run builds the fork table.
     let cs = {
         let _s = ProfSpan::enter("compile");
-        let cs = Arc::new(CompiledSchedule::compile(&sched));
-        drop(sched);
-        cs
+        Arc::new(CompiledSchedule::compile_periodic(sched).map_err(|e| e.to_string())?)
     };
     let table = {
         let _s = ProfSpan::enter("baseline");

@@ -231,6 +231,8 @@ fn runtime_errors_exit_one() {
         (&["ablate"], "--reps", "0"),
         (&["ablate"], "--nodes", "0"),
         (&["goal"], "--nodes", "0"),
+        (&["run"], "--steps", "0"),
+        (&["goal"], "--steps", "0"),
         (&["trace", "--generate", generated], "--nodes", "0"),
         (&["trace", "--generate", generated], "--nodes", "1"),
     ] {

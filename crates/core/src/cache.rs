@@ -211,8 +211,10 @@ impl ScheduleCache {
         }
         self.misses.fetch_add(1, Relaxed);
         let _s = Span::enter("compile");
-        let sched = cesim_workloads::build(app, ranks, workload);
-        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let sched = cesim_workloads::build_periodic(app, ranks, workload);
+        let cs = Arc::new(
+            CompiledSchedule::compile_periodic(sched).expect("workload skeletons repeat exactly"),
+        );
         let table = Arc::new(ForkTable::build(cs, params)?.0);
         *filled = Some(Arc::clone(&table));
         Ok(table)

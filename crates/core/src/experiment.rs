@@ -358,8 +358,10 @@ impl Outcome {
 /// perturbed replicas (unless the divergence guard fires).
 pub fn run(exp: &Experiment) -> Result<Outcome, SimError> {
     let ranks = natural_ranks(exp.app, exp.nodes);
-    let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-    let cs = Arc::new(CompiledSchedule::compile(&sched));
+    let sched = cesim_workloads::build_periodic(exp.app, ranks, &exp.workload);
+    let cs = Arc::new(
+        CompiledSchedule::compile_periodic(sched).expect("workload skeletons repeat exactly"),
+    );
     let (table, _) = ForkTable::build(cs, &exp.params)?;
     run_against_table(exp, &table, 0)
 }
@@ -498,8 +500,8 @@ mod tests {
     /// The fork table of `exp`'s workload, as [`run`] prepares it.
     fn table(exp: &Experiment) -> ForkTable {
         let ranks = natural_ranks(exp.app, exp.nodes);
-        let sched = cesim_workloads::build(exp.app, ranks, &exp.workload);
-        let cs = Arc::new(CompiledSchedule::compile(&sched));
+        let sched = cesim_workloads::build_periodic(exp.app, ranks, &exp.workload);
+        let cs = Arc::new(CompiledSchedule::compile_periodic(sched).unwrap());
         ForkTable::build(cs, &exp.params).unwrap().0
     }
 

@@ -359,18 +359,19 @@ fn run_figure(
                 let _trace_guard = trace.map(|t| t.install());
                 let app = cfg.apps[ai];
                 let ranks = natural_ranks(app, nodes);
-                // Free the schedule, inside the compile phase, before the
-                // baseline run builds the fork table: only its compiled
-                // form is needed after.
+                // Compiling consumes (and frees) the schedule inside the
+                // compile phase, before the baseline run builds the fork
+                // table.
                 let cs = {
                     let sched = {
                         let _s = ProfSpan::enter("build");
-                        cesim_workloads::build(app, ranks, &cfg.workload_cfg(ai as u64))
+                        cesim_workloads::build_periodic(app, ranks, &cfg.workload_cfg(ai as u64))
                     };
                     let _s = ProfSpan::enter("compile");
-                    let cs = Arc::new(CompiledSchedule::compile(&sched));
-                    drop(sched);
-                    cs
+                    Arc::new(
+                        CompiledSchedule::compile_periodic(sched)
+                            .expect("workload skeletons repeat exactly"),
+                    )
                 };
                 let _s = ProfSpan::enter("baseline");
                 ForkTable::build(cs, &LogGopsParams::xc40())

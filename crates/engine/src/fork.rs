@@ -82,16 +82,18 @@
 //! for ops not yet done, the queued events sorted by key (message
 //! arrivals index a list of the live in-flight messages), the non-empty
 //! match queues, the run statistics, and the queue high-water marks of
-//! the rest of the run. The per-op dispatch plan is not stored: it
-//! depends only on the schedule and the parameters. The table also keeps,
+//! the rest of the run. The table also keeps,
 //! per rank, the baseline's last busy end and final finish, busy and
 //! useful time.
 //!
-//! **Sizing.** K is sized from a byte budget derived from the compiled
-//! schedule's heap ([`ForkTable::budget`]): the run offers
+//! **Sizing.** K is sized from a byte budget derived from the schedule's
+//! op, edge, rank and root counts ([`ForkTable::budget`]): the run offers
 //! [`MAX_SNAPSHOTS`] snapshots, and whenever the kept ones outgrow the
 //! budget the one worth least per byte is dropped (see `fit_budget`).
-//! The budget is a quarter of the heap. A snapshot's size scales with
+//! The budget is a quarter of the heap the schedule's fully expanded
+//! column layout took (33 bytes per op and 4 per edge), whatever layout
+//! it is compiled to: a periodic compile keeps the snapshots of the
+//! expanded one. A snapshot's size scales with
 //! the ranks and the in-flight state, not with the ops, so short, wide
 //! jobs get few snapshots out of a small fraction. On the 24 entries of
 //! the `fleet_4k` benchmark (seed 1), whose simulated slices would
@@ -121,7 +123,7 @@ use std::sync::Arc;
 /// Most snapshots a table holds.
 pub const MAX_SNAPSHOTS: usize = 16;
 
-/// The snapshot budget is the compiled schedule's heap divided by this.
+/// The snapshot budget is the expanded column heap divided by this.
 const BUDGET_DIV: usize = 4;
 
 /// Budget floor: small schedules still get their snapshots.
@@ -214,7 +216,7 @@ impl ForkTable {
         let total = cs.total_ops();
         let (snapshots, ranks, base) = with_thread_scratch(|scratch| {
             let cs = &*cs;
-            start(cs, params, scratch, 0..cs.num_ranks() as u32)?;
+            start(cs, scratch, 0..cs.num_ranks() as u32)?;
             let mut snapshots: Vec<Snapshot> = Vec::new();
             // Index of the next fraction `next / (k + 1)` to snapshot at.
             let mut next = 1;
@@ -284,12 +286,22 @@ impl ForkTable {
         Ok((table, base))
     }
 
-    /// Byte budget for the snapshots of `cs`: a quarter of its compiled
-    /// heap, and at least 4 KiB. Snapshots of wide, short schedules are
-    /// large next to their heap, and a smaller fraction leaves them too
-    /// few to resume or rejoin at (see the module docs, "Sizing").
+    /// Byte budget for the snapshots of `cs`: a quarter of the heap of
+    /// its expanded column layout, and at least 4 KiB. Snapshots of wide,
+    /// short schedules are large next to their heap, and a smaller
+    /// fraction leaves them too few to resume or rejoin at (see the
+    /// module docs, "Sizing").
     pub fn budget(cs: &CompiledSchedule) -> usize {
-        (cs.heap_bytes() / BUDGET_DIV).max(MIN_BUDGET)
+        let (ops, deps) = (cs.total_ops() as usize, cs.total_deps() as usize);
+        // Per op: class, duration, peer, bytes, tag, indegree and CSR
+        // offset columns; per rank and one past the last: a rank offset
+        // and a CSR offset; the root list grew by doubling from four.
+        let roots = match cs.roots().len() {
+            0 => 0,
+            n => n.next_power_of_two().max(4),
+        };
+        let heap = 33 * ops + 4 * deps + 4 * (cs.num_ranks() + 1) + 4 + 8 * roots;
+        (heap / BUDGET_DIV).max(MIN_BUDGET)
     }
 
     /// The compiled schedule every replica runs.
@@ -379,7 +391,7 @@ impl ForkTable {
             with_thread_scratch(|scratch| {
                 match from {
                     Some(snap) => scratch.resume(cs, params, snap),
-                    None => start(cs, params, scratch, 0..cs.num_ranks() as u32)?,
+                    None => start(cs, scratch, 0..cs.num_ranks() as u32)?,
                 }
                 let mut next = 0;
                 let mut rejoin = None;
@@ -462,14 +474,15 @@ impl ForkTable {
             }
         }
         let mut indeg = snap.indeg.iter().peekable();
-        for (f, &done) in s.done.iter().enumerate() {
+        let indeg0 = self.schedule.flat_indeg0(0..self.ranks.len() as u32);
+        for (f, (&done, d0)) in s.done.iter().zip(indeg0).enumerate() {
             if done != (snap.done[f / 64] >> (f % 64) & 1 == 1) {
                 return None;
             }
             if !done {
                 let want = match indeg.next_if(|&&(g, _)| g as usize == f) {
                     Some(&(_, d)) => d,
-                    None => self.schedule.indeg0[f],
+                    None => d0,
                 };
                 if s.indeg[f] != want {
                     return None;
@@ -787,10 +800,11 @@ impl RunScratch {
             .collect();
         let mut done = vec![0u64; self.done.len().div_ceil(64)];
         let mut indeg = Vec::new();
-        for (f, &d) in self.done.iter().enumerate() {
+        let indeg0 = cs.flat_indeg0(0..cs.num_ranks() as u32);
+        for (f, (&d, d0)) in self.done.iter().zip(indeg0).enumerate() {
             if d {
                 done[f / 64] |= 1 << (f % 64);
-            } else if self.indeg[f] != cs.indeg0[f] {
+            } else if self.indeg[f] != d0 {
                 indeg.push((f as u32, self.indeg[f]));
             }
         }
@@ -838,7 +852,6 @@ impl RunScratch {
             "snapshot belongs to another schedule or parameter set"
         );
         self.reset(cs);
-        self.plan_dispatch(cs, params);
         self.restore(snap);
     }
 

@@ -380,7 +380,7 @@ pub fn simulate_compiled_sharded<N: NoiseModel + Clone + Send>(
     let mut shards: Vec<Shard<N>> = Vec::with_capacity(s_eff);
     for w in cuts.windows(2) {
         let mut s = RunScratch::new();
-        start(cs, params, &mut s, w[0]..w[1])?;
+        start(cs, &mut s, w[0]..w[1])?;
         shards.push(Shard {
             s,
             noise: noise.clone(),

@@ -7,17 +7,18 @@
 //!   *message arrival* — resource waiting is folded into start-time
 //!   computation (`start = max(ready, cpu_free)`), which keeps the event
 //!   count at O(ops + messages).
-//! * Dependency fan-out uses the global CSR of the immutable
-//!   [`CompiledSchedule`], built **once** per schedule and shared across
-//!   runs; all mutable per-run state lives in a [`RunScratch`] that is
-//!   reset in place (no reallocation) between runs.
+//! * Dispatch and dependency fan-out read the immutable
+//!   [`CompiledSchedule`]'s per-op records (one period of ops per rank,
+//!   see [`crate::compile`]), built **once** per schedule and shared
+//!   across runs; all mutable per-run state lives in a [`RunScratch`]
+//!   that is reset in place (no reallocation) between runs.
 //! * All CPU intervals pass through the [`NoiseModel`], in non-decreasing
 //!   start order per rank.
 //! * Rendezvous transfers are three chained messages (RTS → CTS →
 //!   payload); RTS matches like a normal message, the payload is routed
 //!   directly to the matched receive.
 
-use crate::compile::{CompiledSchedule, OpClass, ANY_SOURCE};
+use crate::compile::{CompiledSchedule, ANY_SOURCE, OPC_CALC, OPC_CALC_STEP, OPC_SEND};
 use crate::matchq::TagQueue;
 use crate::noise::NoiseModel;
 use crate::queue::{EvKey, EventQueue};
@@ -260,12 +261,6 @@ pub struct RunScratch {
     // Per-op state (indexed by flat op id minus `op_base`).
     pub(crate) indeg: Vec<u32>,
     pub(crate) done: Vec<bool>,
-    /// Per-op dispatch records (see [`RunScratch::plan_dispatch`]),
-    /// cached under `plan_stamp` across resets.
-    ops: Vec<PackedOp>,
-    /// `(schedule uid, eager threshold, rank_lo, rank_hi)` the current
-    /// `ops` table was planned for.
-    plan_stamp: Option<(u64, u64, u32, u32)>,
     // Per-rank MPI match queues.
     pub(crate) posted: Vec<TagQueue<PostedRecv>>,
     pub(crate) unexpected: Vec<TagQueue<UnexMsg>>,
@@ -322,12 +317,7 @@ impl RunScratch {
         debug_assert!(lo < hi && hi as usize <= cs.num_ranks());
         let nranks = (hi - lo) as usize;
         let op_base = cs.rank_off[lo as usize] as usize;
-        let op_end = if (hi as usize) == cs.num_ranks() {
-            cs.total_ops() as usize
-        } else {
-            cs.rank_off[hi as usize] as usize
-        };
-        let total = op_end - op_base;
+        let total = cs.rank_off[hi as usize] as usize - op_base;
         self.rank_lo = lo;
         self.rank_hi = hi;
         self.op_base = op_base;
@@ -338,7 +328,7 @@ impl RunScratch {
         reset_fill(&mut self.work, nranks, Span::ZERO);
         reset_fill(&mut self.push_seq, nranks, 0);
         self.indeg.clear();
-        self.indeg.extend_from_slice(&cs.indeg0[op_base..op_end]);
+        cs.extend_indeg0(lo..hi, &mut self.indeg);
         reset_fill(&mut self.done, total, false);
         self.posted.resize_with(nranks, TagQueue::new);
         self.unexpected.resize_with(nranks, TagQueue::new);
@@ -384,49 +374,6 @@ impl RunScratch {
         );
     }
 
-    /// (Re)build the per-op dispatch table for the owned slice: every
-    /// field the hot loop needs — op class with the eager-vs-rendezvous
-    /// protocol decision folded into the opcode, the size/duration
-    /// argument, peer, tag, and the dependency fan-out range —
-    /// interleaved into one 32-byte record. The [`CompiledSchedule`]'s
-    /// parallel arrays are laid out column-major; dispatch visits ops in
-    /// data-dependent order across ranks, so reading five columns per op
-    /// means up to five cache misses where the packed record pays one.
-    /// The table depends only on `(schedule, eager threshold, rank
-    /// slice)` and is cached across resets under that stamp — replica
-    /// reuse of a warm scratch never replans.
-    pub(crate) fn plan_dispatch(&mut self, cs: &CompiledSchedule, params: &LogGopsParams) {
-        let stamp = (cs.uid, params.eager_threshold, self.rank_lo, self.rank_hi);
-        if self.plan_stamp == Some(stamp) {
-            return;
-        }
-        let lo = self.op_base;
-        let hi = lo + self.done.len();
-        self.ops.clear();
-        self.ops.reserve(hi - lo);
-        for f in lo..hi {
-            let (opcode, arg) = match cs.class[f] {
-                OpClass::Calc => (OPC_CALC, cs.dur[f].as_ps()),
-                // Branch-free protocol selection: the threshold
-                // comparison's boolean is the opcode offset.
-                OpClass::Send => (
-                    OPC_SEND_EAGER + params.is_rendezvous(cs.bytes[f]) as u32,
-                    cs.bytes[f],
-                ),
-                OpClass::Recv => (OPC_RECV, cs.bytes[f]),
-            };
-            self.ops.push(PackedOp {
-                arg,
-                dep_lo: cs.dep_off[f],
-                dep_cnt: cs.dep_off[f + 1] - cs.dep_off[f],
-                peer: cs.peer[f],
-                tag: cs.tag[f],
-                opcode,
-            });
-        }
-        self.plan_stamp = Some(stamp);
-    }
-
     /// Accept a cross-shard message routed here by the sharded driver:
     /// park it in the local arena and enqueue its arrival under the key
     /// its creator assigned (never re-keyed — the content-computable
@@ -435,35 +382,6 @@ impl RunScratch {
         let r = self.slab.alloc(msg);
         self.queue.push(time, key, Event::Arrive(r));
     }
-}
-
-// Dispatch opcodes: `OpClass` with the send-protocol choice precomputed.
-const OPC_CALC: u32 = 0;
-const OPC_SEND_EAGER: u32 = 1;
-const OPC_SEND_REND: u32 = 2;
-const OPC_RECV: u32 = 3;
-
-/// One op's dispatch-hot fields in a single 32-byte record (two per
-/// cache line): opcode with the send protocol pre-decided, the
-/// class-dependent argument, peer/tag, and the dependency fan-out range
-/// of [`CompiledSchedule::dep_tgt`] — everything [`Engine::exec_op`] and
-/// [`Engine::complete`] read per dispatched op.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub(crate) struct PackedOp {
-    /// Calc: duration in ps. Send/Recv: payload bytes.
-    arg: u64,
-    /// First dependent edge in `dep_tgt` (completion fan-out).
-    dep_lo: u32,
-    /// Dependent-edge count.
-    dep_cnt: u32,
-    /// Send destination / receive source filter ([`ANY_SOURCE`] =
-    /// wildcard); unused for calcs.
-    peer: u32,
-    /// Message tag; unused for calcs.
-    tag: Tag,
-    /// One of the `OPC_*` dispatch codes.
-    opcode: u32,
 }
 
 /// Clear + refill a vector in place, keeping its capacity.
@@ -603,21 +521,20 @@ pub(crate) fn run_engine<R: Recorder, N: NoiseModel + ?Sized>(
     rec: R,
     noise: &mut N,
 ) -> Result<SimResult, SimError> {
-    start(cs, &params, scratch, 0..cs.num_ranks() as u32)?;
+    start(cs, scratch, 0..cs.num_ranks() as u32)?;
     drive(cs, params, topology, scratch, rec, noise, |_, _, _, _| {
         ControlFlow::Continue(())
     })
 }
 
 /// Prepare `scratch` to run the ranks `ranks` of `cs` from time zero:
-/// reset the slice, plan dispatch, and seed the initial ready wavefront
+/// reset the slice and seed the initial ready wavefront
 /// as bucket appends (root keys reproduce the legacy rank-major seeding
 /// order: time 0, rank-major `crank`, in-rank `cseq` in root order). The
 /// serial engine prepares one full-range slice; each shard of a sharded
 /// run prepares its own.
 pub(crate) fn start(
     cs: &CompiledSchedule,
-    params: &LogGopsParams,
     scratch: &mut RunScratch,
     ranks: std::ops::Range<u32>,
 ) -> Result<(), SimError> {
@@ -625,7 +542,6 @@ pub(crate) fn start(
         return Err(SimError::EmptySchedule);
     }
     scratch.reset_range(cs, ranks.start, ranks.end);
-    scratch.plan_dispatch(cs, params);
     scratch.seed_roots(cs);
     Ok(())
 }
@@ -935,22 +851,24 @@ impl<'e, R: Recorder> Engine<'e, R> {
     }
 
     fn exec_op<N: NoiseModel + ?Sized>(&mut self, noise: &mut N, rank: u32, op: u32, t: Time) {
-        let f = self.cs.flat(rank, op);
-        // Table-driven dispatch: one 32-byte record per op, class and
-        // send protocol precomputed by `plan_dispatch` — the hot loop
-        // never re-derives the eager-vs-rendezvous decision and touches
-        // a single cache line per op instead of one per schedule column.
-        let o = self.s.ops[self.lf(f)];
+        // Table-driven dispatch: one 32-byte record per head/body op,
+        // with the op's repetition advancing its tag or duration.
+        let (rec, rep) = self.cs.layout[rank as usize].locate(op);
+        let o = self.cs.recs[rec];
         match o.opcode {
-            OPC_CALC => {
-                let dur = Span::from_ps(o.arg);
+            OPC_CALC | OPC_CALC_STEP => {
+                let dur = if o.opcode == OPC_CALC {
+                    Span::from_ps(o.arg)
+                } else {
+                    self.cs.step_dur(&o, rep)
+                };
                 let end = self.occupy_cpu(noise, rank, op, SegKind::Calc, t, dur);
                 self.complete(rank, op, end);
             }
-            OPC_SEND_REND => {
+            OPC_SEND if self.params.is_rendezvous(o.arg) => {
                 let dst = o.peer;
                 let bytes = o.arg;
-                let tag = o.tag;
+                let tag = Tag(o.tag + rep * o.stride);
                 // RTS control message; the send op stays open until the
                 // CTS returns and the payload is injected.
                 let cpu_end =
@@ -971,10 +889,10 @@ impl<'e, R: Recorder> Engine<'e, R> {
                 self.record_send(&msg, inject, arrive);
                 self.push_arrive(rank, arrive, msg);
             }
-            OPC_SEND_EAGER => {
+            OPC_SEND => {
                 let dst = o.peer;
                 let bytes = o.arg;
-                let tag = o.tag;
+                let tag = Tag(o.tag + rep * o.stride);
                 let cpu_end = self.occupy_cpu(
                     noise,
                     rank,
@@ -1002,9 +920,9 @@ impl<'e, R: Recorder> Engine<'e, R> {
                 self.complete(rank, op, cpu_end);
             }
             _ => {
-                debug_assert_eq!(o.opcode, OPC_RECV);
+                debug_assert_eq!(o.opcode, crate::compile::OPC_RECV);
                 let peer = o.peer;
-                let tag = o.tag;
+                let tag = Tag(o.tag + rep * o.stride);
                 let srcf = (peer != ANY_SOURCE).then_some(peer);
                 if let Some(u) = self.take_unexpected(rank, srcf, tag) {
                     if R::ENABLED {
@@ -1261,17 +1179,22 @@ impl<'e, R: Recorder> Engine<'e, R> {
         if R::ENABLED {
             self.rec.record(SimEvent::OpDone { rank, op, at: t });
         }
-        // Dependency fan-out: CSR targets are rank-local op ids (deps
-        // never cross ranks), so the dependent's flat id shares this
-        // rank's base offset. The edge range comes from the packed
-        // dispatch record — still warm from `exec_op` — instead of two
-        // `dep_off` column reads.
-        let base = self.cs.rank_off[rank as usize] as usize - self.s.op_base;
-        let o = self.s.ops[fl];
+        // Dependency fan-out: targets are rank-local op ids of the
+        // record's first repetition (deps never cross ranks), shifted to
+        // this op's repetition; one past the rank's last op leaves the
+        // schedule (see `crate::compile`).
+        let cs = self.cs;
+        let base = cs.rank_off[rank as usize] as usize - self.s.op_base;
+        let l = cs.layout[rank as usize];
+        let (rec, rep) = l.locate(op);
+        let o = cs.recs[rec];
+        let shift = rep * l.body;
         let lo = o.dep_lo as usize;
-        let hi = lo + o.dep_cnt as usize;
-        for i in lo..hi {
-            let d = self.cs.dep_tgt[i];
+        for &d in &cs.dep_tgt[lo..lo + o.dep_cnt as usize] {
+            let d = d + shift;
+            if d >= l.len {
+                continue;
+            }
             let indeg = &mut self.s.indeg[base + d as usize];
             *indeg -= 1;
             if *indeg == 0 {

@@ -118,6 +118,11 @@ impl TagPool {
             .expect("collective tag space exhausted");
         t
     }
+
+    /// Tags reserved so far.
+    pub fn drawn(&self) -> u32 {
+        self.next - crate::op::COLLECTIVE_TAG_BASE
+    }
 }
 
 impl Default for TagPool {
@@ -169,6 +174,7 @@ mod tests {
         let b = p.alloc(5);
         assert_eq!(b.0, a.0 + 10);
         assert!(a.0 >= crate::op::COLLECTIVE_TAG_BASE);
+        assert_eq!(p.drawn(), 15);
     }
 
     #[test]

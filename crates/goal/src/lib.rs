@@ -19,6 +19,9 @@
 //!   send/recv trees (binomial broadcast/reduce, recursive-doubling
 //!   allreduce, dissemination barrier, ring allgather, pairwise alltoall,
 //!   binomial scatter/gather), mirroring LogGOPSim's collective expander,
+//! * [`periodic`] — one period of a repeating schedule (a head run
+//!   once, then a body repeated with per-repetition tags and durations),
+//!   the form workload skeletons compile from,
 //! * [`textfmt`] — a human-readable GOAL-like text serialization with a
 //!   round-tripping parser,
 //! * [`validate`] — static checks (dependency ranges, acyclicity for
@@ -30,11 +33,13 @@
 pub mod builder;
 pub mod collectives;
 pub mod op;
+pub mod periodic;
 pub mod schedule;
 pub mod textfmt;
 pub mod validate;
 
 pub use builder::ScheduleBuilder;
 pub use op::{Op, OpId, OpKind, Rank, Tag};
+pub use periodic::{Period, PeriodicSchedule, RankPeriod};
 pub use schedule::{RankSchedule, Schedule, ScheduleStats};
 pub use validate::ValidationError;

@@ -56,7 +56,7 @@ impl Schedule {
 
     /// Flat-layout rank offsets: `offsets[r]..offsets[r + 1]` is rank
     /// `r`'s slice of the global op index space `0..total_ops()` used by
-    /// compiled (struct-of-arrays) schedule representations. The flat
+    /// compiled schedule representations. The flat
     /// index of `(rank, op)` is `offsets[rank] + op`.
     pub fn flat_offsets(&self) -> Vec<u32> {
         let mut offsets = Vec::with_capacity(self.ranks.len() + 1);

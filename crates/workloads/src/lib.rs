@@ -38,7 +38,7 @@ pub use apps::AppId;
 pub use config::WorkloadConfig;
 pub use skeleton::Skeleton;
 
-use cesim_goal::Schedule;
+use cesim_goal::{PeriodicSchedule, Schedule};
 
 /// Build the communication skeleton of `app` for `ranks` ranks.
 ///
@@ -47,6 +47,12 @@ use cesim_goal::Schedule;
 /// 125·2^k rule from the paper).
 pub fn build(app: AppId, ranks: usize, cfg: &WorkloadConfig) -> Schedule {
     apps::spec(app).build(ranks, cfg)
+}
+
+/// One period of [`build`]'s schedule ([`Skeleton::build_periodic`]):
+/// the form the engine compiles without expanding the whole run.
+pub fn build_periodic(app: AppId, ranks: usize, cfg: &WorkloadConfig) -> PeriodicSchedule {
+    apps::spec(app).build_periodic(ranks, cfg)
 }
 
 /// The workload's natural rank count given a node budget, mirroring

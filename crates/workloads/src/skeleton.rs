@@ -15,6 +15,17 @@
 //! workloads — decomposition dimensionality, halo stencil classes and
 //! message sizes, compute granularity, and collective cadence — and
 //! expands them into a validated [`Schedule`].
+//!
+//! The loop's structure repeats every [`Skeleton::period`] steps (the
+//! least common multiple of the halo and collective cadences); only the
+//! compute jitter and the message tags change. [`Skeleton::build_periodic`]
+//! therefore expands one period and records what changes per
+//! repetition (see [`cesim_goal::periodic`]): the jitter of every
+//! (rank, step) in a side table, halo tags advancing by twice the period,
+//! and collective tags by what one period draws from the [`TagPool`].
+//! The engine compiles that form directly, so a long run costs one
+//! period of schedule; [`Skeleton::build`] expands every step and stays
+//! the reference the periodic form is checked against.
 
 #![allow(clippy::needless_range_loop)] // parallel per-rank arrays
 
@@ -22,7 +33,9 @@ use crate::config::WorkloadConfig;
 use crate::geometry::{offsets, order, Grid};
 use cesim_goal::builder::TagPool;
 use cesim_goal::collectives::{allreduce, CollectiveCosts};
-use cesim_goal::{OpId, Rank, Schedule, ScheduleBuilder, Tag};
+use cesim_goal::{
+    OpId, Period, PeriodicSchedule, Rank, RankPeriod, Schedule, ScheduleBuilder, Tag,
+};
 use cesim_model::rng::Rng64;
 use cesim_model::Span;
 
@@ -81,9 +94,99 @@ pub struct Skeleton {
 impl Skeleton {
     /// Expand into a schedule for `ranks` ranks.
     pub fn build(&self, ranks: usize, cfg: &WorkloadConfig) -> Schedule {
+        let steps = cfg.effective_steps(self.default_steps);
+        let mut jitter: Vec<Rng64> = (0..ranks)
+            .map(|r| Rng64::substream(cfg.seed, r as u64))
+            .collect();
+        let (b, _, _) = self.expand(ranks, cfg, steps, |r, _, _| {
+            self.compute_per_step.mul_f64(jitter[r].jitter(JITTER))
+        });
+        b.build()
+    }
+
+    /// Steps after which the step structure repeats: the least common
+    /// multiple of the halo and collective cadences.
+    pub fn period(&self) -> usize {
+        let halo = self.halo_every.max(1);
+        match self.collective {
+            Some(c) => lcm(halo, c.every.max(1)),
+            None => halo,
+        }
+    }
+
+    /// Expand into one [`period`](Skeleton::period) of the schedule
+    /// [`build`](Skeleton::build) makes: the step loop runs over the
+    /// first `min(period, steps)` steps, and the compute jitter of every
+    /// step goes to a side table. Expanding the result repetition by
+    /// repetition (see [`cesim_goal::periodic`]) gives `build`'s schedule
+    /// op for op.
+    pub fn build_periodic(&self, ranks: usize, cfg: &WorkloadConfig) -> PeriodicSchedule {
+        let steps = cfg.effective_steps(self.default_steps);
+        let period = self.period();
+        let body_steps = period.min(steps);
+        let reps = steps.div_ceil(period);
+        let last_steps = steps - (reps - 1) * period;
+        // Compute durations of every (rank, step), rank-major: the draws
+        // `build` makes, one stream per rank.
+        let mut durs = Vec::with_capacity(ranks * steps);
+        for r in 0..ranks {
+            let mut jitter = Rng64::substream(cfg.seed, r as u64);
+            durs.extend((0..steps).map(|_| self.compute_per_step.mul_f64(jitter.jitter(JITTER))));
+        }
+        // Step-major: the compute calc of (rank r, step s) is entry
+        // `s * ranks + r`.
+        let mut series = Vec::with_capacity(ranks * body_steps);
+        let (b, carry, tags) = self.expand(ranks, cfg, body_steps, |r, step, op| {
+            let base = u32::try_from(r * steps + step).expect("jitter table exceeds u32");
+            series.push((Rank::from(r), op, base));
+            durs[base as usize]
+        });
+        let template = b.build();
+        let per_rank = (0..ranks)
+            .map(|r| {
+                // Each step opens with its compute calc, so the head is
+                // what precedes step 0's and a cut-short repetition ends
+                // where step `last_steps`'s would start.
+                let head = series[r].1 .0;
+                let last = match series.get(last_steps * ranks + r) {
+                    Some(&(_, op, _)) => op.0 - head,
+                    None => template.ranks[r].ops.len() as u32 - head,
+                };
+                RankPeriod {
+                    head,
+                    entry: OpId(head - 1),
+                    carry: carry[r],
+                    last,
+                }
+            })
+            .collect();
+        PeriodicSchedule {
+            template,
+            period: Period {
+                ranks: per_rank,
+                reps: u32::try_from(reps).expect("repetition count exceeds u32"),
+                p2p_tag_stride: u32::try_from(2 * period).expect("halo tag space exhausted"),
+                collective_tag_stride: tags.drawn(),
+                durs,
+                dur_stride: period as u32,
+                series,
+            },
+        }
+    }
+
+    /// The step loop over `steps` steps, each rank's step opening with a
+    /// compute calc of `compute(rank, step, op)`, where `op` is the id
+    /// that calc gets. Returns the builder, each rank's last op, and the
+    /// tags the collectives drew.
+    fn expand(
+        &self,
+        ranks: usize,
+        cfg: &WorkloadConfig,
+        steps: usize,
+        mut compute: impl FnMut(usize, usize, OpId) -> Span,
+    ) -> (ScheduleBuilder, Vec<OpId>, TagPool) {
         assert!(ranks > 0, "need at least one rank");
         assert!((2..=4).contains(&self.dims), "unsupported dimensionality");
-        let steps = cfg.effective_steps(self.default_steps);
         let grid = Grid::balanced(ranks, self.dims);
         let max_order = self.halo.iter().map(|h| h.order).max().unwrap_or(0);
         let offs = if max_order > 0 {
@@ -103,9 +206,6 @@ impl Skeleton {
         let mut b = ScheduleBuilder::new(ranks);
         let mut tags = TagPool::new();
         let costs = CollectiveCosts::default();
-        let mut jitter: Vec<Rng64> = (0..ranks)
-            .map(|r| Rng64::substream(cfg.seed, r as u64))
-            .collect();
 
         // Start node per rank.
         let mut cur: Vec<OpId> = (0..ranks).map(|r| b.join(Rank::from(r), &[])).collect();
@@ -113,8 +213,9 @@ impl Skeleton {
         for step in 0..steps {
             // Compute phase.
             for r in 0..ranks {
-                let dur = self.compute_per_step.mul_f64(jitter[r].jitter(JITTER));
-                cur[r] = b.calc(Rank::from(r), dur, &[cur[r]]);
+                let rank = Rank::from(r);
+                let dur = compute(r, step, OpId(b.ops_on(rank) as u32));
+                cur[r] = b.calc(rank, dur, &[cur[r]]);
             }
             // Halo phase(s). Tags: two per step (forward/reverse), far
             // below the collective tag base.
@@ -135,7 +236,7 @@ impl Skeleton {
                 }
             }
         }
-        b.build()
+        (b, cur, tags)
     }
 
     /// Nominal step count × compute per step: the serial-compute lower
@@ -144,6 +245,17 @@ impl Skeleton {
         let steps = cfg.effective_steps(self.default_steps) as u64;
         self.compute_per_step * steps
     }
+}
+
+fn lcm(a: usize, b: usize) -> usize {
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
+    }
+    a / gcd(a, b) * b
 }
 
 /// One halo exchange: every rank sends to / receives from each stencil
@@ -274,6 +386,53 @@ mod tests {
         let sk = toy();
         let cfg = WorkloadConfig::default();
         assert_eq!(sk.nominal_compute(&cfg), Span::from_ms(4));
+    }
+
+    #[test]
+    fn period_is_the_lcm_of_the_cadences() {
+        let mut sk = toy();
+        assert_eq!(sk.period(), 1);
+        sk.halo_every = 4;
+        sk.collective = Some(CollectivePlan {
+            every: 6,
+            per_occurrence: 1,
+            bytes: 8,
+        });
+        assert_eq!(sk.period(), 12);
+        sk.collective = None;
+        assert_eq!(sk.period(), 4);
+    }
+
+    #[test]
+    fn periodic_build_holds_one_period() {
+        let mut sk = toy();
+        sk.halo_every = 2;
+        let cfg = WorkloadConfig::default().with_steps(7);
+        let full = sk.build(8, &cfg);
+        let ps = sk.build_periodic(8, &cfg);
+        let p = &ps.period;
+        // Period 2: three full repetitions and one cut to a single step.
+        assert_eq!(p.reps, 4);
+        assert_eq!(p.durs.len(), 8 * 7);
+        assert_eq!(p.series.len(), 8 * 2);
+        assert_eq!(p.p2p_tag_stride, 4);
+        for (r, rp) in p.ranks.iter().enumerate() {
+            let ops = ps.template.ranks[r].ops.len() as u32;
+            let body = ops - rp.head;
+            assert_eq!(rp.head, 1);
+            assert_eq!(rp.carry.0, ops - 1, "the carry is the period's last op");
+            assert!(rp.last < body);
+            assert_eq!(
+                full.ranks[r].ops.len() as u32,
+                rp.head + 3 * body + rp.last,
+                "rank {r}"
+            );
+            // The first repetition is the full build's first period.
+            assert_eq!(
+                ps.template.ranks[r].ops[..],
+                full.ranks[r].ops[..ops as usize]
+            );
+        }
     }
 
     #[test]
